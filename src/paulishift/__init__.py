@@ -18,13 +18,12 @@ from .circuits import (AnsatzLayout, DensityMatrix, ParameterPoint,
                        PauliObservable, build_ansatz, cyclic_observable,
                        evolve, expectation, zero_state)
 from .estimators import (DiagHessian, EstimatorSpec, Gradient,
-                         OffDiagHessian, estimate_derivative, estimator_mean,
-                         exact_derivative, shot_allocation)
+                         OffDiagHessian, estimator_mean, exact_derivative)
 from .harness import (ExperimentConfig, MseEstimate, NoiseSpec,
                       distribution_study, empirical_n_star, monte_carlo_mse,
                       sample_parameter_set, verify_two_design)
 from .noise import (CnotDepolarizing, CnotPauliChannel, GlobalDepolarizing,
-                    NoNoise, extract_g, per_layer_error_rate_to_eta0,
+                    NoNoise, per_layer_error_rate_to_eta0,
                     random_pauli_weights, total_error_rate)
 
 __all__ = [
@@ -34,10 +33,9 @@ __all__ = [
     "expectation",
     "NoNoise", "GlobalDepolarizing", "CnotDepolarizing", "CnotPauliChannel",
     "random_pauli_weights", "total_error_rate",
-    "per_layer_error_rate_to_eta0", "extract_g",
+    "per_layer_error_rate_to_eta0",
     "Gradient", "DiagHessian", "OffDiagHessian", "EstimatorSpec",
-    "shot_allocation", "estimator_mean", "exact_derivative",
-    "estimate_derivative",
+    "estimator_mean", "exact_derivative",
     "TwoDesignMoments", "MseBreakdown", "SchemeParams", "two_design_moments",
     "mse_sps", "mse_fd", "lambda_opt", "lambda_opt_eta", "epsilon_opt",
     "epsilon_opt_asymptotic", "n_star_sps_exact", "n_star_sps_small_eta",

@@ -12,11 +12,9 @@ MSE convention: errors are measured against the noiseless derivative, and
 each breakdown separates a finite-copy part (shot variance, decaying with the
 copy budget) from an approximation part (bias squared, independent of it).
 
-Scheme regimes:
-
-* ``naive``     - free parameter tuned assuming no noise (eta = 0);
-* ``heuristic`` - tuned with the known total error rate folded in;
-* ``manual``    - user-supplied value.
+Schemes: ``ps`` is the plain shift rule; ``nsps``/``nfd`` tune their free
+parameter for a clean circuit (naive), ``hsps``/``hfd`` for the known total
+error rate (heuristic). ``scheme_param`` maps a name to its parameter.
 """
 from __future__ import annotations
 
@@ -30,7 +28,7 @@ import numpy as np
 from .estimators import DerivativeTarget, target_kind
 
 TARGET_KINDS = ("gradient", "diag", "offdiag")
-REGIMES = ("naive", "heuristic", "manual")
+SCHEMES = ("ps", "nsps", "hsps", "nfd", "hfd")
 
 # Per-target constants: shot-variance prefactor c of the scaled shift rule,
 # finite-difference prefactor k with epsilon power p, and the sinc power m in
@@ -125,23 +123,17 @@ class MseBreakdown:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """A scheme's free parameter together with how it was chosen."""
+    """A scheme's free parameter and the rate it was tuned for (None: naive)."""
 
     scheme_family: str  # "sps" | "fd"
     value: float
-    regime: str  # "naive" | "heuristic" | "manual"
     eta: float | None = None
 
     def __post_init__(self):
         if self.scheme_family not in ("sps", "fd"):
             raise ValueError("scheme_family must be 'sps' or 'fd'")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
         if not self.value > 0:
             raise ValueError("parameter value must be positive")
-        if self.regime == "heuristic":
-            if self.eta is None or not 0.0 <= self.eta < 1.0:
-                raise ValueError("heuristic regime needs eta in [0, 1)")
 
 
 def _check_common(eta: float, g: float, n_total: float):
@@ -202,7 +194,7 @@ def lambda_opt(target, d: int, n_total: float) -> SchemeParams:
         lam = 4.0 * d * nt / (9.0 * d * d + 4.0 * d * nt - 9.0)
     else:
         lam = d ** 3 * nt / (4.0 * (d * d - 1.0) ** 2 + d ** 3 * nt)
-    return SchemeParams(scheme_family="sps", value=lam, regime="naive")
+    return SchemeParams(scheme_family="sps", value=lam)
 
 
 def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> SchemeParams:
@@ -223,8 +215,7 @@ def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> SchemeParams:
     k1 = 1.0 - eta
     num = k1 * moment * n_total
     den = c * _shot_strength(d, eta, 0.0) + k1 * k1 * moment * n_total
-    return SchemeParams(scheme_family="sps", value=num / den,
-                        regime="heuristic", eta=eta)
+    return SchemeParams(scheme_family="sps", value=num / den, eta=eta)
 
 
 @lru_cache(maxsize=None)
@@ -273,9 +264,9 @@ def epsilon_opt(target, d: int, n_total: float,
                 eta: float | None = None) -> SchemeParams:
     """Numerically optimal finite-difference step.
 
-    With ``eta`` omitted the step minimizes the noise-free MSE (naive
-    regime); with a rate given, the known-noise upper bound (heuristic
-    regime). Search domain [1e-6, 2*pi - 1e-6], golden-section refinement of
+    With ``eta`` omitted (or 0) the step minimizes the noise-free MSE
+    (naive); with a rate given, the known-noise upper bound (heuristic).
+    Search domain [1e-6, 2*pi - 1e-6], golden-section refinement of
     a 512-point log-spaced scan, absolute tolerance 1e-9 on epsilon.
     """
     if n_total < 1:
@@ -283,12 +274,11 @@ def epsilon_opt(target, d: int, n_total: float,
     kind = _kind(target)
     if eta is None or eta == 0.0:
         value = _epsilon_opt_cached(kind, d, float(n_total), 0.0)
-        return SchemeParams(scheme_family="fd", value=value, regime="naive")
+        return SchemeParams(scheme_family="fd", value=value)
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
     value = _epsilon_opt_cached(kind, d, float(n_total), float(eta))
-    return SchemeParams(scheme_family="fd", value=value, regime="heuristic",
-                        eta=float(eta))
+    return SchemeParams(scheme_family="fd", value=value, eta=float(eta))
 
 
 def epsilon_opt_asymptotic(target, d: int, n_total: float) -> float:
@@ -310,6 +300,36 @@ def epsilon_opt_asymptotic(target, d: int, n_total: float) -> float:
     return float((const * s0 / (n_total * moment)) ** power)
 
 
+# ── named schemes ────────────────────────────────────────────────────────────
+
+def scheme_param(scheme: str, target, d: int, nt: float,
+                 eta: float) -> tuple[str, float]:
+    """The (family, value) a named scheme runs at budget nt and total rate eta.
+
+    Family "sps" carries lambda (``ps`` is lambda = 1), "fd" carries epsilon.
+    At eta = 0 the heuristic schemes reduce to the naive ones.
+    """
+    if scheme == "ps":
+        return "sps", 1.0
+    if scheme == "nsps":
+        return "sps", lambda_opt(target, d, nt).value
+    if scheme == "hsps":
+        return "sps", lambda_opt_eta(target, d, nt, eta).value
+    if scheme == "nfd":
+        return "fd", epsilon_opt(target, d, nt).value
+    if scheme == "hfd":
+        return "fd", epsilon_opt(target, d, nt, eta).value
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def scheme_mse(scheme: str, target, d: int, nt: float,
+               eta: float) -> tuple[float, MseBreakdown]:
+    """A named scheme's parameter and its closed-form MSE at g = 0."""
+    family, value = scheme_param(scheme, target, d, nt, eta)
+    mse = mse_sps if family == "sps" else mse_fd
+    return value, mse(target, d, value, eta, 0.0, nt)
+
+
 # ── crossover copy numbers ───────────────────────────────────────────────────
 
 def _crossing_h(d: int, eta: float) -> float:
@@ -321,6 +341,21 @@ def _crossing_h(d: int, eta: float) -> float:
     a = d + 4.0 * eta + eta * eta * (d - 2.0)
     b = 8.0 * d * eta * (1.0 - eta) * (d + 2.0 * eta - eta * eta)
     return a + math.sqrt(a * a + b)
+
+
+def _check_sps_crossing_rate(eta: float) -> None:
+    if eta == 0.0:
+        raise NoCrossoverAtZeroNoise(
+            "eta=0: the naively scaled shift rule never crosses PS")
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must lie in (0, 1)")
+
+
+def _finite_crossing(n_star: float) -> float:
+    """Pass a crossing through; one past the float range is not found."""
+    if not math.isfinite(n_star):
+        raise CrossoverNotFound("crossing lies beyond the float range")
+    return n_star
 
 
 _NSTAR_PREFACTOR = {
@@ -337,19 +372,15 @@ def n_star_sps_exact(target, d: int, eta: float) -> float:
     noise-free optimal lambda under noise rate eta. Verified internally to
     1e-9 relative before returning.
     """
-    if eta == 0.0:
-        raise NoCrossoverAtZeroNoise(
-            "eta=0: the naively scaled shift rule never crosses PS")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    _check_sps_crossing_rate(eta)
     kind = _kind(target)
-    n_star = _NSTAR_PREFACTOR[kind](d) * _crossing_h(d, eta) / (
-        eta * (1.0 - eta))
+    n_star = _finite_crossing(_NSTAR_PREFACTOR[kind](d) * _crossing_h(d, eta)
+                              / (eta * (1.0 - eta)))
     lam = lambda_opt(kind, d, n_star).value
     m_nsps = mse_sps(kind, d, lam, eta, 0.0, n_star).total
     m_ps = mse_sps(kind, d, 1.0, eta, 0.0, n_star).total
     if abs(m_nsps - m_ps) > 1e-9 * m_ps:
-        raise AssertionError(
+        raise CrossoverNotFound(
             f"crossing root check failed: relative residual "
             f"{abs(m_nsps - m_ps) / m_ps:.3e} at N={n_star}")
     return n_star
@@ -357,17 +388,13 @@ def n_star_sps_exact(target, d: int, eta: float) -> float:
 
 def n_star_sps_small_eta(target, d: int, eta: float) -> float:
     """First-order-in-eta crossing: (d^2-1)/(d eta) and its Hessian scalings."""
-    if eta == 0.0:
-        raise NoCrossoverAtZeroNoise(
-            "eta=0: the naively scaled shift rule never crosses PS")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    _check_sps_crossing_rate(eta)
     kind = _kind(target)
     if kind == "gradient":
-        return (d * d - 1.0) / (d * eta)
+        return _finite_crossing((d * d - 1.0) / (d * eta))
     if kind == "diag":
-        return 9.0 * (d * d - 1.0) / (8.0 * d * eta)
-    return 2.0 * (d * d - 1.0) ** 2 / (d ** 3 * eta)
+        return _finite_crossing(9.0 * (d * d - 1.0) / (8.0 * d * eta))
+    return _finite_crossing(2.0 * (d * d - 1.0) ** 2 / (d ** 3 * eta))
 
 
 def n_star_fd(target, d: int, eta: float) -> float:
@@ -377,9 +404,11 @@ def n_star_fd(target, d: int, eta: float) -> float:
     (that is what makes the scheme naive), then both schemes are evaluated at
     rate eta with g = 0. The sign change of the difference is bisected over
     [12, 1e12] in log space until the residual is below 1e-6 relative.
+    Unlike the scaled shift rule, finite differences beat PS at small N even
+    without noise, so the crossing exists at eta = 0 too.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    if not 0.0 <= eta < 1.0:
+        raise ValueError("eta must lie in [0, 1)")
     kind = _kind(target)
 
     def diff(n: float) -> float:

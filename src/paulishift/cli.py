@@ -26,8 +26,8 @@ import argparse
 import configparser
 import csv
 import hashlib
+import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -35,10 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, analytics, harness
-from .circuits import build_ansatz, cyclic_observable
-from .estimators import (DiagHessian, EstimatorSpec, Gradient, OffDiagHessian,
-                         estimator_mean, target_kind)
+from . import __version__, analytics, harness, invariants
+from .estimators import DiagHessian, Gradient, OffDiagHessian, target_kind
 
 _TARGET_NAMES = {"gradient": Gradient, "diag": DiagHessian,
                  "offdiag": OffDiagHessian}
@@ -58,12 +56,15 @@ def _out_dir(args) -> str:
     return out
 
 
+def _write_rows(fh, header: list[str], rows: list[list]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        _write_rows(fh, header, rows)
 
 
 def canonical_json(obj) -> str:
@@ -168,7 +169,7 @@ def load_config(path: str):
     seed = take("experiment", "master_seed", int, required=True)
     schemes = take("experiment", "schemes",
                    lambda s: tuple(p.strip() for p in s.split(",")),
-                   default=harness.SCHEMES)
+                   default=analytics.SCHEMES)
     target_names = take("experiment", "targets",
                         lambda s: tuple(p.strip() for p in s.split(",")),
                         default=("gradient", "diag", "offdiag"))
@@ -223,90 +224,54 @@ def config_to_dict(config: harness.ExperimentConfig) -> dict:
 
 # ── analytic command ─────────────────────────────────────────────────────────
 
-def _scheme_param(scheme: str, kind: str, d: int, nt: float, eta: float):
-    if scheme == "ps":
-        return 1.0, "sps"
-    if scheme == "nsps":
-        return analytics.lambda_opt(kind, d, nt).value, "sps"
-    if scheme == "hsps":
-        return analytics.lambda_opt_eta(kind, d, nt, eta).value, "sps"
-    if scheme == "nfd":
-        return analytics.epsilon_opt(kind, d, nt).value, "fd"
-    return analytics.epsilon_opt(kind, d, nt, eta or None).value, "fd"
+def _crossing(fn, kind: str, d: int, eta: float):
+    """A crossover copy number, or an empty cell when there is none."""
+    try:
+        return fn(kind, d, eta)
+    except analytics.CrossoverNotFound:
+        return ""
 
 
 def cmd_analytic(args) -> int:
-    targets = args.targets.split(",") if args.targets != "all" else \
-        list(_TARGET_NAMES)
-    for t in targets:
-        if t not in _TARGET_NAMES:
-            print(f"error: unknown target {t!r}", file=sys.stderr)
-            return 2
+    targets = (list(_TARGET_NAMES) if args.targets == "all"
+               else args.targets.split(","))
     try:
-        if args.d and args.n:
-            raise ValueError("give either --d or --n, not both")
-        if args.d:
-            dims = parse_int_grid(args.d)
-        elif args.n:
-            dims = [2 ** q for q in parse_int_grid(args.n)]
-        else:
-            raise ValueError("need --d or --n")
+        if bool(args.d) == bool(args.n):
+            raise ValueError("give exactly one of --d and --n")
+        dims = (parse_int_grid(args.d) if args.d
+                else [2 ** q for q in parse_int_grid(args.n)])
         etas = parse_float_list(args.eta)
-        for eta in etas:
-            if not 0.0 <= eta < 1.0:
-                raise ValueError(f"eta {eta} outside [0, 1)")
-        for d in dims:
-            if d < 2:
-                raise ValueError(f"dimension {d} below 2")
-        if not args.nstar:
-            if not args.nt:
-                raise ValueError("need --nt for the MSE table")
-            grid = parse_int_grid(args.nt)
-            if not grid:
-                raise ValueError("empty --nt grid")
-        else:
-            grid = []
+        if not (args.nstar or args.nt):
+            raise ValueError("need --nt for the MSE table")
+        grid = [] if args.nstar else parse_int_grid(args.nt)
+        bad = ([f"unknown target {t!r}" for t in targets
+                if t not in _TARGET_NAMES]
+               + [f"eta {e} outside [0, 1)" for e in etas if not 0 <= e < 1]
+               + [f"dimension {d} below 2" for d in dims if d < 2]
+               + [f"copy budget {nt} below 1" for nt in grid if nt < 1])
+        if bad:
+            raise ValueError(bad[0])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     started = _now()
+    cells = list(itertools.product(targets, dims, etas))
     if args.nstar:
         header = ["target", "d", "eta", "n_star_sps_exact",
                   "n_star_sps_small_eta", "n_star_fd"]
-        rows = []
-        for kind in targets:
-            for d in dims:
-                for eta in etas:
-                    row: list = [kind, d, eta]
-                    for fn in (analytics.n_star_sps_exact,
-                               analytics.n_star_sps_small_eta,
-                               analytics.n_star_fd):
-                        try:
-                            row.append(fn(kind, d, eta))
-                        except analytics.CrossoverNotFound:
-                            row.append("")
-                    rows.append(row)
+        rows = [[kind, d, eta] + [_crossing(fn, kind, d, eta) for fn in (
+            analytics.n_star_sps_exact, analytics.n_star_sps_small_eta,
+            analytics.n_star_fd)] for kind, d, eta in cells]
     else:
         header = ["target", "d", "eta", "n_total", "scheme", "param",
                   "mse_finite", "mse_approx", "mse_total"]
         rows = []
-        for kind in targets:
-            for d in dims:
-                for eta in etas:
-                    for nt in grid:
-                        for scheme in harness.SCHEMES:
-                            value, family = _scheme_param(scheme, kind, d,
-                                                          nt, eta)
-                            if family == "sps":
-                                mse = analytics.mse_sps(kind, d, value, eta,
-                                                        0.0, nt)
-                            else:
-                                mse = analytics.mse_fd(kind, d, value, eta,
-                                                       0.0, nt)
-                            rows.append([kind, d, eta, nt, scheme, value,
-                                         mse.finite_copy, mse.approximation,
-                                         mse.total])
+        for (kind, d, eta), nt, scheme in itertools.product(
+                cells, grid, analytics.SCHEMES):
+            value, mse = analytics.scheme_mse(scheme, kind, d, nt, eta)
+            rows.append([kind, d, eta, nt, scheme, value, mse.finite_copy,
+                         mse.approximation, mse.total])
 
     if args.csv:
         path = os.path.join(_out_dir(args), args.csv)
@@ -320,10 +285,7 @@ def cmd_analytic(args) -> int:
             outputs=[os.path.basename(path)], extra={})
         manifest.write(path + ".manifest.json")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        _write_rows(sys.stdout, header, rows)
     return 0
 
 
@@ -412,172 +374,64 @@ def cmd_dist(args) -> int:
 
 
 # ── verify command ───────────────────────────────────────────────────────────
+# Measured by paulishift.invariants at verify's sizes under the acceptance
+# bounds; the moments keep max(10%, 3 stderr), as 1500 samples need.
 
 def _inv_stationarity(rng) -> tuple[bool, str]:
-    """Optimal lambdas zero the MSE lambda-derivative; grids find no better."""
-    worst = 0.0
-    for _ in range(40):
-        kind = str(rng.choice(analytics.TARGET_KINDS))
-        d = 2 ** int(rng.integers(1, 9))
-        nt = float(10 ** rng.uniform(1.2, 6))
-        eta = float(rng.uniform(0.0, 0.9))
-        for lam_val, use_eta in (
-                (analytics.lambda_opt(kind, d, nt).value, 0.0),
-                (analytics.lambda_opt_eta(kind, d, nt, eta).value, eta)):
-            base = analytics.mse_sps(kind, d, lam_val, use_eta, 0.0, nt).total
-            # The MSE is quadratic in lambda, so evaluate the grid from its
-            # two closed-form pieces instead of 1e4 separate calls.
-            one = analytics.mse_sps(kind, d, 1.0, use_eta, 0.0, nt)
-            moment = analytics.two_design_moments(
-                round(math.log2(d))).moment_for(kind)
-            grid = np.linspace(lam_val * 0.25, lam_val * 4.0, 10 ** 4)
-            vals = (one.finite_copy * grid ** 2
-                    + (1.0 - (1.0 - use_eta) * grid) ** 2 * moment)
-            if vals.min() < base - 1e-15:
-                return False, (f"grid beats lambda* for {kind} d={d} "
-                               f"eta={use_eta:.3f}")
-            h = max(lam_val * 1e-6, 1e-9)
-            slope = (analytics.mse_sps(kind, d, lam_val + h, use_eta, 0.0,
-                                       nt).total
-                     - analytics.mse_sps(kind, d, lam_val - h, use_eta, 0.0,
-                                         nt).total) / (2 * h)
-            scale = analytics.mse_sps(kind, d, lam_val, use_eta, 0.0,
-                                      nt).total / max(lam_val, 1e-6)
-            worst = max(worst, abs(slope) / scale)
-    ok = worst < 1e-6
-    return ok, f"max |dMSE/dlambda| / scale = {worst:.2e}"
+    residual, undershoot = invariants.stationarity(rng, 40)
+    return (residual < 1e-9 and undershoot < 1e-10,
+            f"max vertex residual {residual:.2e}, max grid undershoot "
+            f"{undershoot:.2e}")
 
 
 def _inv_nstar_roots(rng) -> tuple[bool, str]:
-    """Exact crossings equalize the two MSEs; small-eta forms are limits."""
-    worst = 0.0
-    for _ in range(30):
-        kind = str(rng.choice(analytics.TARGET_KINDS))
-        d = 2 ** int(rng.integers(1, 9))
-        eta = float(rng.uniform(1e-3, 0.9))
-        ns = analytics.n_star_sps_exact(kind, d, eta)
-        lam = analytics.lambda_opt(kind, d, ns).value
-        a = analytics.mse_sps(kind, d, lam, eta, 0.0, ns).total
-        b = analytics.mse_sps(kind, d, 1.0, eta, 0.0, ns).total
-        worst = max(worst, abs(a - b) / b)
-    for kind in analytics.TARGET_KINDS:
-        ratio = (analytics.n_star_sps_small_eta(kind, 16, 1e-4)
-                 / analytics.n_star_sps_exact(kind, 16, 1e-4))
-        if abs(ratio - 1.0) > 5e-3:
-            return False, f"small-eta ratio {ratio} off for {kind}"
-        h0 = analytics._crossing_h(16, 1e-9)
-        if abs(h0 - 32.0) > 32.0 * 1e-6:
-            return False, f"h(d, eta->0) = {h0}, want 2d"
-    ok = worst < 1e-9
-    return ok, f"max crossing residual {worst:.2e}"
+    imbalance, small, h = invariants.crossing_consistency(rng, 30)
+    return (imbalance < 1e-9 and small < 5e-3 and h < 1e-6,
+            f"max crossing residual {imbalance:.2e}, small-rate ratio off "
+            f"by {small:.2e}, h-limit off by {h:.2e}")
 
 
 def _inv_epsilon_asymptotic(rng) -> tuple[bool, str]:
-    """Numeric optimal steps approach the closed-form large-budget law."""
-    worst = 0.0
-    for kind in analytics.TARGET_KINDS:
-        for d in (4, 16):
-            num = analytics.epsilon_opt(kind, d, 1e12).value
-            asy = analytics.epsilon_opt_asymptotic(kind, d, 1e12)
-            worst = max(worst, abs(num - asy) / asy)
-    ok = worst < 0.01
-    return ok, f"max relative gap {worst:.2e}"
+    worst = invariants.step_asymptotics()
+    return worst < 0.01, f"max relative gap {worst:.2e}"
 
 
 def _inv_noise_floors(rng) -> tuple[bool, str]:
-    """Known-noise scaling kills the floor; finite differences cannot.
-
-    The known-noise scheme's approximation error must vanish far below the
-    naive floor at huge budgets with the total strictly decreasing, while
-    every finite-difference approximation error stays at or above the floor.
-    """
-    for kind in analytics.TARGET_KINDS:
-        for d, eta in ((2, 0.2), (16, 0.226), (64, 0.5)):
-            floor = analytics.noise_bias(kind, d, eta)
-            totals = []
-            for k in range(2, 10):
-                nt = 10.0 ** k
-                lam = analytics.lambda_opt_eta(kind, d, nt, eta).value
-                mse = analytics.mse_sps(kind, d, lam, eta, 0.0, nt)
-                totals.append(mse.total)
-                if k == 9 and mse.approximation > 1e-8 * floor:
-                    return False, (f"HSPS approximation {mse.approximation} "
-                                   f"above 1e-8 floor at {kind} d={d}")
-            if any(b >= a for a, b in zip(totals, totals[1:])):
-                return False, f"HSPS total not decreasing ({kind}, d={d})"
-            if totals[-1] > 1e-5 * totals[0]:
-                return False, f"HSPS total not vanishing ({kind}, d={d})"
-            for nt in (1e2, 1e4, 1e6, 1e8):
-                eps = analytics.epsilon_opt(kind, d, nt, eta).value
-                approx = analytics.mse_fd(kind, d, eps, eta, 0.0,
-                                          nt).approximation
-                if approx < floor * (1.0 - 1e-9):
-                    return False, (f"FD approximation dips below the floor "
-                                   f"at {kind} d={d} nt={nt:g}")
-    return True, "floors behave as predicted"
+    approx, step, decay, fd = invariants.noise_floors()
+    return (approx <= 1e-8 and step < 1.0 and decay <= 1e-5
+            and fd >= 1.0 - 1e-9,
+            f"HSPS approximation {approx:.1e} of the floor, total decay "
+            f"{decay:.1e}; FD approximation >= {fd:.9f} of the floor")
 
 
 def _inv_two_design(rng) -> tuple[bool, str]:
-    """Sampled ensemble moments match the closed forms."""
-    check = harness.verify_two_design(2, 6, 1500, rng)
-    an = check.analytic
-    if abs(check.mean_f.value) > 3 * check.mean_f.stderr:
-        return False, f"<f> = {check.mean_f.value} not ~0"
-    if abs(check.mean_f2.value - an.mean_f2) > 3 * check.mean_f2.stderr:
-        return False, f"<f^2> = {check.mean_f2.value} vs {an.mean_f2}"
-    for est, exact, name in ((check.mean_grad2, an.mean_grad2, "grad"),
-                             (check.mean_hess_diag2, an.mean_hess_diag2,
-                              "diag"),
-                             (check.mean_hess_off2, an.mean_hess_off2,
-                              "off")):
-        if abs(est.value - exact) > max(0.10 * exact, 3 * est.stderr):
-            return False, f"<{name}^2> = {est.value} vs {exact}"
-    return True, f"5 moments OK at n=2, L=6, {check.samples} samples"
+    function, derivative = invariants.moment_deviations(2, 6, 1500, rng)
+    return (all(x.sigmas <= 3.0 for x in function)
+            and all(x.rel <= 0.10 or x.sigmas <= 3.0 for x in derivative),
+            f"function moments within {max(x.sigmas for x in function):.1f} "
+            f"stderr, derivative moments within "
+            f"{max(x.rel for x in derivative):.1%} or "
+            f"{max(x.sigmas for x in derivative):.1f} stderr")
 
 
 def _inv_estimator_exactness(rng) -> tuple[bool, str]:
-    """Shift-rule derivatives match tiny central differences exactly."""
-    worst = 0.0
-    for _ in range(6):
-        n = int(rng.integers(1, 4))
-        L = int(rng.integers(2, 4))
-        layout = build_ansatz(n, L)
-        obs = cyclic_observable(n)
-        theta = harness.sample_parameter_set(layout, rng)
-        spec = EstimatorSpec("ps", Gradient(1, 2, 2))
-        exact = estimator_mean(spec, layout, theta, None, obs)
-        tiny = estimator_mean(EstimatorSpec("fd", Gradient(1, 2, 2),
-                                            epsilon=1e-6),
-                              layout, theta, None, obs)
-        worst = max(worst, abs(exact - tiny))
-        eps = float(rng.uniform(0.1, 2.0))
-        fd = estimator_mean(EstimatorSpec("fd", Gradient(1, 2, 2),
-                                          epsilon=eps),
-                            layout, theta, None, obs)
-        sinc = math.sin(eps / 2.0) / (eps / 2.0)
-        worst = max(worst, abs(fd - sinc * exact))
-    ok = worst < 1e-6
-    return ok, f"max deviation {worst:.2e}"
+    cd, law, expansion = invariants.estimator_exactness(rng, 6)
+    return (cd < 1e-6 and law < 1e-9 and expansion < 1e-9,
+            f"central-difference gap {cd:.1e}, damping law gap {law:.1e}, "
+            f"single-angle expansion gap {expansion:.1e}")
 
 
 def _inv_mc_oracle(rng) -> tuple[bool, str]:
-    """A small Monte Carlo run tracks the closed-form MSE prediction."""
-    eta = 0.226
     config = harness.ExperimentConfig(
-        n=4, L=5, noise=harness.NoiseSpec("global_depolarizing", eta),
+        n=4, L=5, noise=harness.NoiseSpec("global_depolarizing", 0.226),
         nt_grid=(96, 960), parameter_sets=60, experiments_per_set=80,
         master_seed=_VERIFY_SEED, schemes=("ps", "hsps"),
         targets=(Gradient(),))
-    results = harness.monte_carlo_mse(config)
-    for r in results:
-        if r.scheme != "ps":
-            continue
-        pred = analytics.mse_sps("gradient", 16, 1.0, eta, 0.0,
-                                 r.n_total).total
-        if abs(r.mean - pred) > max(3 * r.stderr, 0.10 * pred):
-            return False, (f"PS MSE {r.mean:.5f} vs predicted {pred:.5f} "
-                           f"at nt={r.n_total}")
-    return True, "Monte Carlo PS curve matches the closed form"
+    rows = invariants.mc_agreement(config)
+    worst = max(rows, key=lambda x: x.rel)
+    return (all(x.rel <= 0.10 or x.sigmas <= 3.0 for x in rows),
+            f"worst {worst.label}: {worst.rel:.1%} rel at "
+            f"{worst.sigmas:.1f} stderr")
 
 
 _QUICK_INVARIANTS = [
@@ -607,7 +461,7 @@ def cmd_verify(args) -> int:
         seconds = time.time() - t0
         report.append({"name": name, "passed": bool(ok), "detail": detail,
                        "seconds": round(seconds, 3)})
-        all_ok &= ok
+        all_ok &= bool(ok)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} "
               f"({seconds:.2f}s)")
     doc = {"passed": all_ok, "quick": bool(args.quick),

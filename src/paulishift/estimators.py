@@ -1,4 +1,4 @@
-"""Finite-shot sampling and derivative estimators.
+"""Derivative estimators: targets, evaluation-point tables, exact means.
 
 Three estimator families cover each derivative target:
 
@@ -10,19 +10,17 @@ Three estimator families cover each derivative target:
   tunable scalar lambda;
 * the centralized finite-difference (FD) family with step epsilon.
 
-Shots are simulated by Bernoulli draws from the exact outcome probability,
-never by trajectory sampling: a +/-1 observable with mean f yields heads with
-probability (1 + f)/2.
+Each estimator is a weighted sum of the circuit function at shifted
+parameter points. Finite shots are drawn in the harness
+(``harness._binomial_estimates``), from the exact expectation at each point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .circuits import (AnsatzLayout, DensityMatrix, ParameterPoint,
-                       PauliObservable, evolve, expectation)
+from .circuits import (AnsatzLayout, ParameterPoint, PauliObservable, evolve,
+                       expectation)
 
 SCHEME_FAMILIES = ("ps", "sps", "fd")
 
@@ -66,9 +64,6 @@ class OffDiagHessian:
 
 DerivativeTarget = Gradient | DiagHessian | OffDiagHessian
 
-# Fixed codes used for RNG keying and closed-form dispatch.
-TARGET_KINDS = ("gradient", "diag", "offdiag")
-
 
 def target_kind(target: DerivativeTarget) -> str:
     if isinstance(target, Gradient):
@@ -107,42 +102,7 @@ class EstimatorSpec:
                 raise ValueError("fd needs epsilon in (0, 2*pi)")
 
 
-@dataclass(frozen=True)
-class ShotBudget:
-    """Total copies and the equal per-point share after floor division."""
-
-    n_total: int
-    per_point: int
-    points: int
-
-    @property
-    def remainder(self) -> int:
-        return self.n_total - self.per_point * self.points
-
-
-def shot_allocation(target: DerivativeTarget, n_total: int) -> ShotBudget:
-    """Split a total copy number equally over the target's evaluation points.
-
-    The remainder of the floor division is discarded; grids of n_total that
-    are multiples of 12 (the lcm of 2, 3 and 4) avoid any waste.
-    """
-    points = point_count(target)
-    if n_total < points:
-        raise ValueError(
-            f"n_total={n_total} cannot cover {points} evaluation points")
-    return ShotBudget(n_total=n_total, per_point=n_total // points,
-                      points=points)
-
-
 # ── evaluation-point tables ──────────────────────────────────────────────────
-
-def _loc(target) -> tuple[int, int, int]:
-    return (target.qubit, target.layer, target.slot)
-
-
-def _loc2(target: OffDiagHessian) -> tuple[int, int, int]:
-    return (target.qubit2, target.layer2, target.slot2)
-
 
 def evaluation_points(spec: EstimatorSpec):
     """The shifted points and combination weights defining the estimator.
@@ -161,42 +121,27 @@ def evaluation_points(spec: EstimatorSpec):
         lam = 1.0
         shift, denom = eps / 2.0, eps
         shift2, denom2 = eps, eps * eps
-    p = _loc(spec.target)
+    t = spec.target
+    p = (t.qubit, t.layer, t.slot)
     if kind == "gradient":
         return [({p: +shift}, +lam / denom), ({p: -shift}, -lam / denom)]
     if kind == "diag":
         return [({p: +shift2}, +lam / denom2), ({}, -2.0 * lam / denom2),
                 ({p: -shift2}, +lam / denom2)]
-    q = _loc2(spec.target)
+    q = (t.qubit2, t.layer2, t.slot2)
     unit = lam / (4.0 if spec.scheme in ("ps", "sps") else eps * eps)
     return [({p: +shift, q: +shift}, +unit), ({p: +shift, q: -shift}, -unit),
             ({p: -shift, q: +shift}, -unit), ({p: -shift, q: -shift}, +unit)]
 
 
-# ── sampling ─────────────────────────────────────────────────────────────────
-
-def sample_function(state: DensityMatrix, obs: PauliObservable, shots: int,
-                    rng: np.random.Generator) -> float:
-    """Finite-shot estimate of tr(rho O) for a +/-1 Pauli observable."""
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    f = expectation(state, obs)
-    if abs(f) > 1.0 + 1e-10:
-        raise ValueError(f"expectation {f} is outside [-1, 1]")
-    f = min(1.0, max(-1.0, f))
-    n_plus = int(rng.binomial(shots, (1.0 + f) / 2.0))
-    return (2.0 * n_plus - shots) / shots
-
-
-def _exact_at(layout, theta, noise, obs, shifts) -> float:
-    return expectation(evolve(layout, theta.shifted(layout, shifts), noise), obs)
-
+# ── exact means ──────────────────────────────────────────────────────────────
 
 def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,
                    theta: ParameterPoint, noise, obs: PauliObservable) -> float:
     """Infinite-shot mean of the estimator: exact f at each evaluation point."""
-    return sum(coeff * _exact_at(layout, theta, noise, obs, shifts)
-               for shifts, coeff in evaluation_points(spec))
+    return sum(coeff * expectation(
+        evolve(layout, theta.shifted(layout, shifts), noise), obs)
+        for shifts, coeff in evaluation_points(spec))
 
 
 def exact_derivative(target: DerivativeTarget, layout: AnsatzLayout,
@@ -207,25 +152,3 @@ def exact_derivative(target: DerivativeTarget, layout: AnsatzLayout,
     this is the true component against which estimator errors are measured.
     """
     return estimator_mean(EstimatorSpec("ps", target), layout, theta, noise, obs)
-
-
-def estimate_derivative(spec: EstimatorSpec, layout: AnsatzLayout,
-                        theta: ParameterPoint, noise, obs: PauliObservable,
-                        budget: ShotBudget, rng: np.random.Generator) -> float:
-    """One finite-shot estimate of the target derivative.
-
-    Each evaluation point is sampled from its own substream: the passed
-    generator is split with ``rng.spawn`` and point i always consumes child i,
-    so the estimate does not depend on evaluation order.
-    """
-    points = evaluation_points(spec)
-    if budget.per_point < 1:
-        raise ValueError("budget allocates zero shots per evaluation point")
-    if budget.n_total < len(points):
-        raise ValueError("budget cannot cover all evaluation points")
-    streams = rng.spawn(len(points))
-    total = 0.0
-    for (shifts, coeff), stream in zip(points, streams):
-        state = evolve(layout, theta.shifted(layout, shifts), noise)
-        total += coeff * sample_function(state, obs, budget.per_point, stream)
-    return total

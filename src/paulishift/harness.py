@@ -42,9 +42,6 @@ from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
 
-SCHEMES = ("ps", "nsps", "hsps", "nfd", "hfd")
-_SPS_SCHEMES = ("ps", "nsps", "hsps")
-_FD_SCHEMES = ("nfd", "hfd")
 NOISE_KINDS = ("none", "global_depolarizing", "cnot_depolarizing",
                "cnot_pauli")
 
@@ -98,7 +95,7 @@ class ExperimentConfig:
     parameter_sets: int
     experiments_per_set: int
     master_seed: int
-    schemes: tuple[str, ...] = SCHEMES
+    schemes: tuple[str, ...] = analytics.SCHEMES
     targets: tuple[DerivativeTarget, ...] = _DEFAULT_TARGETS
     axis_pattern: str = "zyz"
     observable: PauliObservable | None = None  # None: cyclic X,Y,Z pattern
@@ -117,7 +114,7 @@ class ExperimentConfig:
         if not self.schemes:
             raise ValueError("scheme list must not be empty")
         for s in self.schemes:
-            if s not in SCHEMES:
+            if s not in analytics.SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ValueError("duplicate scheme")
@@ -199,29 +196,11 @@ class MseEstimate:
 
 def _scheme_spec(scheme: str, target: DerivativeTarget, d: int, nt: int,
                  eta: float) -> EstimatorSpec:
-    """Resolve a scheme name to an estimator at this copy budget."""
-    kind = target_kind(target)
-    if scheme == "ps":
-        return EstimatorSpec("ps", target)
-    if scheme == "nsps":
-        return EstimatorSpec("sps", target,
-                             lam=analytics.lambda_opt(kind, d, nt).value)
-    if scheme == "hsps":
-        return EstimatorSpec("sps", target,
-                             lam=analytics.lambda_opt_eta(kind, d, nt,
-                                                          eta).value)
-    if scheme == "nfd":
-        return EstimatorSpec("fd", target,
-                             epsilon=analytics.epsilon_opt(kind, d, nt).value)
-    if scheme == "hfd":
-        eps = analytics.epsilon_opt(kind, d, nt,
-                                    eta if eta > 0 else None).value
-        return EstimatorSpec("fd", target, epsilon=eps)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _canonical(shifts) -> tuple:
-    return tuple(sorted(shifts.items()))
+    """The estimator a scheme name runs at this copy budget."""
+    family, value = analytics.scheme_param(scheme, target_kind(target), d, nt,
+                                           eta)
+    return EstimatorSpec(family, target,
+                         **{"lam" if family == "sps" else "epsilon": value})
 
 
 class _FunctionCache:
@@ -234,7 +213,7 @@ class _FunctionCache:
         self._values: dict[tuple, float] = {}
 
     def value(self, shifts, noise) -> float:
-        key = (noise is None, _canonical(shifts))
+        key = (noise is None, tuple(sorted(shifts.items())))
         if key not in self._values:
             point = self.theta.shifted(self.layout, shifts)
             self._values[key] = expectation(
@@ -244,7 +223,14 @@ class _FunctionCache:
 
 def _binomial_estimates(f: float, shots: int, rng: np.random.Generator,
                         size: int) -> np.ndarray:
-    """Vector of finite-shot estimates of a +/-1 observable with mean f."""
+    """Vector of finite-shot estimates of a +/-1 observable with mean f.
+
+    Heads come with probability (1 + f)/2; f may leave [-1, 1] by rounding.
+    """
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    if abs(f) > 1.0 + 1e-10:
+        raise ValueError(f"expectation {f} is outside [-1, 1]")
     f = min(1.0, max(-1.0, f))
     draws = rng.binomial(shots, (1.0 + f) / 2.0, size=size)
     return (2.0 * draws - shots) / shots
@@ -266,35 +252,30 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     cache = _FunctionCache(layout, theta, obs)
     shots_rng = substream(config.master_seed, _STREAM_SHOTS, set_index)
 
-    sps_schemes = [s for s in config.schemes if s in _SPS_SCHEMES]
+    schemes = [s for s in analytics.SCHEMES if s in config.schemes]
     out = np.empty((len(config.targets), len(config.schemes),
                     len(config.nt_grid)))
     for t_idx, target in enumerate(config.targets):
-        true_value = sum(
-            coeff * cache.value(shifts, None)
-            for shifts, coeff in evaluation_points(EstimatorSpec("ps", target)))
+        ps_points = evaluation_points(EstimatorSpec("ps", target))
+        true_value = sum(coeff * cache.value(shifts, None)
+                         for shifts, coeff in ps_points)
         per_point = {nt: nt // point_count(target) for nt in config.nt_grid}
         for nt_idx, nt in enumerate(config.nt_grid):
+            specs = {s: _scheme_spec(s, target, d, nt, eta) for s in schemes}
             estimates: dict[str, np.ndarray] = {}
-            if sps_schemes:
+            scaled = [s for s in schemes if specs[s].scheme == "sps"]
+            if scaled:
                 # Shared draws: PS evaluation points, rescaled per scheme.
-                points = evaluation_points(EstimatorSpec("ps", target))
-                sampled = [
-                    (coeff, _binomial_estimates(cache.value(shifts, channel),
+                combination = sum(
+                    coeff * _binomial_estimates(cache.value(shifts, channel),
                                                 per_point[nt], shots_rng,
-                                                n_exp))
-                    for shifts, coeff in points]
-                combination = sum(c * v for c, v in sampled)
-                for scheme in sps_schemes:
-                    spec = _scheme_spec(scheme, target, d, nt, eta)
-                    lam = 1.0 if spec.scheme == "ps" else spec.lam
-                    estimates[scheme] = lam * combination
-            for scheme in _FD_SCHEMES:
-                if scheme not in config.schemes:
-                    continue
-                spec = _scheme_spec(scheme, target, d, nt, eta)
+                                                n_exp)
+                    for shifts, coeff in ps_points)
+                for scheme in scaled:
+                    estimates[scheme] = specs[scheme].lam * combination
+            for scheme in [s for s in schemes if specs[s].scheme == "fd"]:
                 total = np.zeros(n_exp)
-                for shifts, coeff in evaluation_points(spec):
+                for shifts, coeff in evaluation_points(specs[scheme]):
                     total += coeff * _binomial_estimates(
                         cache.value(shifts, channel), per_point[nt],
                         shots_rng, n_exp)

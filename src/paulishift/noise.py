@@ -9,14 +9,13 @@ expectation g vanishes identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
 
-from .circuits import (AnsatzLayout, DensityMatrix, PAULI, ParameterPoint,
-                       PauliObservable, evolve, expectation)
+from .circuits import PAULI, DensityMatrix
 
 # The 15 non-identity two-qubit Pauli labels, in fixed row-major order
 # (first letter acts on the channel's first qubit).
@@ -218,7 +217,6 @@ class ErrorRateSummary:
     eta0: float
     per_layer: float
     total: float
-    small_rate_approx: float = field(default=0.0)
 
     def __post_init__(self):
         if not 0.0 <= self.per_layer <= self.total < 1.0:
@@ -231,8 +229,7 @@ def total_error_rate(eta0: float, n: int, L: int) -> ErrorRateSummary:
         raise ValueError(f"eta0 must be in [0, 1), got {eta0}")
     per_layer = 1.0 - (1.0 - eta0) ** n
     total = 1.0 - (1.0 - eta0) ** (n * L)
-    return ErrorRateSummary(eta0=eta0, per_layer=per_layer, total=total,
-                            small_rate_approx=n * L * eta0)
+    return ErrorRateSummary(eta0=eta0, per_layer=per_layer, total=total)
 
 
 def per_layer_error_rate_to_eta0(eta_per_layer: float, n: int) -> float:
@@ -240,14 +237,3 @@ def per_layer_error_rate_to_eta0(eta_per_layer: float, n: int) -> float:
     if not 0.0 <= eta_per_layer < 1.0:
         raise ValueError(f"eta_per_layer must be in [0, 1), got {eta_per_layer}")
     return 1.0 - (1.0 - eta_per_layer) ** (1.0 / n)
-
-
-def extract_g(layout: AnsatzLayout, theta: ParameterPoint, noise,
-              obs: PauliObservable) -> float:
-    """Error-term expectation g = [f_noisy - (1 - eta) f_clean] / eta."""
-    eta = noise.total_rate(layout.n, layout.L)
-    if eta < 1e-12:
-        raise ValueError("total error rate is (near) zero; g is undefined")
-    f_noisy = expectation(evolve(layout, theta, noise), obs)
-    f_clean = expectation(evolve(layout, theta, None), obs)
-    return (f_noisy - (1.0 - eta) * f_clean) / eta

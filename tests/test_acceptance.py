@@ -11,23 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paulishift import analytics, harness
-from paulishift.analytics import (epsilon_opt, epsilon_opt_asymptotic,
-                                  lambda_opt, lambda_opt_eta, mse_fd,
-                                  mse_sps, n_star_sps_exact,
-                                  n_star_sps_small_eta, noise_bias)
-from paulishift.circuits import (build_ansatz, cyclic_observable, evolve,
-                                 expectation)
+from paulishift import harness, invariants
+from paulishift.analytics import n_star_sps_exact, noise_bias
 from paulishift.cli import load_config, main
-from paulishift.estimators import (DiagHessian, EstimatorSpec, Gradient,
-                                   OffDiagHessian, estimator_mean,
-                                   exact_derivative, target_kind)
+from paulishift.estimators import Gradient
 from paulishift.harness import (ExperimentConfig, NoiseSpec, empirical_n_star,
-                                monte_carlo_mse, sample_parameter_set,
-                                verify_two_design)
+                                monte_carlo_mse)
 
 SEED = 20260822
-KINDS = ("gradient", "diag", "offdiag")
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -53,167 +44,50 @@ def report(index: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def predicted_mse(scheme: str, target, d: int, eta: float,
-                  nt: int) -> float:
-    """Closed-form MSE for a named scheme at its documented parameter."""
-    if scheme == "ps":
-        return mse_sps(target, d, 1.0, eta, 0.0, nt).total
-    if scheme == "nsps":
-        lam = lambda_opt(target, d, nt).value
-        return mse_sps(target, d, lam, eta, 0.0, nt).total
-    if scheme == "hsps":
-        lam = lambda_opt_eta(target, d, nt, eta).value
-        return mse_sps(target, d, lam, eta, 0.0, nt).total
-    if scheme == "nfd":
-        eps = epsilon_opt(target, d, nt).value
-        return mse_fd(target, d, eps, eta, 0.0, nt).total
-    eps = epsilon_opt(target, d, nt, eta).value
-    return mse_fd(target, d, eps, eta, 0.0, nt).total
-
-
 class TestOptimalScaleStationarity:
     """Criterion 1: both optimal-lambda forms sit at true MSE minima."""
 
     def test_optimum_is_stationary_and_grid_minimal(self):
-        rng = np.random.default_rng(SEED)
-        worst_slope = 0.0
-        worst_gap = -math.inf
-        for _ in range(200):
-            kind = KINDS[rng.integers(3)]
-            d = 2 ** int(rng.integers(1, 9))
-            nt = float(rng.integers(12, 10 ** 7))
-            eta = float(rng.uniform(1e-3, 0.9))
-            for lam, mse_eta in (
-                    (lambda_opt(kind, d, nt).value, 0.0),
-                    (lambda_opt_eta(kind, d, nt, eta).value, eta)):
-                def at(lam_value):
-                    return mse_sps(kind, d, lam_value, mse_eta, 0.0,
-                                   nt).total
-                best = at(lam)
-                # the lambda-MSE is an exact quadratic, so three evaluations
-                # pin it down completely; the derivative residual at the
-                # claimed optimum, in units of the curvature scale, is the
-                # relative distance from the fitted vertex
-                coeffs = np.polyfit([0.5 * lam, lam, 2.0 * lam],
-                                    [at(0.5 * lam), best, at(2.0 * lam)], 2)
-                vertex = -coeffs[1] / (2.0 * coeffs[0])
-                worst_slope = max(worst_slope, abs(lam - vertex) / lam)
-                grid = np.linspace(lam / 1e3, 3.0 * lam, 10 ** 4)
-                gap = (best - np.polyval(coeffs, grid).min()) / best
-                worst_gap = max(worst_gap, gap)
-        ok = worst_slope < 1e-9 and worst_gap < 1e-10
+        residual, undershoot = invariants.stationarity(
+            np.random.default_rng(SEED), 200)
+        ok = residual < 1e-9 and undershoot < 1e-10
         report(1, "optimal-scale stationarity", ok,
-               f"max derivative residual {worst_slope:.1e} vs 1e-9, "
-               f"max grid undershoot {worst_gap:.1e} over 10^4 points")
+               f"max derivative residual {residual:.1e} vs 1e-9, "
+               f"max grid undershoot {undershoot:.1e} over 10^4 points")
 
 
 class TestCrossoverAlgebra:
     """Criterion 2: crossover points equalize the two schemes exactly."""
 
     def test_crossing_roots_and_limits(self):
-        rng = np.random.default_rng(SEED)
-        worst_eq = 0.0
-        for _ in range(100):
-            kind = KINDS[rng.integers(3)]
-            d = 2 ** int(rng.integers(1, 9))
-            eta = float(rng.uniform(0.01, 0.8))
-            ns = n_star_sps_exact(kind, d, eta)
-            lam = lambda_opt(kind, d, ns).value
-            a = mse_sps(kind, d, lam, eta, 0.0, ns).total
-            b = mse_sps(kind, d, 1.0, eta, 0.0, ns).total
-            worst_eq = max(worst_eq, abs(a - b) / b)
-        worst_ratio = 0.0
-        for kind in KINDS:
-            for d in (4, 16, 256):
-                ratio = (n_star_sps_exact(kind, d, 1e-4)
-                         / n_star_sps_small_eta(kind, d, 1e-4))
-                worst_ratio = max(worst_ratio, abs(ratio - 1.0))
-        worst_h = max(
-            abs(analytics._crossing_h(2 ** k, 1e-12) / (2.0 * 2 ** k) - 1.0)
-            for k in range(1, 9))
-        ok = worst_eq < 1e-9 and worst_ratio < 5e-3 and worst_h < 1e-6
+        imbalance, small, h = invariants.crossing_consistency(
+            np.random.default_rng(SEED), 100)
+        ok = imbalance < 1e-9 and small < 5e-3 and h < 1e-6
         report(2, "crossover-point consistency", ok,
-               f"max MSE imbalance {worst_eq:.1e} vs 1e-9, small-rate ratio "
-               f"off by {worst_ratio:.1e} vs 5e-3, h-limit off by "
-               f"{worst_h:.1e} vs 1e-6")
+               f"max MSE imbalance {imbalance:.1e} vs 1e-9, small-rate ratio "
+               f"off by {small:.1e} vs 5e-3, h-limit off by {h:.1e} vs 1e-6")
 
 
 class TestStepSizeAsymptotics:
     """Criterion 3: numeric optimal steps reach their large-budget forms."""
 
     def test_numeric_optimum_matches_asymptote(self):
-        worst = 0.0
-        for kind in KINDS:
-            for d in (4, 16):
-                num = epsilon_opt(kind, d, 1e12).value
-                asym = epsilon_opt_asymptotic(kind, d, 1e12)
-                worst = max(worst, abs(num / asym - 1.0))
-        ok = worst < 0.01
-        report(3, "optimal step asymptotics", ok,
+        worst = invariants.step_asymptotics()
+        report(3, "optimal step asymptotics", worst < 0.01,
                f"max relative deviation {worst:.1e} vs 1e-2 at N=1e12")
 
 
 class TestEstimatorExactness:
     """Criterion 4: shift rules differentiate exactly; step laws hold."""
 
-    @staticmethod
-    def _probe(rng, n, L):
-        return (int(rng.integers(1, n + 1)), int(rng.integers(1, L + 1)),
-                int(rng.integers(1, 4)))
-
     def test_shift_rules_against_numerics(self):
-        rng = np.random.default_rng(SEED)
-        h = 1e-6
-        eps = 0.8
-        damp = math.sin(eps / 2.0) / (eps / 2.0)
-        worst_cd = worst_law = worst_exp = 0.0
-        for _ in range(50):
-            n = int(rng.integers(1, 5))
-            L = int(rng.integers(2, 4))
-            layout = build_ansatz(n, L)
-            obs = cyclic_observable(n)
-            theta = sample_parameter_set(layout, rng)
-            p1 = self._probe(rng, n, L)
-            p2 = p1
-            while p2 == p1:
-                p2 = self._probe(rng, n, L)
-            g_t = Gradient(qubit=p1[0], layer=p1[1], slot=p1[2])
-            d_t = DiagHessian(qubit=p1[0], layer=p1[1], slot=p1[2])
-            o_t = OffDiagHessian(qubit=p1[0], layer=p1[1], slot=p1[2],
-                                 qubit2=p2[0], layer2=p2[1], slot2=p2[2])
-            grad = exact_derivative(g_t, layout, theta, None, obs)
-            hess = exact_derivative(d_t, layout, theta, None, obs)
-            cross = exact_derivative(o_t, layout, theta, None, obs)
-
-            def f_at(shifts):
-                return expectation(
-                    evolve(layout, theta.shifted(layout, shifts), None), obs)
-
-            def grad_at(shifts):
-                return exact_derivative(g_t, layout,
-                                        theta.shifted(layout, shifts), None,
-                                        obs)
-
-            cd = (f_at({p1: +h}) - f_at({p1: -h})) / (2.0 * h)
-            cd2 = (grad_at({p1: +h}) - grad_at({p1: -h})) / (2.0 * h)
-            cdx = (grad_at({p2: +h}) - grad_at({p2: -h})) / (2.0 * h)
-            worst_cd = max(worst_cd, abs(cd - grad), abs(cd2 - hess),
-                           abs(cdx - cross))
-            for target, expect, power in ((g_t, grad, 1), (d_t, hess, 2),
-                                          (o_t, cross, 2)):
-                mean = estimator_mean(EstimatorSpec("fd", target, epsilon=eps),
-                                      layout, theta, None, obs)
-                worst_law = max(worst_law, abs(mean - damp ** power * expect))
-            f0 = f_at({})
-            for s in (0.3, -1.1, 2.5):
-                lhs = f_at({p1: s})
-                rhs = f0 + math.sin(s) * grad + (1.0 - math.cos(s)) * hess
-                worst_exp = max(worst_exp, abs(lhs - rhs))
-        ok = worst_cd < 1e-6 and worst_law < 1e-9 and worst_exp < 1e-9
+        cd, law, expansion = invariants.estimator_exactness(
+            np.random.default_rng(SEED), 50)
+        ok = cd < 1e-6 and law < 1e-9 and expansion < 1e-9
         report(4, "estimator exactness", ok,
-               f"central-difference gap {worst_cd:.1e} vs 1e-6, damping law "
-               f"gap {worst_law:.1e} vs 1e-9, single-angle expansion gap "
-               f"{worst_exp:.1e} vs 1e-9")
+               f"central-difference gap {cd:.1e} vs 1e-6, damping law gap "
+               f"{law:.1e} vs 1e-9, single-angle expansion gap "
+               f"{expansion:.1e} vs 1e-9")
 
 
 class TestMonteCarloAgreement:
@@ -225,21 +99,12 @@ class TestMonteCarloAgreement:
             n=4, L=6, noise=NoiseSpec("global_depolarizing", eta),
             nt_grid=(96, 480, 2400), parameter_sets=200,
             experiments_per_set=200, master_seed=SEED)
-        results = monte_carlo_mse(config)
-        ok = True
-        worst = ("", 0.0, 0.0)
-        for r in results:
-            pred = predicted_mse(r.scheme, r.target, 16, eta, r.n_total)
-            dev = abs(r.mean - pred)
-            ok = ok and dev <= max(3.0 * r.stderr, 0.10 * pred)
-            rel = dev / pred
-            if rel >= worst[1]:
-                sig = dev / r.stderr if r.stderr > 0 else math.inf
-                worst = (f"{r.scheme} {target_kind(r.target)} N={r.n_total}",
-                         rel, sig)
+        rows = invariants.mc_agreement(config)
+        ok = all(r.rel <= 0.10 or r.sigmas <= 3.0 for r in rows)
+        worst = max(rows, key=lambda r: r.rel)
         report(5, "closed form vs Monte Carlo", ok,
-               f"worst {worst[0]}: {worst[1]:.1%} rel at {worst[2]:.1f} "
-               f"stderr, gate max(3 stderr, 10%)")
+               f"worst {worst.label}: {worst.rel:.1%} rel at "
+               f"{worst.sigmas:.1f} stderr, gate max(3 stderr, 10%)")
 
 
 class TestCrossoverScaling:
@@ -331,17 +196,10 @@ class TestMomentVerification:
     def test_ensemble_moments(self):
         worst_sig = worst_rel = 0.0
         for n in (2, 3):
-            check = verify_two_design(n, 6, 5000,
-                                      np.random.default_rng(SEED))
-            m = check.analytic
-            for est, expect in ((check.mean_f, m.mean_f),
-                                (check.mean_f2, m.mean_f2)):
-                worst_sig = max(worst_sig,
-                                abs(est.value - expect) / est.stderr)
-            for est, expect in ((check.mean_grad2, m.mean_grad2),
-                                (check.mean_hess_diag2, m.mean_hess_diag2),
-                                (check.mean_hess_off2, m.mean_hess_off2)):
-                worst_rel = max(worst_rel, abs(est.value / expect - 1.0))
+            function, derivative = invariants.moment_deviations(
+                n, 6, 5000, np.random.default_rng(SEED))
+            worst_sig = max([worst_sig] + [x.sigmas for x in function])
+            worst_rel = max([worst_rel] + [x.rel for x in derivative])
         ok = worst_sig <= 3.0 and worst_rel <= 0.10
         report(9, "ensemble moment verification", ok,
                f"function moments within {worst_sig:.1f} stderr vs 3, "

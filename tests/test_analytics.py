@@ -166,7 +166,7 @@ class TestOptimalLambda:
             a = lambda_opt_eta(kind, 8, 777, 0.0)
             b = lambda_opt(kind, 8, 777)
             assert a.value == b.value  # bit-identical delegation
-            assert a.regime == "naive"
+            assert a.eta is None
 
 
 class TestOptimalEpsilon:
@@ -198,11 +198,42 @@ class TestOptimalEpsilon:
 
     def test_heuristic_regime_records_eta(self):
         params = epsilon_opt("gradient", 16, 960, eta=0.226)
-        assert params.regime == "heuristic"
         assert params.eta == 0.226
         naive = epsilon_opt("gradient", 16, 960)
-        assert naive.regime == "naive"
+        assert naive.eta is None
         assert naive.value != params.value
+
+
+class TestSchemeParam:
+
+    def test_names_map_to_their_optimizers(self):
+        d, nt, eta = 16, 960, 0.226
+        for kind in KINDS:
+            assert analytics.scheme_param("ps", kind, d, nt, eta) == ("sps",
+                                                                      1.0)
+            assert analytics.scheme_param("nsps", kind, d, nt, eta) == (
+                "sps", lambda_opt(kind, d, nt).value)
+            assert analytics.scheme_param("hsps", kind, d, nt, eta) == (
+                "sps", lambda_opt_eta(kind, d, nt, eta).value)
+            assert analytics.scheme_param("nfd", kind, d, nt, eta) == (
+                "fd", epsilon_opt(kind, d, nt).value)
+            assert analytics.scheme_param("hfd", kind, d, nt, eta) == (
+                "fd", epsilon_opt(kind, d, nt, eta).value)
+
+    def test_heuristic_schemes_are_naive_without_noise(self):
+        for naive, heuristic in (("nsps", "hsps"), ("nfd", "hfd")):
+            assert (analytics.scheme_param(heuristic, "diag", 4, 96, 0.0)
+                    == analytics.scheme_param(naive, "diag", 4, 96, 0.0))
+
+    def test_scheme_mse_uses_the_family_closed_form(self):
+        value, mse = analytics.scheme_mse("nfd", Gradient(), 16, 960, 0.1)
+        assert mse == mse_fd("gradient", 16, value, 0.1, 0.0, 960)
+        value, mse = analytics.scheme_mse("hsps", "offdiag", 16, 960, 0.1)
+        assert mse == mse_sps("offdiag", 16, value, 0.1, 0.0, 960)
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError):
+            analytics.scheme_param("sps", "gradient", 4, 96, 0.1)
 
 
 class TestCrossovers:
@@ -262,8 +293,27 @@ class TestCrossovers:
     def test_eta_bounds_checked(self):
         with pytest.raises(ValueError):
             n_star_sps_exact("gradient", 16, 1.0)
-        with pytest.raises(ValueError):
-            n_star_fd("gradient", 16, 0.0)
+        for eta in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                n_star_fd("gradient", 16, eta)
+
+    def test_fd_crossing_exists_without_noise(self):
+        """Finite differences beat PS at small N even on clean circuits."""
+        values = [n_star_fd("gradient", d, 0.0) for d in (4, 16, 256)]
+        np.testing.assert_allclose(values, [46.58, 197.96, 3179.8],
+                                   rtol=1e-4)
+        eps = epsilon_opt("gradient", 16, values[1]).value
+        np.testing.assert_allclose(
+            mse_fd("gradient", 16, eps, 0.0, 0.0, values[1]).total,
+            mse_sps("gradient", 16, 1.0, 0.0, 0.0, values[1]).total,
+            rtol=1e-5)
+
+    def test_crossing_beyond_float_range_is_not_found(self):
+        """A subnormal rate pushes the SPS crossings past the largest float."""
+        with pytest.raises(CrossoverNotFound):
+            n_star_sps_exact("gradient", 4, 1e-310)
+        with pytest.raises(CrossoverNotFound):
+            n_star_sps_small_eta("gradient", 4, 1e-310)
 
 
 class TestNoiseBias:

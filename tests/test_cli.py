@@ -1,10 +1,14 @@
 """Tests for the command-line interface and file outputs."""
 import csv
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulishift import analytics, cli
 from paulishift.analytics import SchemeParams
@@ -146,6 +150,50 @@ class TestAnalyticCommand:
         assert main(["analytic", "--d", "4", "--eta", "1.5",
                      "--nt", "96"]) == 2
         assert main(["analytic", "--d", "4", "--eta", "0.1"]) == 2
+        assert main(["analytic", "--d", "4", "--eta", "0.1",
+                     "--nt", "0:2"]) == 2
+        assert main(["analytic", "--d", "4", "--eta", "0.1",
+                     "--nt", "-5"]) == 2
+
+    def test_zero_rate_nstar_row(self, capsys):
+        """At eta = 0 only the finite-difference crossing exists."""
+        assert main(["analytic", "--nstar", "--targets", "gradient",
+                     "--d", "4", "--eta", "0"]) == 0
+        rows = list(csv.DictReader(
+            capsys.readouterr().out.strip().splitlines()))
+        assert rows[0]["n_star_sps_exact"] == ""
+        assert rows[0]["n_star_sps_small_eta"] == ""
+        np.testing.assert_allclose(float(rows[0]["n_star_fd"]), 46.58,
+                                   rtol=1e-4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(targets=st.sampled_from(["gradient", "diag", "offdiag",
+                                    "gradient,offdiag", "all"]),
+           dims=st.lists(st.integers(-1, 6), min_size=1, max_size=2),
+           rates=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310,
+                                                     1e-300, -0.1, 1.0]),
+                                    st.floats(0.0, 1.0, exclude_max=True)),
+                          min_size=1, max_size=2),
+           budgets=st.lists(st.integers(-3, 10 ** 6), min_size=1,
+                            max_size=3),
+           nstar=st.booleans())
+    def test_analytic_never_raises(self, targets, dims, rates, budgets,
+                                   nstar):
+        """Any grid of targets, qubit counts, rates and budgets exits 0 or 2."""
+        argv = ["analytic", f"--targets={targets}",
+                "--n=" + ",".join(map(str, dims)),
+                "--eta=" + ",".join(map(repr, rates))]
+        if nstar:
+            argv.append("--nstar")
+        else:
+            argv.append("--nt=" + ",".join(map(str, budgets)))
+        sink = io.StringIO()
+        with redirect_stdout(sink), redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects with exit code 2
+                code = exc.code
+        assert code in (0, 2)
 
     def test_csv_output_with_manifest(self, tmp_path, capsys):
         assert main(["analytic", "--d", "4", "--eta", "0.1", "--nt", "96",
@@ -237,8 +285,7 @@ class TestVerifyCommand:
 
         def detuned(target, d, n_total):
             good = true_fn(target, d, n_total)
-            return SchemeParams(scheme_family="sps", value=0.7 * good.value,
-                                regime="naive")
+            return SchemeParams(scheme_family="sps", value=0.7 * good.value)
 
         monkeypatch.setattr(analytics, "lambda_opt", detuned)
         ok, detail = cli._inv_stationarity(np.random.default_rng(0))

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from paulishift.circuits import (build_ansatz, cyclic_observable, evolve,
                                  expectation)
 from paulishift.estimators import (DiagHessian, EstimatorSpec, Gradient,
-                                   OffDiagHessian, ShotBudget,
-                                   estimate_derivative, estimator_mean,
+                                   OffDiagHessian, estimator_mean,
                                    evaluation_points, exact_derivative,
-                                   point_count, sample_function,
-                                   shot_allocation, target_kind)
-from paulishift.harness import sample_parameter_set
+                                   point_count, target_kind)
+from paulishift.harness import _binomial_estimates, sample_parameter_set
 
 
 def _setup(n=2, L=3, seed=101):
@@ -165,76 +163,40 @@ class TestExactDerivatives:
             atol=1e-9)
 
 
-class TestShotAllocation:
-
-    def test_even_split_without_remainder(self):
-        for target, points in ((Gradient(), 2), (DiagHessian(), 3),
-                               (OffDiagHessian(), 4)):
-            budget = shot_allocation(target, 96)
-            assert budget.points == points
-            assert budget.per_point == 96 // points
-            assert budget.remainder == 0
-
-    def test_remainder_accounting(self):
-        budget = shot_allocation(DiagHessian(), 100)
-        assert budget.per_point == 33
-        assert budget.remainder == 1
-
-    def test_budget_must_cover_points(self):
-        with pytest.raises(ValueError):
-            shot_allocation(OffDiagHessian(), 3)
-
-
 class TestSampling:
+    """The harness's binomial shot sampler, the only one in the package."""
 
     def test_sample_function_moments(self):
         """Binomial estimates have mean f and variance (1 - f^2) / shots."""
         layout, obs, theta = _setup(seed=127)
-        state = evolve(layout, theta)
-        f = expectation(state, obs)
-        rng = np.random.default_rng(3)
+        f = expectation(evolve(layout, theta), obs)
         shots = 400
-        draws = np.array([sample_function(state, obs, shots, rng)
-                          for _ in range(3000)])
+        draws = _binomial_estimates(f, shots, np.random.default_rng(3), 3000)
         np.testing.assert_allclose(draws.mean(), f,
                                    atol=4 * math.sqrt((1 - f * f) / shots
                                                       / 3000))
         np.testing.assert_allclose(draws.var(), (1 - f * f) / shots, rtol=0.1)
 
     def test_sample_function_needs_shots(self):
-        layout, obs, theta = _setup()
         with pytest.raises(ValueError):
-            sample_function(evolve(layout, theta), obs, 0,
-                            np.random.default_rng(0))
+            _binomial_estimates(0.5, 0, np.random.default_rng(0), 4)
 
-    def test_estimate_is_reproducible_and_order_free(self):
-        """The same generator state gives the same estimate."""
-        layout, obs, theta = _setup(seed=131)
-        spec = EstimatorSpec("ps", Gradient())
-        budget = shot_allocation(Gradient(), 96)
-        a = estimate_derivative(spec, layout, theta, None, obs, budget,
-                                np.random.default_rng(99))
-        b = estimate_derivative(spec, layout, theta, None, obs, budget,
-                                np.random.default_rng(99))
-        assert a == b
+    def test_expectation_must_lie_in_unit_interval(self):
+        """Rounding overshoot is clipped; a real overshoot is an error."""
+        rng = np.random.default_rng(0)
+        assert np.all(_binomial_estimates(1.0 + 1e-12, 8, rng, 4) == 1.0)
+        with pytest.raises(ValueError):
+            _binomial_estimates(1.0 + 1e-9, 8, rng, 4)
 
     def test_estimate_is_unbiased(self):
-        """Averaged estimates approach the infinite-shot mean."""
+        """Sampled shift-rule combinations average to the infinite-shot mean."""
         layout, obs, theta = _setup(seed=137)
         spec = EstimatorSpec("sps", Gradient(), lam=0.9)
         truth = estimator_mean(spec, layout, theta, None, obs)
-        budget = shot_allocation(Gradient(), 96)
         rng = np.random.default_rng(7)
-        draws = np.array([estimate_derivative(spec, layout, theta, None, obs,
-                                              budget, rng)
-                          for _ in range(800)])
+        draws = sum(coeff * _binomial_estimates(
+            expectation(evolve(layout, theta.shifted(layout, shifts)), obs),
+            96 // point_count(Gradient()), rng, 800)
+            for shifts, coeff in evaluation_points(spec))
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - truth) < 4 * stderr
-
-    def test_estimate_rejects_empty_budget(self):
-        layout, obs, theta = _setup()
-        spec = EstimatorSpec("ps", OffDiagHessian())
-        bad = ShotBudget(n_total=4, per_point=0, points=4)
-        with pytest.raises(ValueError):
-            estimate_derivative(spec, layout, theta, None, obs, bad,
-                                np.random.default_rng(0))

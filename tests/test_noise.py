@@ -5,11 +5,13 @@ import pytest
 from paulishift.circuits import (PAULI, build_ansatz, check_state,
                                  cyclic_observable, evolve, expectation,
                                  zero_state)
-from paulishift.harness import sample_parameter_set
+from paulishift.harness import (ExperimentConfig, NoiseSpec,
+                                distribution_study, sample_parameter_set,
+                                substream)
 from paulishift.noise import (TWO_QUBIT_PAULI_LABELS, CnotDepolarizing,
                               CnotPauliChannel, GlobalDepolarizing, NoNoise,
                               apply_two_qubit_depolarizing,
-                              apply_two_qubit_pauli, extract_g,
+                              apply_two_qubit_pauli,
                               per_layer_error_rate_to_eta0,
                               random_pauli_weights, total_error_rate)
 
@@ -128,7 +130,6 @@ class TestErrorRates:
         summary = total_error_rate(0.05, 4, 5)
         np.testing.assert_allclose(summary.per_layer, 1.0 - 0.95 ** 4)
         np.testing.assert_allclose(summary.total, 1.0 - 0.95 ** 20)
-        np.testing.assert_allclose(summary.small_rate_approx, 1.0)
         assert summary.per_layer <= summary.total
 
     def test_per_layer_inversion(self):
@@ -146,42 +147,38 @@ class TestErrorRates:
         np.testing.assert_allclose(sum(weights), 0.2, rtol=1e-12)
 
 
+def _g_study(n, L, noise):
+    config = ExperimentConfig(n=n, L=L, noise=noise, nt_grid=(48,),
+                              parameter_sets=3, experiments_per_set=1,
+                              master_seed=53)
+    return config, distribution_study(config)
+
+
 class TestExtractG:
+    """The error term g, recovered per set by the distribution study."""
 
     def test_global_channel_has_vanishing_g(self):
         """I/d is traceless against any Pauli word, so g is identically 0."""
-        layout = build_ansatz(2, 2)
-        obs = cyclic_observable(2)
-        rng = np.random.default_rng(53)
-        theta = sample_parameter_set(layout, rng)
-        g = extract_g(layout, theta, GlobalDepolarizing(0.3), obs)
-        np.testing.assert_allclose(g, 0.0, atol=1e-12)
+        _, summary = _g_study(2, 2, NoiseSpec("global_depolarizing", 0.3))
+        np.testing.assert_allclose(summary.g_samples, 0.0, atol=1e-12)
 
     def test_cnot_channel_g_is_bounded(self):
-        layout = build_ansatz(3, 2)
-        obs = cyclic_observable(3)
-        rng = np.random.default_rng(59)
-        theta = sample_parameter_set(layout, rng)
-        g = extract_g(layout, theta, CnotDepolarizing(0.05), obs)
-        assert -1.0 <= g <= 1.0
+        _, summary = _g_study(3, 2, NoiseSpec("cnot_depolarizing", 0.05))
+        assert np.all(np.abs(summary.g_samples) <= 1.0)
 
     def test_decomposition_reconstructs_noisy_value(self):
         """f_noisy = (1 - eta) f + eta g by the definition of g."""
-        layout = build_ansatz(2, 3)
-        obs = cyclic_observable(2)
-        rng = np.random.default_rng(61)
-        theta = sample_parameter_set(layout, rng)
-        channel = CnotDepolarizing(0.04)
-        eta = channel.total_rate(2, 3)
-        f = expectation(evolve(layout, theta), obs)
-        g = extract_g(layout, theta, channel, obs)
-        f_noisy = expectation(evolve(layout, theta, channel), obs)
-        np.testing.assert_allclose((1.0 - eta) * f + eta * g, f_noisy,
-                                   atol=1e-12)
+        config, summary = _g_study(2, 3, NoiseSpec("cnot_depolarizing", 0.04))
+        layout, obs = config.layout(), config.resolved_observable()
+        eta = config.noise_for_set(0).total_rate(2, 3)
+        for s in range(config.parameter_sets):
+            theta = sample_parameter_set(layout, substream(53, 0, s))
+            f_noisy = expectation(
+                evolve(layout, theta, config.noise_for_set(s)), obs)
+            np.testing.assert_allclose(
+                (1.0 - eta) * summary.f_samples[s]
+                + eta * summary.g_samples[s], f_noisy, atol=1e-12)
 
     def test_noiseless_g_is_undefined(self):
-        layout = build_ansatz(2, 2)
-        theta = sample_parameter_set(build_ansatz(2, 2),
-                                     np.random.default_rng(67))
         with pytest.raises(ValueError):
-            extract_g(layout, theta, NoNoise(), cyclic_observable(2))
+            _g_study(2, 2, NoiseSpec())
