@@ -194,6 +194,9 @@ def lambda_opt(target, d: int, n_total: float) -> SchemeParams:
         lam = 4.0 * d * nt / (9.0 * d * d + 4.0 * d * nt - 9.0)
     else:
         lam = d ** 3 * nt / (4.0 * (d * d - 1.0) ** 2 + d ** 3 * nt)
+    if math.isnan(lam):
+        # d^k N overflowed (inf / inf): lam = 1 - O(d / N) rounds to 1.0
+        lam = 1.0
     return SchemeParams(scheme_family="sps", value=lam)
 
 

@@ -147,9 +147,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return 2 ** self.n
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.data.copy(), self.n)
-
 
 def zero_state(n: int) -> DensityMatrix:
     d = 2 ** n
@@ -180,12 +177,6 @@ def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     return np.cos(half) * PAULI["I"] - 1.0j * np.sin(half) * PAULI[axis]
 
 
-def _embed_single(n: int, qubit: int, u2: np.ndarray) -> np.ndarray:
-    left = np.eye(2 ** (qubit - 1), dtype=complex)
-    right = np.eye(2 ** (n - qubit), dtype=complex)
-    return np.kron(np.kron(left, u2), right)
-
-
 @lru_cache(maxsize=512)
 def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     """Basis permutation sigma with CNOT|i> = |sigma(i)>."""
@@ -194,15 +185,6 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     cbit = (idx >> (n - control)) & 1
     flip = cbit << (n - target)
     return idx ^ flip
-
-
-def apply_rotation(state: DensityMatrix, qubit: int, axis: str,
-                   angle: float) -> DensityMatrix:
-    """Conjugate the state by a single-qubit Pauli rotation (qubit 1-based)."""
-    if not 1 <= qubit <= state.n:
-        raise ValueError(f"qubit {qubit} out of range 1..{state.n}")
-    u = _embed_single(state.n, qubit, rotation_matrix(axis, angle))
-    return DensityMatrix(u @ state.data @ u.conj().T, state.n)
 
 
 def apply_cnot(state: DensityMatrix, control: int, target: int) -> DensityMatrix:

@@ -41,6 +41,9 @@ from .estimators import DiagHessian, Gradient, OffDiagHessian, target_kind
 _TARGET_NAMES = {"gradient": Gradient, "diag": DiagHessian,
                  "offdiag": OffDiagHessian}
 _VERIFY_SEED = 20260822
+# analytic tables stop at d = 2^200: the closed forms overflow a float
+# somewhere between 2^200 and 2^210.
+_MAX_QUBITS = 200
 
 
 def _fmt(value) -> str:
@@ -248,6 +251,8 @@ def cmd_analytic(args) -> int:
                 if t not in _TARGET_NAMES]
                + [f"eta {e} outside [0, 1)" for e in etas if not 0 <= e < 1]
                + [f"dimension {d} below 2" for d in dims if d < 2]
+               + [f"dimension above the cap 2^{_MAX_QUBITS}" for d in dims
+                  if d > 2 ** _MAX_QUBITS]
                + [f"copy budget {nt} below 1" for nt in grid if nt < 1])
         if bad:
             raise ValueError(bad[0])
@@ -298,7 +303,11 @@ def cmd_mse_curves(args) -> int:
             print(f"config error: {e}", file=sys.stderr)
         return 2
     started = _now()
-    results = harness.monte_carlo_mse(config, workers=args.workers)
+    try:
+        results = harness.monte_carlo_mse(config, workers=args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     stem = os.path.splitext(os.path.basename(args.config))[0]
     out = _out_dir(args)
     csv_path = os.path.join(out, f"{stem}_mse.csv")

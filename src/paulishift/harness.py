@@ -286,6 +286,22 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     return out
 
 
+def _check_target_locations(config: ExperimentConfig) -> None:
+    """Raise ValueError if a target's angle lies outside the circuit."""
+    layout = config.layout()
+    for target in config.targets:
+        angles = [(target.layer, target.qubit, target.slot)]
+        if isinstance(target, OffDiagHessian):
+            angles.append((target.layer2, target.qubit2, target.slot2))
+        try:
+            for layer, qubit, slot in angles:
+                layout.flat_index(layer, qubit, slot)
+        except ValueError as exc:
+            raise ValueError(
+                f"{target_kind(target)} target outside the n = {config.n}, "
+                f"L = {config.L} circuit: {exc}") from None
+
+
 def monte_carlo_mse(config: ExperimentConfig,
                     workers: int | None = None) -> list[MseEstimate]:
     """Estimate the MSE of every configured scheme over the copy grid.
@@ -293,8 +309,10 @@ def monte_carlo_mse(config: ExperimentConfig,
     Squared errors are measured against the exact noiseless derivative,
     averaged over experiments within each parameter set and then over sets;
     stderr is the standard error of the per-set means. Results are identical
-    for any worker count.
+    for any worker count. Raises ValueError before any simulation if a
+    target's angle lies outside the circuit.
     """
+    _check_target_locations(config)
     indices = range(config.parameter_sets)
     if workers is None or workers <= 1:
         per_set = [_run_set(config, s) for s in indices]

@@ -315,6 +315,12 @@ class TestCrossovers:
         with pytest.raises(CrossoverNotFound):
             n_star_sps_small_eta("gradient", 4, 1e-310)
 
+    def test_crossing_near_float_range_keeps_lambda_valid(self):
+        """d^k N past the largest float leaves lambda at 1, not inf/inf."""
+        for kind in KINDS:
+            assert lambda_opt(kind, 2 ** 200, 1e300).value == 1.0
+        assert math.isfinite(n_star_sps_exact("offdiag", 2 ** 7, 1e-300))
+
 
 class TestNoiseBias:
 

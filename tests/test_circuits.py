@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from paulishift.circuits import (AnsatzLayout, PauliObservable, ParameterPoint,
-                                 apply_cnot, apply_rotation, build_ansatz,
+from paulishift.circuits import (AnsatzLayout, DensityMatrix, PauliObservable,
+                                 ParameterPoint, apply_cnot, build_ansatz,
                                  check_state, cyclic_observable, evolve,
                                  expectation, rotation_matrix, zero_state)
 from paulishift.harness import sample_parameter_set
@@ -107,14 +107,16 @@ class TestGates:
 
     def test_cnot_flips_target_on_set_control(self):
         """CNOT(1->2) maps |10> to |11> and leaves |01> alone."""
-        state = zero_state(2)
-        state = apply_rotation(state, 1, "Y", math.pi)  # |00> -> |10>
-        flipped = apply_cnot(state, 1, 2)
+
+        def basis_state(index):
+            data = np.zeros((4, 4), dtype=complex)
+            data[index, index] = 1.0
+            return DensityMatrix(data, 2)
+
+        flipped = apply_cnot(basis_state(0b10), 1, 2)
         np.testing.assert_allclose(abs(flipped.data[3, 3]), 1.0, atol=1e-12)
 
-        state = zero_state(2)
-        state = apply_rotation(state, 2, "Y", math.pi)  # |00> -> |01>
-        same = apply_cnot(state, 1, 2)
+        same = apply_cnot(basis_state(0b01), 1, 2)
         np.testing.assert_allclose(abs(same.data[1, 1]), 1.0, atol=1e-12)
 
     def test_cnot_is_an_involution(self):

@@ -154,6 +154,8 @@ class TestAnalyticCommand:
                      "--nt", "0:2"]) == 2
         assert main(["analytic", "--d", "4", "--eta", "0.1",
                      "--nt", "-5"]) == 2
+        assert main(["analytic", "--n", "201", "--eta", "0.1",
+                     "--nt", "96"]) == 2
 
     def test_zero_rate_nstar_row(self, capsys):
         """At eta = 0 only the finite-difference crossing exists."""
@@ -169,7 +171,7 @@ class TestAnalyticCommand:
     @settings(max_examples=40, deadline=None)
     @given(targets=st.sampled_from(["gradient", "diag", "offdiag",
                                     "gradient,offdiag", "all"]),
-           dims=st.lists(st.integers(-1, 6), min_size=1, max_size=2),
+           dims=st.lists(st.integers(-1, 1100), min_size=1, max_size=2),
            rates=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310,
                                                      1e-300, -0.1, 1.0]),
                                     st.floats(0.0, 1.0, exclude_max=True)),
@@ -231,6 +233,18 @@ class TestMseCurvesCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("[circuit]\nn = 2\n")
         assert main(["mse-curves", str(path)]) == 2
+        # Targets at layer 2 do not fit one layer; the off-diagonal
+        # target's second angle sits on qubit 2.
+        for old, new in (("L = 2", "L = 1"),
+                         ("n = 2\nL = 2", "n = 1\nL = 2")):
+            path.write_text(GOOD_CONFIG.replace(old, new).replace(
+                "targets = gradient", "targets = offdiag"))
+            capsys.readouterr()
+            assert main(["mse-curves", str(path), "--out",
+                         str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: offdiag target outside")
+            assert err.count("\n") == 1
 
 
 class TestDistCommand:

@@ -1,17 +1,20 @@
 """Tests for the noise channels and error-rate arithmetic."""
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from paulishift.circuits import (PAULI, build_ansatz, check_state,
-                                 cyclic_observable, evolve, expectation,
-                                 zero_state)
+from paulishift.circuits import (PAULI, DensityMatrix, build_ansatz,
+                                 check_state, cyclic_observable, evolve,
+                                 expectation, rotation_matrix, zero_state)
 from paulishift.harness import (ExperimentConfig, NoiseSpec,
                                 distribution_study, sample_parameter_set,
                                 substream)
 from paulishift.noise import (TWO_QUBIT_PAULI_LABELS, CnotDepolarizing,
                               CnotPauliChannel, GlobalDepolarizing, NoNoise,
-                              apply_two_qubit_depolarizing,
-                              apply_two_qubit_pauli,
+                              apply_pair_superoperator,
+                              pauli_channel_superoperator,
                               per_layer_error_rate_to_eta0,
                               random_pauli_weights, total_error_rate)
 
@@ -22,61 +25,104 @@ def _random_state(n, seed):
     return evolve(layout, sample_parameter_set(layout, rng))
 
 
+def _random_mixed_state(n, seed):
+    """A full-rank state with generic complex entries: G G^dag / tr."""
+    rng = np.random.default_rng(seed)
+    shape = (2 ** n, 2 ** n)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real, n)
+
+
+def _embedded(n, factors):
+    """kron of the given single-qubit matrices, identity elsewhere."""
+    mats = [factors.get(q, PAULI["I"]) for q in range(1, n + 1)]
+    return reduce(np.kron, mats)
+
+
 def _pauli_sum_reference(state, j, k, weights):
     """Direct Kraus evaluation: sum_i w_i P_i rho P_i plus the kept term."""
     out = (1.0 - sum(weights)) * state.data
     for w, label in zip(weights, TWO_QUBIT_PAULI_LABELS):
-        factors = [PAULI["I"]] * state.n
-        factors[j - 1] = PAULI[label[0]]
-        factors[k - 1] = PAULI[label[1]]
-        p = factors[0]
-        for f in factors[1:]:
-            p = np.kron(p, f)
+        p = _embedded(state.n, {j: PAULI[label[0]], k: PAULI[label[1]]})
         out = out + w * (p @ state.data @ p)
     return out
+
+
+def _dense_evolve(layout, theta, weights):
+    """Reference circuit: dense layer unitaries and CNOT matrices, with the
+    Kraus-sum Pauli channel after every CNOT."""
+    n = layout.n
+    rho = zero_state(n).data
+    for layer in range(1, layout.L + 1):
+        blocks = {}
+        for q in range(1, n + 1):
+            u = np.eye(2)
+            for s in (1, 2, 3):
+                angle = theta.theta[layout.flat_index(layer, q, s)]
+                u = rotation_matrix(layout.axis_at(layer, q, s), angle) @ u
+            blocks[q] = u
+        u = _embedded(n, blocks)
+        rho = u @ rho @ u.conj().T
+        for c, t in layout.cnot_ring:
+            p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+            cx = _embedded(n, {c: p0}) + _embedded(n, {c: p1, t: PAULI["X"]})
+            rho = cx @ rho @ cx
+            rho = _pauli_sum_reference(DensityMatrix(rho, n), c, t, weights)
+    return DensityMatrix(rho, n)
 
 
 class TestTwoQubitChannels:
 
     def test_depolarizing_equals_explicit_pauli_sum(self):
-        """The mixed-replacement shortcut must equal the 15-term Kraus sum."""
+        """The depolarizing channel must equal the 15-term Kraus sum."""
         state = _random_state(3, 23)
         eta0 = 0.07
-        fast = apply_two_qubit_depolarizing(state, 1, 3, eta0)
+        fast = CnotDepolarizing(eta0).apply_after_cnot(state, 1, 3)
         ref = _pauli_sum_reference(state, 1, 3, [eta0 / 15.0] * 15)
         np.testing.assert_allclose(fast.data, ref, atol=1e-13)
 
     def test_pauli_channel_matches_reference(self):
-        state = _random_state(2, 29)
+        """n = 2..5, every ordered pair (the ring's (n, 1) included), random
+        and uniform weights, on generic mixed states."""
         rng = np.random.default_rng(5)
-        weights = random_pauli_weights(0.12, rng)
-        out = apply_two_qubit_pauli(state, 1, 2, weights)
-        ref = _pauli_sum_reference(state, 1, 2, weights)
-        np.testing.assert_allclose(out.data, ref, atol=1e-13)
+        for n in (2, 3, 4, 5):
+            state = _random_mixed_state(n, 29 + n)
+            for weights in (random_pauli_weights(0.12, rng),
+                            (0.3 / 15.0,) * 15):
+                superop = pauli_channel_superoperator(weights)
+                for j, k in itertools.permutations(range(1, n + 1), 2):
+                    out = apply_pair_superoperator(state, j, k, superop)
+                    ref = _pauli_sum_reference(state, j, k, weights)
+                    np.testing.assert_allclose(out.data, ref, rtol=0,
+                                               atol=1e-13)
 
     def test_channels_preserve_valid_states(self):
         state = _random_state(3, 31)
-        for out in (apply_two_qubit_depolarizing(state, 2, 3, 0.3),
-                    apply_two_qubit_pauli(state, 1, 2, [0.02] * 15)):
+        for out in (CnotDepolarizing(0.3).apply_after_cnot(state, 2, 3),
+                    apply_pair_superoperator(
+                        state, 1, 2, pauli_channel_superoperator([0.02] * 15))):
             check_state(out)
 
     def test_zero_rate_is_identity(self):
         state = _random_state(2, 37)
-        out = apply_two_qubit_depolarizing(state, 1, 2, 0.0)
+        out = CnotDepolarizing(0.0).apply_after_cnot(state, 1, 2)
         np.testing.assert_allclose(out.data, state.data)
 
     def test_channel_argument_validation(self):
         state = zero_state(2)
         with pytest.raises(ValueError):
-            apply_two_qubit_depolarizing(state, 1, 1, 0.1)
+            apply_pair_superoperator(state, 1, 1, np.eye(16))
         with pytest.raises(ValueError):
-            apply_two_qubit_depolarizing(state, 1, 2, 1.0)
+            apply_pair_superoperator(state, 1, 2, 1j * np.eye(16))
         with pytest.raises(ValueError):
-            apply_two_qubit_pauli(state, 1, 2, [0.1] * 14)
+            CnotDepolarizing(1.0)
         with pytest.raises(ValueError):
-            apply_two_qubit_pauli(state, 1, 2, [-0.1] + [0.0] * 14)
+            pauli_channel_superoperator([0.1] * 14)
         with pytest.raises(ValueError):
-            apply_two_qubit_pauli(state, 1, 2, [0.1] * 15)  # sums to 1.5
+            pauli_channel_superoperator([-0.1] + [0.0] * 14)
+        with pytest.raises(ValueError):
+            pauli_channel_superoperator([0.1] * 15)  # sums to 1.5
 
 
 class TestNoiseModels:
@@ -103,17 +149,35 @@ class TestNoiseModels:
         assert GlobalDepolarizing(0.3).total_rate(4, 5) == 0.3
 
     def test_uniform_pauli_channel_equals_depolarizing(self):
-        """Equal weights eta0/15 reproduce the depolarizing channel."""
+        """Equal weights eta0/15 and the depolarizing channel both give the
+        dense oracle's value."""
         layout = build_ansatz(2, 3)
         obs = cyclic_observable(2)
         rng = np.random.default_rng(43)
         theta = sample_parameter_set(layout, rng)
         eta0 = 0.08
+        f_ref = expectation(
+            _dense_evolve(layout, theta, (eta0 / 15.0,) * 15), obs)
         f_dep = expectation(
             evolve(layout, theta, CnotDepolarizing(eta0)), obs)
         f_pauli = expectation(
             evolve(layout, theta, CnotPauliChannel((eta0 / 15.0,) * 15)), obs)
-        np.testing.assert_allclose(f_pauli, f_dep, atol=1e-12)
+        np.testing.assert_allclose(f_dep, f_ref, atol=1e-12)
+        np.testing.assert_allclose(f_pauli, f_ref, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_evolve_matches_dense_oracle(self, n, L):
+        """Both CNOT channels through evolve equal the dense Kraus circuit."""
+        layout = build_ansatz(n, L)
+        rng = np.random.default_rng(59 + 10 * n + L)
+        theta = sample_parameter_set(layout, rng)
+        weights = random_pauli_weights(0.1, rng)
+        for channel, w in ((CnotDepolarizing(0.06), (0.06 / 15.0,) * 15),
+                           (CnotPauliChannel(weights), weights)):
+            out = evolve(layout, theta, channel)
+            ref = _dense_evolve(layout, theta, w)
+            np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
 
     def test_model_rate_validation(self):
         with pytest.raises(ValueError):
