@@ -17,10 +17,10 @@ from .analytics import (CrossoverNotFound, MseBreakdown, SchemeParams,
 from .circuits import (AnsatzLayout, DensityMatrix, ParameterPoint,
                        PauliObservable, build_ansatz, cyclic_observable,
                        evolve, expectation, zero_state)
-from .estimators import (DiagHessian, EstimatorSpec, Gradient,
-                         OffDiagHessian, estimator_mean, exact_derivative)
+from .estimators import DiagHessian, EstimatorSpec, Gradient, OffDiagHessian
 from .harness import (ExperimentConfig, MseEstimate, NoiseSpec,
-                      distribution_study, empirical_n_star, monte_carlo_mse,
+                      distribution_study, empirical_n_star, estimator_mean,
+                      exact_derivative, monte_carlo_mse,
                       sample_parameter_set, verify_two_design)
 from .noise import (CnotDepolarizing, CnotPauliChannel, GlobalDepolarizing,
                     NoNoise, per_layer_error_rate_to_eta0,

@@ -41,9 +41,10 @@ from .estimators import DiagHessian, Gradient, OffDiagHessian, target_kind
 _TARGET_NAMES = {"gradient": Gradient, "diag": DiagHessian,
                  "offdiag": OffDiagHessian}
 _VERIFY_SEED = 20260822
-# analytic tables stop at d = 2^200: the closed forms overflow a float
-# somewhere between 2^200 and 2^210.
+# analytic tables stop at d = 2^200 and N = 10^300: the closed forms
+# overflow a float somewhere between 2^200 and 2^210, and near N = 10^308.
 _MAX_QUBITS = 200
+_MAX_COPIES = 10 ** 300
 
 
 def _fmt(value) -> str:
@@ -138,15 +139,18 @@ def load_config(path: str):
     """Parse an INI experiment config; returns (config, error list).
 
     Errors carry ``section.key`` field paths. A non-empty error list means
-    the config is unusable and ``config`` is None.
+    the config is unusable and ``config`` is None. A key that is never read
+    is an error, so a misspelt key or section cannot go unnoticed.
     """
     parser = configparser.ConfigParser()
     errors: list[str] = []
     read = parser.read(path)
     if not read:
         return None, [f"{path}: cannot read config file"]
+    known: set[tuple[str, str]] = set()
 
     def take(section, key, conv, default=None, required=False):
+        known.add((section, parser.optionxform(key)))
         try:
             raw = parser.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
@@ -176,6 +180,10 @@ def load_config(path: str):
     target_names = take("experiment", "targets",
                         lambda s: tuple(p.strip() for p in s.split(",")),
                         default=("gradient", "diag", "offdiag"))
+    errors += [f"{section}.{key}: unknown key"
+               for section in parser.sections()
+               for key in parser.options(section)
+               if (section, key) not in known]
     if errors:
         return None, errors
 
@@ -253,7 +261,9 @@ def cmd_analytic(args) -> int:
                + [f"dimension {d} below 2" for d in dims if d < 2]
                + [f"dimension above the cap 2^{_MAX_QUBITS}" for d in dims
                   if d > 2 ** _MAX_QUBITS]
-               + [f"copy budget {nt} below 1" for nt in grid if nt < 1])
+               + [f"copy budget {nt} below 1" for nt in grid if nt < 1]
+               + ["copy budget above the cap 10^300" for nt in grid
+                  if nt > _MAX_COPIES])
         if bad:
             raise ValueError(bad[0])
     except ValueError as exc:

@@ -1,28 +1,26 @@
-"""Derivative estimators: targets, evaluation-point tables, exact means.
+"""Derivative estimators: targets, specs and evaluation-point tables.
 
-Three estimator families cover each derivative target:
+Two estimator families cover each derivative target:
 
-* the parameter-shift (PS) rule, exact in expectation for Pauli-encoded
+* the scaled parameter-shift (SPS) family: the parameter-shift combination
+  multiplied by a tunable scalar lambda. At lambda = 1 it is the plain
+  parameter-shift (PS) rule, exact in expectation for Pauli-encoded
   rotations: gradients from shifts of +/- pi/2, diagonal second derivatives
   from the collapsed 3-point rule with shifts of +/- pi, and off-diagonal
   second derivatives from the 4-point rule;
-* the scaled parameter-shift (SPS) family, the PS combination multiplied by a
-  tunable scalar lambda;
 * the centralized finite-difference (FD) family with step epsilon.
 
 Each estimator is a weighted sum of the circuit function at shifted
-parameter points. Finite shots are drawn in the harness
-(``harness._binomial_estimates``), from the exact expectation at each point.
+parameter points. The harness evaluates those sums: exactly in
+``harness._FunctionCache.mean``, and at finite shots with
+``harness._binomial_estimates``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .circuits import (AnsatzLayout, ParameterPoint, PauliObservable, evolve,
-                       expectation)
-
-SCHEME_FAMILIES = ("ps", "sps", "fd")
+SCHEME_FAMILIES = ("sps", "fd")
 
 
 # ── derivative targets ───────────────────────────────────────────────────────
@@ -84,7 +82,7 @@ def point_count(target: DerivativeTarget) -> int:
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Scheme (ps | sps | fd) with its free parameter, plus the target."""
+    """Scheme family (sps | fd) with its free parameter, plus the target."""
 
     scheme: str
     target: DerivativeTarget
@@ -112,8 +110,8 @@ def evaluation_points(spec: EstimatorSpec):
     sum(coeff * f_hat(theta shifted)).
     """
     kind = target_kind(spec.target)
-    if spec.scheme in ("ps", "sps"):
-        lam = 1.0 if spec.scheme == "ps" else float(spec.lam)
+    if spec.scheme == "sps":
+        lam = float(spec.lam)
         shift, denom = math.pi / 2.0, 2.0
         shift2, denom2 = math.pi, 4.0
     else:
@@ -129,26 +127,7 @@ def evaluation_points(spec: EstimatorSpec):
         return [({p: +shift2}, +lam / denom2), ({}, -2.0 * lam / denom2),
                 ({p: -shift2}, +lam / denom2)]
     q = (t.qubit2, t.layer2, t.slot2)
-    unit = lam / (4.0 if spec.scheme in ("ps", "sps") else eps * eps)
+    unit = lam / denom2
     return [({p: +shift, q: +shift}, +unit), ({p: +shift, q: -shift}, -unit),
             ({p: -shift, q: +shift}, -unit), ({p: -shift, q: -shift}, +unit)]
 
-
-# ── exact means ──────────────────────────────────────────────────────────────
-
-def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,
-                   theta: ParameterPoint, noise, obs: PauliObservable) -> float:
-    """Infinite-shot mean of the estimator: exact f at each evaluation point."""
-    return sum(coeff * expectation(
-        evolve(layout, theta.shifted(layout, shifts), noise), obs)
-        for shifts, coeff in evaluation_points(spec))
-
-
-def exact_derivative(target: DerivativeTarget, layout: AnsatzLayout,
-                     theta: ParameterPoint, noise, obs: PauliObservable) -> float:
-    """Exact derivative of the (possibly noisy) circuit function.
-
-    Evaluates the parameter-shift rule on exact expectations; with noise=None
-    this is the true component against which estimator errors are measured.
-    """
-    return estimator_mean(EstimatorSpec("ps", target), layout, theta, noise, obs)

@@ -13,7 +13,7 @@ Reproducibility contract: every random draw comes from a named substream of
 * ``(1, s)`` - per-set Pauli channel weights when redrawing, ``(1,)`` for the
   shared fixed weights;
 * ``(2, s)`` - all shot draws of set ``s``, consumed in one fixed enumeration
-  order (target, grid point, scheme family, evaluation point; one vectorized
+  order (target, grid point, draw group, evaluation point; one vectorized
   binomial over the experiments per evaluation point).
 
 Each parameter set is therefore fully independent of every other, and results
@@ -23,8 +23,8 @@ Variance note: the three scaled-shift schemes evaluate the same shifted
 circuits, so one draw per evaluation point is shared between PS, NSPS and
 HSPS (their estimates differ only by the scaling factor). This leaves each
 scheme's MSE unbiased while making paired comparisons, crossings in
-particular, much less noisy. The finite-difference schemes use their own
-evaluation points and draws.
+particular, much less noisy. Each finite-difference scheme draws its own
+shots, even where NFD and HFD share a step (at zero noise).
 """
 from __future__ import annotations
 
@@ -104,10 +104,10 @@ class ExperimentConfig:
         if not self.nt_grid:
             raise ValueError("nt_grid must not be empty")
         for nt in self.nt_grid:
-            if nt % 12 != 0 or nt < 48:
+            if nt % 12 != 0 or not 48 <= nt <= 2 ** 63 - 1:  # int64 shots
                 raise ValueError(
-                    f"nt_grid entries must be multiples of 12 and >= 48, "
-                    f"got {nt}")
+                    f"nt_grid entries must be multiples of 12 in "
+                    f"[48, 2^63 - 1], got {nt}")
         if self.parameter_sets < 1 or self.experiments_per_set < 1:
             raise ValueError("parameter_sets and experiments_per_set "
                              "must be >= 1")
@@ -177,6 +177,56 @@ def sample_parameter_set(layout: AnsatzLayout,
     return ParameterPoint(theta)
 
 
+# ── exact values ─────────────────────────────────────────────────────────────
+
+def _shift_rule(target: DerivativeTarget) -> EstimatorSpec:
+    """The plain parameter-shift rule: the SPS family at lambda = 1."""
+    return EstimatorSpec("sps", target, lam=1.0)
+
+
+class _FunctionCache:
+    """Exact expectations at shifted parameter points, one circuit per point.
+
+    The package's one caller of ``evolve``. Values are keyed by the shifts
+    and by noiselessness: one cache serves the clean circuit and one channel.
+    """
+
+    def __init__(self, layout, theta, obs):
+        self.layout = layout
+        self.theta = theta
+        self.obs = obs
+        self._values: dict[tuple, float] = {}
+
+    def value(self, shifts, noise) -> float:
+        key = (noise is None, tuple(sorted(shifts.items())))
+        if key not in self._values:
+            point = self.theta.shifted(self.layout, shifts)
+            self._values[key] = expectation(
+                evolve(self.layout, point, noise), self.obs)
+        return self._values[key]
+
+    def mean(self, spec: EstimatorSpec, noise) -> float:
+        """Infinite-shot mean of the estimator: exact f at each point."""
+        return sum(coeff * self.value(shifts, noise)
+                   for shifts, coeff in evaluation_points(spec))
+
+
+def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,
+                   theta: ParameterPoint, noise, obs: PauliObservable) -> float:
+    """Infinite-shot mean of the estimator: exact f at each evaluation point."""
+    return _FunctionCache(layout, theta, obs).mean(spec, noise)
+
+
+def exact_derivative(target: DerivativeTarget, layout: AnsatzLayout,
+                     theta: ParameterPoint, noise, obs: PauliObservable) -> float:
+    """Exact derivative of the (possibly noisy) circuit function.
+
+    Evaluates the parameter-shift rule on exact expectations; with noise=None
+    this is the true component against which estimator errors are measured.
+    """
+    return estimator_mean(_shift_rule(target), layout, theta, noise, obs)
+
+
 # ── Monte Carlo MSE curves ───────────────────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -201,24 +251,6 @@ def _scheme_spec(scheme: str, target: DerivativeTarget, d: int, nt: int,
                                            eta)
     return EstimatorSpec(family, target,
                          **{"lam" if family == "sps" else "epsilon": value})
-
-
-class _FunctionCache:
-    """Exact expectations at shifted parameter points, one circuit per point."""
-
-    def __init__(self, layout, theta, obs):
-        self.layout = layout
-        self.theta = theta
-        self.obs = obs
-        self._values: dict[tuple, float] = {}
-
-    def value(self, shifts, noise) -> float:
-        key = (noise is None, tuple(sorted(shifts.items())))
-        if key not in self._values:
-            point = self.theta.shifted(self.layout, shifts)
-            self._values[key] = expectation(
-                evolve(self.layout, point, noise), self.obs)
-        return self._values[key]
 
 
 def _binomial_estimates(f: float, shots: int, rng: np.random.Generator,
@@ -256,30 +288,25 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     out = np.empty((len(config.targets), len(config.schemes),
                     len(config.nt_grid)))
     for t_idx, target in enumerate(config.targets):
-        ps_points = evaluation_points(EstimatorSpec("ps", target))
-        true_value = sum(coeff * cache.value(shifts, None)
-                         for shifts, coeff in ps_points)
-        per_point = {nt: nt // point_count(target) for nt in config.nt_grid}
+        rule = _shift_rule(target)
+        true_value = cache.mean(rule, None)
         for nt_idx, nt in enumerate(config.nt_grid):
-            specs = {s: _scheme_spec(s, target, d, nt, eta) for s in schemes}
+            shots = nt // point_count(target)
+            draws: dict[str, np.ndarray] = {}
             estimates: dict[str, np.ndarray] = {}
-            scaled = [s for s in schemes if specs[s].scheme == "sps"]
-            if scaled:
-                # Shared draws: PS evaluation points, rescaled per scheme.
-                combination = sum(
-                    coeff * _binomial_estimates(cache.value(shifts, channel),
-                                                per_point[nt], shots_rng,
-                                                n_exp)
-                    for shifts, coeff in ps_points)
-                for scheme in scaled:
-                    estimates[scheme] = specs[scheme].lam * combination
-            for scheme in [s for s in schemes if specs[s].scheme == "fd"]:
-                total = np.zeros(n_exp)
-                for shifts, coeff in evaluation_points(specs[scheme]):
-                    total += coeff * _binomial_estimates(
-                        cache.value(shifts, channel), per_point[nt],
-                        shots_rng, n_exp)
-                estimates[scheme] = total
+            for scheme in schemes:
+                spec = _scheme_spec(scheme, target, d, nt, eta)
+                # Scaled-shift schemes share one draw at the lambda = 1
+                # points; FD schemes draw by name (NFD = HFD at zero noise).
+                if spec.scheme == "sps":
+                    group, drawn, scale = "sps", rule, spec.lam
+                else:
+                    group, drawn, scale = scheme, spec, 1.0
+                if group not in draws:
+                    draws[group] = sum(coeff * _binomial_estimates(
+                        cache.value(shifts, channel), shots, shots_rng, n_exp)
+                        for shifts, coeff in evaluation_points(drawn))
+                estimates[scheme] = scale * draws[group]
             for s_idx, scheme in enumerate(config.schemes):
                 err = estimates[scheme] - true_value
                 out[t_idx, s_idx, nt_idx] = float(np.mean(err * err))
@@ -428,9 +455,9 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
     for s in range(config.parameter_sets):
         theta = sample_parameter_set(
             layout, substream(config.master_seed, _STREAM_PARAMS, s))
-        channel = config.noise_for_set(s)
-        f = expectation(evolve(layout, theta, None), obs)
-        f_noisy = expectation(evolve(layout, theta, channel), obs)
+        cache = _FunctionCache(layout, theta, obs)
+        f = cache.value({}, None)
+        f_noisy = cache.value({}, config.noise_for_set(s))
         f_vals[s] = f
         g_vals[s] = (f_noisy - (1.0 - eta) * f) / eta
     var_f = float(np.var(f_vals))
@@ -501,9 +528,9 @@ def verify_two_design(n: int, L: int, samples: int,
         off = OffDiagHessian(layer=layer, qubit2=1,
                              layer2=layer - 1 if layer > 1 else layer + 1)
     targets = {
-        "grad": EstimatorSpec("ps", Gradient(layer=layer)),
-        "diag": EstimatorSpec("ps", DiagHessian(layer=layer)),
-        "off": EstimatorSpec("ps", off),
+        "grad": _shift_rule(Gradient(layer=layer)),
+        "diag": _shift_rule(DiagHessian(layer=layer)),
+        "off": _shift_rule(off),
     }
     f = np.empty(samples)
     derivs = {name: np.empty(samples) for name in targets}
@@ -512,9 +539,7 @@ def verify_two_design(n: int, L: int, samples: int,
         cache = _FunctionCache(layout, theta, obs)
         f[i] = cache.value({}, None)
         for name, spec in targets.items():
-            derivs[name][i] = sum(
-                coeff * cache.value(shifts, None)
-                for shifts, coeff in evaluation_points(spec))
+            derivs[name][i] = cache.mean(spec, None)
     return TwoDesignCheck(
         analytic=analytics.two_design_moments(n),
         mean_f=_moment_est(f),

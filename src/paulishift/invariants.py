@@ -14,9 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics, harness
-from .circuits import build_ansatz, cyclic_observable, evolve, expectation
+from .circuits import build_ansatz, cyclic_observable
 from .estimators import (DiagHessian, EstimatorSpec, Gradient, OffDiagHessian,
-                         estimator_mean, exact_derivative, target_kind)
+                         target_kind)
 
 KINDS = analytics.TARGET_KINDS
 
@@ -137,17 +137,16 @@ def estimator_exactness(rng: np.random.Generator,
         d_t = DiagHessian(qubit=p1[0], layer=p1[1], slot=p1[2])
         o_t = OffDiagHessian(qubit=p1[0], layer=p1[1], slot=p1[2],
                              qubit2=p2[0], layer2=p2[1], slot2=p2[2])
-        grad = exact_derivative(g_t, layout, theta, None, obs)
-        hess = exact_derivative(d_t, layout, theta, None, obs)
-        cross = exact_derivative(o_t, layout, theta, None, obs)
+        cache = harness._FunctionCache(layout, theta, obs)
+        grad, hess, cross = (cache.mean(harness._shift_rule(t), None)
+                             for t in (g_t, d_t, o_t))
 
         def f_at(shifts):
-            return expectation(
-                evolve(layout, theta.shifted(layout, shifts), None), obs)
+            return cache.value(shifts, None)
 
         def grad_at(shifts):
-            return exact_derivative(g_t, layout,
-                                    theta.shifted(layout, shifts), None, obs)
+            return harness.exact_derivative(
+                g_t, layout, theta.shifted(layout, shifts), None, obs)
 
         cd = (f_at({p1: +h}) - f_at({p1: -h})) / (2.0 * h)
         cd2 = (grad_at({p1: +h}) - grad_at({p1: -h})) / (2.0 * h)
@@ -156,8 +155,7 @@ def estimator_exactness(rng: np.random.Generator,
                        abs(cdx - cross))
         for target, expect, power in ((g_t, grad, 1), (d_t, hess, 2),
                                       (o_t, cross, 2)):
-            mean = estimator_mean(EstimatorSpec("fd", target, epsilon=eps),
-                                  layout, theta, None, obs)
+            mean = cache.mean(EstimatorSpec("fd", target, epsilon=eps), None)
             worst_law = max(worst_law, abs(mean - damp ** power * expect))
         f0 = f_at({})
         for s in (0.3, -1.1, 2.5):

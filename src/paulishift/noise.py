@@ -117,9 +117,6 @@ class NoNoise(_NoFinal):
     def apply_after_cnot(self, state, control, target):
         return state
 
-    def total_rate(self, n: int, L: int) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class CnotDepolarizing(_NoFinal):
@@ -137,9 +134,6 @@ class CnotDepolarizing(_NoFinal):
     def apply_after_cnot(self, state, control, target):
         return apply_pair_superoperator(state, control, target, self.superop)
 
-    def total_rate(self, n: int, L: int) -> float:
-        return 1.0 - (1.0 - self.eta0) ** (n * L)
-
 
 @dataclass(frozen=True)
 class CnotPauliChannel(_NoFinal):
@@ -153,15 +147,8 @@ class CnotPauliChannel(_NoFinal):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "superop", pauli_channel_superoperator(w))
 
-    @property
-    def eta0(self) -> float:
-        return sum(self.weights)
-
     def apply_after_cnot(self, state, control, target):
         return apply_pair_superoperator(state, control, target, self.superop)
-
-    def total_rate(self, n: int, L: int) -> float:
-        return 1.0 - (1.0 - self.eta0) ** (n * L)
 
 
 @dataclass(frozen=True)
@@ -182,9 +169,6 @@ class GlobalDepolarizing:
         mixed = np.eye(d, dtype=complex) / d
         return DensityMatrix((1.0 - self.eta) * state.data + self.eta * mixed,
                              state.n)
-
-    def total_rate(self, n: int, L: int) -> float:
-        return self.eta
 
 
 def random_pauli_weights(eta0: float, rng: np.random.Generator) -> tuple[float, ...]:

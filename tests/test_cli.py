@@ -1,5 +1,6 @@
 """Tests for the command-line interface and file outputs."""
 import csv
+import hashlib
 import io
 import json
 import math
@@ -156,6 +157,8 @@ class TestAnalyticCommand:
                      "--nt", "-5"]) == 2
         assert main(["analytic", "--n", "201", "--eta", "0.1",
                      "--nt", "96"]) == 2
+        assert main(["analytic", "--d", "4", "--eta", "0.1",
+                     "--nt", "1" + "0" * 400]) == 2
 
     def test_zero_rate_nstar_row(self, capsys):
         """At eta = 0 only the finite-difference crossing exists."""
@@ -176,8 +179,11 @@ class TestAnalyticCommand:
                                                      1e-300, -0.1, 1.0]),
                                     st.floats(0.0, 1.0, exclude_max=True)),
                           min_size=1, max_size=2),
-           budgets=st.lists(st.integers(-3, 10 ** 6), min_size=1,
-                            max_size=3),
+           budgets=st.lists(st.one_of(st.integers(-3, 10 ** 6),
+                                      st.sampled_from([10 ** 300,
+                                                       10 ** 300 + 12,
+                                                       10 ** 400])),
+                            min_size=1, max_size=3),
            nstar=st.booleans())
     def test_analytic_never_raises(self, targets, dims, rates, budgets,
                                    nstar):
@@ -245,6 +251,69 @@ class TestMseCurvesCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: offdiag target outside")
             assert err.count("\n") == 1
+        # A misspelt key or section, and a budget past numpy's int64 shots.
+        for old, new, message in (
+                ("rate = 0.3", "rate = 0.3\nredraw_weigths = true",
+                 "noise.redraw_weigths: unknown key"),
+                ("schemes = ps", "schemse = ps",
+                 "experiment.schemse: unknown key"),
+                ("[noise]", "[nosie]", "nosie.kind: unknown key"),
+                ("nt_grid = 48,96", "nt_grid = 120000000000000000000",
+                 "nt_grid entries must be multiples of 12 in [48, 2^63 - 1]")):
+            path.write_text(GOOD_CONFIG.replace(old, new))
+            capsys.readouterr()
+            assert main(["mse-curves", str(path), "--out",
+                         str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
+
+    # sha256 of the CSVs of two small seeded runs: a noiseless PS/NFD/HFD
+    # run, where NFD and HFD share one step but draw their own shots, and a
+    # Pauli run with schemes and targets out of order. A change that moves
+    # these bytes on purpose updates the digests and says why.
+    GOLDEN = {
+        "clean": ("""\
+[circuit]
+n = 2
+L = 2
+
+[noise]
+kind = none
+
+[experiment]
+nt_grid = 48,96,480
+parameter_sets = 3
+experiments_per_set = 5
+master_seed = 101
+schemes = ps,nfd,hfd
+""", "60685c139110d2e6077495672ca4ec09cdfd0a12375ac5b2c4a58bba19b1ba4d"),
+        "pauli": ("""\
+[circuit]
+n = 3
+L = 2
+
+[noise]
+kind = cnot_pauli
+rate = 0.1
+
+[experiment]
+nt_grid = 48,480
+parameter_sets = 3
+experiments_per_set = 5
+master_seed = 103
+schemes = hfd,ps,nfd,hsps
+targets = offdiag,gradient,diag
+""", "ccfb0807065642b01be5ac6e35330e5734308c1e48cf69031edd5b9ee6ae94af"),
+    }
+
+    @pytest.mark.parametrize("stem", sorted(GOLDEN))
+    def test_golden_bytes(self, stem, tmp_path, capsys):
+        """Seeded CSV bytes match the pinned reference exactly."""
+        text, digest = self.GOLDEN[stem]
+        path = tmp_path / f"{stem}.cfg"
+        path.write_text(text)
+        assert main(["mse-curves", str(path), "--out", str(tmp_path)]) == 0
+        csv_bytes = (tmp_path / f"{stem}_mse.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == digest
 
 
 class TestDistCommand:

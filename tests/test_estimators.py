@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paulishift
 from paulishift.circuits import (build_ansatz, cyclic_observable, evolve,
                                  expectation)
 from paulishift.estimators import (DiagHessian, EstimatorSpec, Gradient,
-                                   OffDiagHessian, estimator_mean,
-                                   evaluation_points, exact_derivative,
+                                   OffDiagHessian, evaluation_points,
                                    point_count, target_kind)
-from paulishift.harness import _binomial_estimates, sample_parameter_set
+from paulishift.harness import (_binomial_estimates, _FunctionCache,
+                                estimator_mean, exact_derivative,
+                                sample_parameter_set)
 
 
 def _setup(n=2, L=3, seed=101):
@@ -55,21 +57,25 @@ class TestSpecValidation:
         EstimatorSpec("fd", Gradient(), epsilon=0.5)  # fine
 
     def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            EstimatorSpec("psd", Gradient())
+        """Two families; PS is a scheme name, run as SPS at lambda = 1."""
+        for family in ("psd", "ps"):
+            with pytest.raises(ValueError):
+                EstimatorSpec(family, Gradient())
 
 
 class TestEvaluationPoints:
 
     def test_gradient_shift_rule_points(self):
         """Gradients come from [f(+pi/2) - f(-pi/2)] / 2."""
-        pts = evaluation_points(EstimatorSpec("ps", Gradient(1, 2, 2)))
+        pts = evaluation_points(EstimatorSpec("sps", Gradient(1, 2, 2),
+                                              lam=1.0))
         assert pts == [({(1, 2, 2): math.pi / 2}, 0.5),
                        ({(1, 2, 2): -math.pi / 2}, -0.5)]
 
     def test_diag_collapsed_three_point_rule(self):
         """Second derivatives from [f(+pi) - 2 f(0) + f(-pi)] / 4."""
-        pts = evaluation_points(EstimatorSpec("ps", DiagHessian(1, 2, 2)))
+        pts = evaluation_points(EstimatorSpec("sps", DiagHessian(1, 2, 2),
+                                              lam=1.0))
         shifts = [p[0] for p in pts]
         coeffs = [p[1] for p in pts]
         assert shifts == [{(1, 2, 2): math.pi}, {}, {(1, 2, 2): -math.pi}]
@@ -77,7 +83,8 @@ class TestEvaluationPoints:
 
     def test_offdiag_four_point_signs(self):
         """Mixed derivatives use the (+,-,-,+) four-point pattern."""
-        pts = evaluation_points(EstimatorSpec("ps", OffDiagHessian()))
+        pts = evaluation_points(EstimatorSpec("sps", OffDiagHessian(),
+                                              lam=1.0))
         assert len(pts) == 4
         np.testing.assert_allclose([c for _, c in pts],
                                    [0.25, -0.25, -0.25, 0.25])
@@ -86,7 +93,7 @@ class TestEvaluationPoints:
 
     def test_sps_rescales_every_coefficient(self):
         lam = 0.37
-        ps = evaluation_points(EstimatorSpec("ps", DiagHessian()))
+        ps = evaluation_points(EstimatorSpec("sps", DiagHessian(), lam=1.0))
         sps = evaluation_points(EstimatorSpec("sps", DiagHessian(), lam=lam))
         for (s1, c1), (s2, c2) in zip(ps, sps):
             assert s1 == s2
@@ -105,6 +112,20 @@ class TestEvaluationPoints:
 
 
 class TestExactDerivatives:
+
+    def test_every_exact_mean_is_one_cache_mean(self):
+        """estimator_mean is the cache's mean, under its package name too."""
+        layout, obs, theta = _setup(seed=131)
+        assert paulishift.estimator_mean is estimator_mean
+        assert paulishift.exact_derivative is exact_derivative
+        cache = _FunctionCache(layout, theta, obs)
+        for spec in (EstimatorSpec("sps", OffDiagHessian(), lam=0.7),
+                     EstimatorSpec("fd", DiagHessian(), epsilon=0.4)):
+            by_hand = sum(coeff * expectation(
+                evolve(layout, theta.shifted(layout, shifts)), obs)
+                for shifts, coeff in evaluation_points(spec))
+            assert cache.mean(spec, None) == by_hand
+            assert estimator_mean(spec, layout, theta, None, obs) == by_hand
 
     def test_gradient_matches_tiny_central_difference(self):
         layout, obs, theta = _setup()

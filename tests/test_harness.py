@@ -76,6 +76,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(nt_grid=(24,))  # multiple of 12 but below 48
         with pytest.raises(ValueError):
+            tiny_config(nt_grid=(12 * 10 ** 19,))  # shots past int64
+        with pytest.raises(ValueError):
             tiny_config(nt_grid=())
 
     def test_scheme_names_checked(self):

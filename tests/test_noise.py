@@ -12,7 +12,7 @@ from paulishift.harness import (ExperimentConfig, NoiseSpec,
                                 distribution_study, sample_parameter_set,
                                 substream)
 from paulishift.noise import (TWO_QUBIT_PAULI_LABELS, CnotDepolarizing,
-                              CnotPauliChannel, GlobalDepolarizing, NoNoise,
+                              CnotPauliChannel, GlobalDepolarizing,
                               apply_pair_superoperator,
                               pauli_channel_superoperator,
                               per_layer_error_rate_to_eta0,
@@ -140,13 +140,21 @@ class TestNoiseModels:
         np.testing.assert_allclose(f_noisy, (1.0 - eta) * f_clean, atol=1e-12)
 
     def test_cnot_channels_compound_per_gate(self):
-        assert CnotDepolarizing(0.05).total_rate(4, 5) == pytest.approx(
-            1.0 - 0.95 ** 20)
-        weights = tuple([0.05 / 15.0] * 15)
-        assert CnotPauliChannel(weights).total_rate(4, 5) == pytest.approx(
-            1.0 - 0.95 ** 20)
-        assert NoNoise().total_rate(4, 5) == 0.0
-        assert GlobalDepolarizing(0.3).total_rate(4, 5) == 0.3
+        """A config's total rate compounds the per-CNOT rate over its n L
+        CNOTs; the global channel's rate is already the total."""
+        compound = 1.0 - 0.95 ** 20
+        assert total_error_rate(0.05, 4, 5).total == pytest.approx(compound)
+        for kind, rate, total in (("cnot_depolarizing", 0.05, compound),
+                                  ("cnot_pauli", 0.05, compound),
+                                  ("none", 0.0, 0.0),
+                                  ("global_depolarizing", 0.3, 0.3)):
+            config = ExperimentConfig(n=4, L=5, noise=NoiseSpec(kind, rate),
+                                      nt_grid=(48,), parameter_sets=1,
+                                      experiments_per_set=1, master_seed=1)
+            assert config.eta_total() == pytest.approx(total)
+            if kind == "cnot_pauli":
+                assert sum(config.noise_for_set(0).weights) == pytest.approx(
+                    rate)
 
     def test_uniform_pauli_channel_equals_depolarizing(self):
         """Equal weights eta0/15 and the depolarizing channel both give the
@@ -234,7 +242,8 @@ class TestExtractG:
         """f_noisy = (1 - eta) f + eta g by the definition of g."""
         config, summary = _g_study(2, 3, NoiseSpec("cnot_depolarizing", 0.04))
         layout, obs = config.layout(), config.resolved_observable()
-        eta = config.noise_for_set(0).total_rate(2, 3)
+        eta = config.eta_total()
+        assert eta == pytest.approx(total_error_rate(0.04, 2, 3).total)
         for s in range(config.parameter_sets):
             theta = sample_parameter_set(layout, substream(53, 0, s))
             f_noisy = expectation(
