@@ -9,34 +9,31 @@ theory, optimal scheme parameters and crossover copy numbers.
 
 __version__ = "0.1.0"
 
-from .analytics import (CrossoverNotFound, MseBreakdown, SchemeParams,
-                        TwoDesignMoments, epsilon_opt,
-                        epsilon_opt_asymptotic, lambda_opt, lambda_opt_eta,
-                        mse_fd, mse_sps, n_star_fd, n_star_sps_exact,
-                        n_star_sps_small_eta, noise_bias, two_design_moments)
-from .circuits import (AnsatzLayout, DensityMatrix, ParameterPoint,
-                       PauliObservable, build_ansatz, cyclic_observable,
-                       evolve, expectation, zero_state)
+from .analytics import (CrossoverNotFound, MseBreakdown, TwoDesignMoments,
+                        epsilon_opt, epsilon_opt_asymptotic, lambda_opt,
+                        lambda_opt_eta, mse_fd, mse_sps, n_star_fd,
+                        n_star_sps_exact, n_star_sps_small_eta, noise_bias,
+                        two_design_moments)
+from .circuits import (AnsatzLayout, PauliObservable, build_ansatz,
+                       cyclic_observable, evolve, expectation, shifted,
+                       zero_state)
 from .estimators import DiagHessian, EstimatorSpec, Gradient, OffDiagHessian
 from .harness import (ExperimentConfig, MseEstimate, NoiseSpec,
                       distribution_study, empirical_n_star, estimator_mean,
                       exact_derivative, monte_carlo_mse,
                       sample_parameter_set, verify_two_design)
 from .noise import (CnotDepolarizing, CnotPauliChannel, GlobalDepolarizing,
-                    NoNoise, per_layer_error_rate_to_eta0,
-                    random_pauli_weights, total_error_rate)
+                    NoNoise, random_pauli_weights, total_error_rate)
 
 __all__ = [
     "__version__",
-    "AnsatzLayout", "ParameterPoint", "PauliObservable", "DensityMatrix",
-    "build_ansatz", "cyclic_observable", "zero_state", "evolve",
-    "expectation",
+    "AnsatzLayout", "PauliObservable", "build_ansatz", "cyclic_observable",
+    "zero_state", "evolve", "expectation", "shifted",
     "NoNoise", "GlobalDepolarizing", "CnotDepolarizing", "CnotPauliChannel",
     "random_pauli_weights", "total_error_rate",
-    "per_layer_error_rate_to_eta0",
     "Gradient", "DiagHessian", "OffDiagHessian", "EstimatorSpec",
     "estimator_mean", "exact_derivative",
-    "TwoDesignMoments", "MseBreakdown", "SchemeParams", "two_design_moments",
+    "TwoDesignMoments", "MseBreakdown", "two_design_moments",
     "mse_sps", "mse_fd", "lambda_opt", "lambda_opt_eta", "epsilon_opt",
     "epsilon_opt_asymptotic", "n_star_sps_exact", "n_star_sps_small_eta",
     "n_star_fd", "noise_bias", "CrossoverNotFound",

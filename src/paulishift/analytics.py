@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimators import DerivativeTarget, target_kind
+from .estimators import target_kind
 
 TARGET_KINDS = ("gradient", "diag", "offdiag")
 SCHEMES = ("ps", "nsps", "hsps", "nfd", "hfd")
@@ -121,21 +121,6 @@ class MseBreakdown:
         return self.finite_copy + self.approximation
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """A scheme's free parameter and the rate it was tuned for (None: naive)."""
-
-    scheme_family: str  # "sps" | "fd"
-    value: float
-    eta: float | None = None
-
-    def __post_init__(self):
-        if self.scheme_family not in ("sps", "fd"):
-            raise ValueError("scheme_family must be 'sps' or 'fd'")
-        if not self.value > 0:
-            raise ValueError("parameter value must be positive")
-
-
 def _check_common(eta: float, g: float, n_total: float):
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
@@ -182,7 +167,7 @@ def mse_fd(target, d: int, epsilon: float, eta: float, g: float,
 
 # ── optimal scheme parameters ────────────────────────────────────────────────
 
-def lambda_opt(target, d: int, n_total: float) -> SchemeParams:
+def lambda_opt(target, d: int, n_total: float) -> float:
     """Noise-free optimal scaling of the shift rule; always in (0, 1]."""
     if n_total < 1:
         raise ValueError("n_total must be at least 1")
@@ -197,10 +182,10 @@ def lambda_opt(target, d: int, n_total: float) -> SchemeParams:
     if math.isnan(lam):
         # d^k N overflowed (inf / inf): lam = 1 - O(d / N) rounds to 1.0
         lam = 1.0
-    return SchemeParams(scheme_family="sps", value=lam)
+    return lam
 
 
-def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> SchemeParams:
+def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> float:
     """Known-noise optimal scaling; may exceed 1 and tends to 1/(1-eta).
 
     Minimizes the g-dropped upper bound of the scaled-shift MSE:
@@ -218,7 +203,7 @@ def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> SchemeParams:
     k1 = 1.0 - eta
     num = k1 * moment * n_total
     den = c * _shot_strength(d, eta, 0.0) + k1 * k1 * moment * n_total
-    return SchemeParams(scheme_family="sps", value=num / den, eta=eta)
+    return num / den
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +249,7 @@ def _epsilon_opt_cached(kind: str, d: int, n_total: float,
 
 
 def epsilon_opt(target, d: int, n_total: float,
-                eta: float | None = None) -> SchemeParams:
+                eta: float | None = None) -> float:
     """Numerically optimal finite-difference step.
 
     With ``eta`` omitted (or 0) the step minimizes the noise-free MSE
@@ -276,12 +261,10 @@ def epsilon_opt(target, d: int, n_total: float,
         raise ValueError("n_total must be at least 1")
     kind = _kind(target)
     if eta is None or eta == 0.0:
-        value = _epsilon_opt_cached(kind, d, float(n_total), 0.0)
-        return SchemeParams(scheme_family="fd", value=value)
+        return _epsilon_opt_cached(kind, d, float(n_total), 0.0)
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    value = _epsilon_opt_cached(kind, d, float(n_total), float(eta))
-    return SchemeParams(scheme_family="fd", value=value, eta=float(eta))
+    return _epsilon_opt_cached(kind, d, float(n_total), float(eta))
 
 
 def epsilon_opt_asymptotic(target, d: int, n_total: float) -> float:
@@ -315,13 +298,13 @@ def scheme_param(scheme: str, target, d: int, nt: float,
     if scheme == "ps":
         return "sps", 1.0
     if scheme == "nsps":
-        return "sps", lambda_opt(target, d, nt).value
+        return "sps", lambda_opt(target, d, nt)
     if scheme == "hsps":
-        return "sps", lambda_opt_eta(target, d, nt, eta).value
+        return "sps", lambda_opt_eta(target, d, nt, eta)
     if scheme == "nfd":
-        return "fd", epsilon_opt(target, d, nt).value
+        return "fd", epsilon_opt(target, d, nt)
     if scheme == "hfd":
-        return "fd", epsilon_opt(target, d, nt, eta).value
+        return "fd", epsilon_opt(target, d, nt, eta)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -379,7 +362,7 @@ def n_star_sps_exact(target, d: int, eta: float) -> float:
     kind = _kind(target)
     n_star = _finite_crossing(_NSTAR_PREFACTOR[kind](d) * _crossing_h(d, eta)
                               / (eta * (1.0 - eta)))
-    lam = lambda_opt(kind, d, n_star).value
+    lam = lambda_opt(kind, d, n_star)
     m_nsps = mse_sps(kind, d, lam, eta, 0.0, n_star).total
     m_ps = mse_sps(kind, d, 1.0, eta, 0.0, n_star).total
     if abs(m_nsps - m_ps) > 1e-9 * m_ps:
@@ -415,7 +398,7 @@ def n_star_fd(target, d: int, eta: float) -> float:
     kind = _kind(target)
 
     def diff(n: float) -> float:
-        eps = epsilon_opt(kind, d, n).value
+        eps = epsilon_opt(kind, d, n)
         return (mse_fd(kind, d, eps, eta, 0.0, n).total
                 - mse_sps(kind, d, 1.0, eta, 0.0, n).total)
 

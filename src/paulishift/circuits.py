@@ -1,15 +1,18 @@
 """Exact density-matrix simulation of layered Pauli-rotation circuits.
 
-States live on n qubits as dense 2^n x 2^n complex matrices.  Qubit 1 is the
-most significant bit of the computational-basis index, so tensor products read
-left to right: kron(A_1, A_2, ..., A_n) acts with A_q on qubit q.  All public
-qubit, layer and slot indices are 1-based.
+A state on n qubits is a plain dense 2^n x 2^n complex ndarray; n is read
+from its shape.  The angles are one flat float vector of length 3nL, laid out
+layer-major, then qubit, then slot, so ``theta.reshape(L, n, 3)`` holds each
+qubit's (Z, Y, Z) block angles.  Qubit 1 is the most significant bit of the
+computational-basis index, so tensor products read left to right:
+kron(A_1, A_2, ..., A_n) acts with A_q on qubit q.  All public qubit, layer
+and slot indices are 1-based.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -29,14 +32,12 @@ PAULI = {
 class AnsatzLayout:
     """Static structure of an n-qubit, L-layer circuit.
 
-    Each layer applies, per qubit, three parametrized Pauli rotations (the
-    "slots"), then one ring of CNOTs (1,2), (2,3), ..., (n-1,n), (n,1).
-    ``axes[l-1][q-1]`` is the 3-tuple of rotation axes for qubit q in layer l.
+    Each layer applies, per qubit, the rotations Z, Y, Z (the "slots"),
+    then one ring of CNOTs (1,2), (2,3), ..., (n-1,n), (n,1).
     """
 
     n: int
     L: int
-    axes: tuple[tuple[tuple[str, str, str], ...], ...]
     cnot_ring: tuple[tuple[int, int], ...]
 
     @property
@@ -53,39 +54,21 @@ class AnsatzLayout:
             raise ValueError(f"slot {slot} out of range 1..3")
         return ((layer - 1) * self.n + (qubit - 1)) * 3 + (slot - 1)
 
-    def axis_at(self, layer: int, qubit: int, slot: int) -> str:
-        self.flat_index(layer, qubit, slot)  # bounds check
-        return self.axes[layer - 1][qubit - 1][slot - 1]
 
-
-@dataclass(frozen=True)
-class ParameterPoint:
-    """A full assignment of the 3nL rotation angles, in radians."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.theta, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("theta must be a flat vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("theta entries must be finite")
-        object.__setattr__(self, "theta", arr)
-
-    def shifted(self, layout: AnsatzLayout,
-                shifts: Mapping[tuple[int, int, int], float]) -> "ParameterPoint":
-        """Return a copy with ``shifts[(qubit, layer, slot)]`` added per entry."""
-        out = self.theta.copy()
-        for (qubit, layer, slot), delta in shifts.items():
-            out[layout.flat_index(layer, qubit, slot)] += delta
-        return ParameterPoint(out)
+def shifted(layout: AnsatzLayout, theta: np.ndarray,
+            shifts: Mapping[tuple[int, int, int], float]) -> np.ndarray:
+    """Return a copy of theta with ``shifts[(qubit, layer, slot)]`` added."""
+    out = np.array(theta, dtype=float)
+    for (qubit, layer, slot), delta in shifts.items():
+        out[layout.flat_index(layer, qubit, slot)] += delta
+    return out
 
 
 def build_ansatz(n: int, L: int, axis_pattern: str = "zyz") -> AnsatzLayout:
     """Construct the layered ansatz layout.
 
-    The default pattern gives every qubit the block (Z, Y, Z), so slot 2 is
-    the Y-encoded angle and Haar-random blocks can be drawn in Euler form.
+    The one pattern, "zyz", gives every qubit the block (Z, Y, Z), so slot 2
+    is the Y-encoded angle and Haar-random blocks can be drawn in Euler form.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -93,13 +76,11 @@ def build_ansatz(n: int, L: int, axis_pattern: str = "zyz") -> AnsatzLayout:
         raise ValueError("need at least one layer")
     if axis_pattern.lower() != "zyz":
         raise ValueError(f"unknown axis pattern {axis_pattern!r}")
-    block = ("Z", "Y", "Z")
-    axes = tuple(tuple(block for _ in range(n)) for _ in range(L))
     if n == 1:
         ring: tuple[tuple[int, int], ...] = ()
     else:
         ring = tuple((q, q + 1) for q in range(1, n)) + ((n, 1),)
-    return AnsatzLayout(n=n, L=L, axes=axes, cnot_ring=ring)
+    return AnsatzLayout(n=n, L=L, cnot_ring=ring)
 
 
 # ── observables ──────────────────────────────────────────────────────────────
@@ -136,44 +117,28 @@ def cyclic_observable(n: int) -> PauliObservable:
 
 # ── density matrices ─────────────────────────────────────────────────────────
 
-@dataclass
-class DensityMatrix:
-    """Dense mixed-state representation; ``data`` is d x d with d = 2^n."""
-
-    data: np.ndarray
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n
+def qubit_count(state: np.ndarray) -> int:
+    """n for a 2^n x 2^n density matrix."""
+    return state.shape[0].bit_length() - 1
 
 
-def zero_state(n: int) -> DensityMatrix:
+def zero_state(n: int) -> np.ndarray:
     d = 2 ** n
-    data = np.zeros((d, d), dtype=complex)
-    data[0, 0] = 1.0
-    return DensityMatrix(data, n)
-
-
-def check_state(state: DensityMatrix, atol: float = 1e-10) -> None:
-    """Raise if the state is not Hermitian, unit-trace and PSD up to tolerance."""
-    m = state.data
-    if not np.allclose(m, m.conj().T, atol=1e-12):
-        raise ValueError("state is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-        raise ValueError("state trace is not 1")
-    eigs = np.linalg.eigvalsh(m)
-    if eigs.min() < -atol:
-        raise ValueError(f"state has negative eigenvalue {eigs.min():.3e}")
+    state = np.zeros((d, d), dtype=complex)
+    state[0, 0] = 1.0
+    return state
 
 
 # ── gates ────────────────────────────────────────────────────────────────────
 
-def rotation_matrix(axis: str, angle: float) -> np.ndarray:
-    """The 2x2 rotation exp(-i * angle * P / 2) about Pauli axis P."""
+def rotation_matrix(axis: str, angle) -> np.ndarray:
+    """The 2x2 rotation exp(-i * angle * P / 2) about Pauli axis P.
+
+    An array of angles gives a stack of rotations, shape angle.shape + (2, 2).
+    """
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    half = 0.5 * angle
+    half = 0.5 * np.asarray(angle)[..., None, None]
     return np.cos(half) * PAULI["I"] - 1.0j * np.sin(half) * PAULI[axis]
 
 
@@ -187,9 +152,9 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     return idx ^ flip
 
 
-def apply_cnot(state: DensityMatrix, control: int, target: int) -> DensityMatrix:
+def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
     """Conjugate the state by CNOT = |0><0| (x) 1 + |1><1| (x) X."""
-    n = state.n
+    n = qubit_count(state)
     if control == target:
         raise ValueError("control and target must differ")
     for q in (control, target):
@@ -197,14 +162,15 @@ def apply_cnot(state: DensityMatrix, control: int, target: int) -> DensityMatrix
             raise ValueError(f"qubit {q} out of range 1..{n}")
     sigma = _cnot_permutation(n, control, target)
     # CNOT is a real permutation, so conjugation is a relabeling of both axes.
-    return DensityMatrix(state.data[np.ix_(sigma, sigma)], n)
+    return state[np.ix_(sigma, sigma)]
 
 
-def expectation(state: DensityMatrix, obs: PauliObservable) -> float:
+def expectation(state: np.ndarray, obs: PauliObservable) -> float:
     """tr(rho O) for a Pauli observable; the value is real in [-1, 1]."""
-    if obs.n != state.n:
-        raise ValueError(f"observable on {obs.n} qubits, state on {state.n}")
-    val = complex(np.einsum("ij,ji->", state.data, obs.matrix()))
+    n = qubit_count(state)
+    if obs.n != n:
+        raise ValueError(f"observable on {obs.n} qubits, state on {n}")
+    val = complex(np.einsum("ij,ji->", state, obs.matrix()))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
@@ -212,35 +178,40 @@ def expectation(state: DensityMatrix, obs: PauliObservable) -> float:
 
 # ── circuit evolution ────────────────────────────────────────────────────────
 
-def _layer_unitary(layout: AnsatzLayout, theta: np.ndarray, layer: int) -> np.ndarray:
-    """Dense unitary for all single-qubit blocks of one layer."""
-    blocks = []
-    for q in range(1, layout.n + 1):
-        u = np.eye(2, dtype=complex)
-        for s in (1, 2, 3):
-            angle = theta[layout.flat_index(layer, q, s)]
-            u = rotation_matrix(layout.axis_at(layer, q, s), angle) @ u
-        blocks.append(u)
+def _layer_unitary(angles: np.ndarray) -> np.ndarray:
+    """Dense unitary for all single-qubit blocks of one layer.
+
+    ``angles`` is the layer's (n, 3) slice of theta. Every block is built at
+    once as Rz(gamma) @ (Ry(beta) @ (Rz(alpha) @ I)), the product order of
+    one rotation at a time, which keeps every seeded value to the bit.
+    """
+    blocks = PAULI["I"]
+    for s, axis in enumerate("ZYZ"):
+        blocks = rotation_matrix(axis, angles[:, s]) @ blocks
     return reduce(np.kron, blocks)
 
 
-def evolve(layout: AnsatzLayout, theta: ParameterPoint, noise=None) -> DensityMatrix:
+def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None) -> np.ndarray:
     """Evolve |0...0><0...0| through the full layered circuit.
 
-    Per layer: all single-qubit rotations first (kept noiseless), then the
-    CNOT ring in order, with the noise model's two-qubit channel applied
-    immediately after each CNOT.  A noise model is any object with
+    ``theta`` is the flat vector of 3nL finite angles. Per layer: all
+    single-qubit rotations first (kept noiseless), then the CNOT ring in
+    order, with the noise model's two-qubit channel applied immediately
+    after each CNOT.  A noise model is any object with
     ``apply_after_cnot(state, control, target)`` and ``apply_final(state)``
     hooks; pass None for the noiseless circuit.
     """
-    if len(theta.theta) != layout.parameter_count:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (layout.parameter_count,):
         raise ValueError(
-            f"theta has {len(theta.theta)} entries, layout needs "
+            f"theta has shape {theta.shape}, layout needs a flat vector of "
             f"{layout.parameter_count}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta entries must be finite")
     state = zero_state(layout.n)
-    for layer in range(1, layout.L + 1):
-        u = _layer_unitary(layout, theta.theta, layer)
-        state = DensityMatrix(u @ state.data @ u.conj().T, layout.n)
+    for angles in theta.reshape(layout.L, layout.n, 3):
+        u = _layer_unitary(angles)
+        state = u @ state @ u.conj().T
         for control, target in layout.cnot_ring:
             state = apply_cnot(state, control, target)
             if noise is not None:

@@ -36,8 +36,8 @@ from functools import partial
 import numpy as np
 
 from . import analytics, noise as noise_mod
-from .circuits import (AnsatzLayout, ParameterPoint, PauliObservable,
-                       build_ansatz, cyclic_observable, evolve, expectation)
+from .circuits import (AnsatzLayout, PauliObservable, build_ansatz,
+                       cyclic_observable, evolve, expectation, shifted)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -136,8 +136,7 @@ class ExperimentConfig:
             return 0.0
         if self.noise.kind == "global_depolarizing":
             return self.noise.rate
-        return noise_mod.total_error_rate(self.noise.rate, self.n,
-                                          self.L).total
+        return noise_mod.total_error_rate(self.noise.rate, self.n, self.L)
 
     def noise_for_set(self, set_index: int):
         """The channel applied to this parameter set's circuits."""
@@ -158,23 +157,20 @@ class ExperimentConfig:
 # ── parameter sampling ───────────────────────────────────────────────────────
 
 def sample_parameter_set(layout: AnsatzLayout,
-                         rng: np.random.Generator) -> ParameterPoint:
+                         rng: np.random.Generator) -> np.ndarray:
     """Draw angles making every ZYZ block Haar random up to global phase.
 
     Per block, three uniforms (u0, u1, u2) become alpha = 2 pi u0,
     beta = arccos(1 - 2 u1), gamma = 2 pi u2; the arccos map gives beta the
     sin(beta)/2 density the Haar measure requires. Blocks are drawn layer by
-    layer, qubit by qubit.
+    layer, qubit by qubit, into the flat vector of 3nL angles.
     """
     theta = np.empty(layout.parameter_count)
-    for layer in range(1, layout.L + 1):
-        for qubit in range(1, layout.n + 1):
-            u = rng.random(3)
-            base = layout.flat_index(layer, qubit, 1)
-            theta[base] = 2.0 * math.pi * u[0]
-            theta[base + 1] = math.acos(1.0 - 2.0 * u[1])
-            theta[base + 2] = 2.0 * math.pi * u[2]
-    return ParameterPoint(theta)
+    for block in theta.reshape(layout.L * layout.n, 3):
+        u = rng.random(3)
+        block[:] = (2.0 * math.pi * u[0], math.acos(1.0 - 2.0 * u[1]),
+                    2.0 * math.pi * u[2])
+    return theta
 
 
 # ── exact values ─────────────────────────────────────────────────────────────
@@ -200,7 +196,7 @@ class _FunctionCache:
     def value(self, shifts, noise) -> float:
         key = (noise is None, tuple(sorted(shifts.items())))
         if key not in self._values:
-            point = self.theta.shifted(self.layout, shifts)
+            point = shifted(self.layout, self.theta, shifts)
             self._values[key] = expectation(
                 evolve(self.layout, point, noise), self.obs)
         return self._values[key]
@@ -212,13 +208,13 @@ class _FunctionCache:
 
 
 def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,
-                   theta: ParameterPoint, noise, obs: PauliObservable) -> float:
+                   theta: np.ndarray, noise, obs: PauliObservable) -> float:
     """Infinite-shot mean of the estimator: exact f at each evaluation point."""
     return _FunctionCache(layout, theta, obs).mean(spec, noise)
 
 
 def exact_derivative(target: DerivativeTarget, layout: AnsatzLayout,
-                     theta: ParameterPoint, noise, obs: PauliObservable) -> float:
+                     theta: np.ndarray, noise, obs: PauliObservable) -> float:
     """Exact derivative of the (possibly noisy) circuit function.
 
     Evaluates the parameter-shift rule on exact expectations; with noise=None

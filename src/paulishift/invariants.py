@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics, harness
-from .circuits import build_ansatz, cyclic_observable
+from .circuits import build_ansatz, cyclic_observable, shifted
 from .estimators import (DiagHessian, EstimatorSpec, Gradient, OffDiagHessian,
                          target_kind)
 
@@ -47,8 +47,8 @@ def stationarity(rng: np.random.Generator,
         nt = float(rng.integers(12, 10 ** 7))
         eta = float(rng.uniform(1e-3, 0.9))
         for lam, mse_eta in (
-                (analytics.lambda_opt(kind, d, nt).value, 0.0),
-                (analytics.lambda_opt_eta(kind, d, nt, eta).value, eta)):
+                (analytics.lambda_opt(kind, d, nt), 0.0),
+                (analytics.lambda_opt_eta(kind, d, nt, eta), eta)):
             def at(lam_value):
                 return analytics.mse_sps(kind, d, lam_value, mse_eta, 0.0,
                                          nt).total
@@ -77,7 +77,7 @@ def crossing_consistency(rng: np.random.Generator,
         d = 2 ** int(rng.integers(1, 9))
         eta = float(rng.uniform(0.01, 0.8))
         ns = analytics.n_star_sps_exact(kind, d, eta)
-        lam = analytics.lambda_opt(kind, d, ns).value
+        lam = analytics.lambda_opt(kind, d, ns)
         a = analytics.mse_sps(kind, d, lam, eta, 0.0, ns).total
         b = analytics.mse_sps(kind, d, 1.0, eta, 0.0, ns).total
         worst_eq = max(worst_eq, abs(a - b) / b)
@@ -99,7 +99,7 @@ def step_asymptotics() -> float:
     worst = 0.0
     for kind in KINDS:
         for d in (4, 16):
-            num = analytics.epsilon_opt(kind, d, 1e12).value
+            num = analytics.epsilon_opt(kind, d, 1e12)
             asym = analytics.epsilon_opt_asymptotic(kind, d, 1e12)
             worst = max(worst, abs(num / asym - 1.0))
     return worst
@@ -146,7 +146,7 @@ def estimator_exactness(rng: np.random.Generator,
 
         def grad_at(shifts):
             return harness.exact_derivative(
-                g_t, layout, theta.shifted(layout, shifts), None, obs)
+                g_t, layout, shifted(layout, theta, shifts), None, obs)
 
         cd = (f_at({p1: +h}) - f_at({p1: -h})) / (2.0 * h)
         cd2 = (grad_at({p1: +h}) - grad_at({p1: -h})) / (2.0 * h)

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import PAULI, DensityMatrix
+from .circuits import PAULI, qubit_count
 
 # The 15 non-identity two-qubit Pauli labels, in fixed row-major order
 # (first letter acts on the channel's first qubit).
@@ -58,12 +58,13 @@ def pauli_channel_superoperator(weights) -> np.ndarray:
             + np.tensordot(w, _PAIR_CONJUGATIONS, axes=1))
 
 
-def _check_pair(state: DensityMatrix, j: int, k: int) -> None:
+def _check_pair(state: np.ndarray, j: int, k: int) -> None:
     if j == k:
         raise ValueError("channel qubits must be distinct")
+    n = qubit_count(state)
     for q in (j, k):
-        if not 1 <= q <= state.n:
-            raise ValueError(f"qubit {q} out of range 1..{state.n}")
+        if not 1 <= q <= n:
+            raise ValueError(f"qubit {q} out of range 1..{n}")
 
 
 @lru_cache(maxsize=512)
@@ -81,8 +82,8 @@ def _pair_axes(n: int, j: int, k: int):
     return split + split, order, tuple(np.argsort(order))
 
 
-def apply_pair_superoperator(state: DensityMatrix, j: int, k: int,
-                             superop: np.ndarray) -> DensityMatrix:
+def apply_pair_superoperator(state: np.ndarray, j: int, k: int,
+                             superop: np.ndarray) -> np.ndarray:
     """Apply a real 16x16 superoperator to qubits j and k (1-based, any
     order), indexed as in pauli_channel_superoperator.
 
@@ -93,20 +94,19 @@ def apply_pair_superoperator(state: DensityMatrix, j: int, k: int,
     _check_pair(state, j, k)
     if np.iscomplexobj(superop):
         raise ValueError("superoperator must be real, as Pauli channels are")
-    split, order, inverse = _pair_axes(state.n, j, k)
-    x = np.ascontiguousarray(state.data.reshape(split).transpose(order),
+    split, order, inverse = _pair_axes(qubit_count(state), j, k)
+    x = np.ascontiguousarray(state.reshape(split).transpose(order),
                              dtype=complex)
     # A real superoperator maps real and imaginary parts alike, so it acts
     # on the float view, half the work of a complex product.
     y = (superop @ x.reshape(16, -1).view(float)).view(complex)
-    out = y.reshape(x.shape).transpose(inverse).reshape(state.data.shape)
-    return DensityMatrix(out, state.n)
+    return y.reshape(x.shape).transpose(inverse).reshape(state.shape)
 
 
 # ── noise models ─────────────────────────────────────────────────────────────
 
 class _NoFinal:
-    def apply_final(self, state: DensityMatrix) -> DensityMatrix:
+    def apply_final(self, state: np.ndarray) -> np.ndarray:
         return state
 
 
@@ -164,11 +164,10 @@ class GlobalDepolarizing:
     def apply_after_cnot(self, state, control, target):
         return state
 
-    def apply_final(self, state: DensityMatrix) -> DensityMatrix:
-        d = state.dim
+    def apply_final(self, state: np.ndarray) -> np.ndarray:
+        d = state.shape[0]
         mixed = np.eye(d, dtype=complex) / d
-        return DensityMatrix((1.0 - self.eta) * state.data + self.eta * mixed,
-                             state.n)
+        return (1.0 - self.eta) * state + self.eta * mixed
 
 
 def random_pauli_weights(eta0: float, rng: np.random.Generator) -> tuple[float, ...]:
@@ -181,30 +180,12 @@ def random_pauli_weights(eta0: float, rng: np.random.Generator) -> tuple[float, 
 
 # ── error-rate arithmetic ────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class ErrorRateSummary:
-    """Per-CNOT, per-layer and total error rates for an n-qubit, L-layer run."""
-
-    eta0: float
-    per_layer: float
-    total: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.per_layer <= self.total < 1.0:
-            raise ValueError("rates must satisfy 0 <= per_layer <= total < 1")
-
-
-def total_error_rate(eta0: float, n: int, L: int) -> ErrorRateSummary:
+def total_error_rate(eta0: float, n: int, L: int) -> float:
     """Compound a uniform per-CNOT rate through n CNOTs per layer, L layers."""
     if not 0.0 <= eta0 < 1.0:
         raise ValueError(f"eta0 must be in [0, 1), got {eta0}")
-    per_layer = 1.0 - (1.0 - eta0) ** n
     total = 1.0 - (1.0 - eta0) ** (n * L)
-    return ErrorRateSummary(eta0=eta0, per_layer=per_layer, total=total)
-
-
-def per_layer_error_rate_to_eta0(eta_per_layer: float, n: int) -> float:
-    """Invert per_layer = 1 - (1 - eta0)^n for the per-CNOT rate."""
-    if not 0.0 <= eta_per_layer < 1.0:
-        raise ValueError(f"eta_per_layer must be in [0, 1), got {eta_per_layer}")
-    return 1.0 - (1.0 - eta_per_layer) ** (1.0 / n)
+    if not total < 1.0:
+        raise ValueError(f"total rate rounds to 1 for eta0 = {eta0}, "
+                         f"{n * L} CNOTs")
+    return total

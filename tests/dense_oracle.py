@@ -1,0 +1,73 @@
+"""Dense reference simulator: the oracle the fast kernels are tested against.
+
+Every operator here is an explicit 2^n x 2^n matrix: embedded single-qubit
+factors, CNOT as a sum of projectors, and Pauli channels as their Kraus sums.
+The rotation blocks are built one angle at a time as the Z, Y, Z product of
+scalar ``rotation_matrix`` calls, independent of the batched layer build.
+"""
+from functools import reduce
+
+import numpy as np
+
+from paulishift.circuits import PAULI, qubit_count, rotation_matrix, zero_state
+from paulishift.noise import TWO_QUBIT_PAULI_LABELS
+
+
+def check_state(state, atol=1e-10):
+    """Raise if the state is not Hermitian, unit-trace and PSD up to tolerance."""
+    if not np.allclose(state, state.conj().T, atol=1e-12):
+        raise ValueError("state is not Hermitian")
+    trace = np.trace(state)
+    if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
+        raise ValueError("state trace is not 1")
+    eigs = np.linalg.eigvalsh(state)
+    if eigs.min() < -atol:
+        raise ValueError(f"state has negative eigenvalue {eigs.min():.3e}")
+
+
+def random_mixed_state(n, seed):
+    """A full-rank state with generic complex entries: G G^dag / tr."""
+    rng = np.random.default_rng(seed)
+    shape = (2 ** n, 2 ** n)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def embedded(n, factors):
+    """kron of the given single-qubit matrices, identity elsewhere."""
+    mats = [factors.get(q, PAULI["I"]) for q in range(1, n + 1)]
+    return reduce(np.kron, mats)
+
+
+def pauli_sum_reference(state, j, k, weights):
+    """Direct Kraus evaluation: sum_i w_i P_i rho P_i plus the kept term."""
+    n = qubit_count(state)
+    out = (1.0 - sum(weights)) * state
+    for w, label in zip(weights, TWO_QUBIT_PAULI_LABELS):
+        p = embedded(n, {j: PAULI[label[0]], k: PAULI[label[1]]})
+        out = out + w * (p @ state @ p)
+    return out
+
+
+def dense_evolve(layout, theta, weights):
+    """Reference circuit: dense layer unitaries and CNOT matrices, with the
+    Kraus-sum Pauli channel after every CNOT."""
+    n = layout.n
+    rho = zero_state(n)
+    for layer in range(1, layout.L + 1):
+        blocks = {}
+        for q in range(1, n + 1):
+            u = np.eye(2)
+            for s, axis in zip((1, 2, 3), "ZYZ"):
+                angle = theta[layout.flat_index(layer, q, s)]
+                u = rotation_matrix(axis, angle) @ u
+            blocks[q] = u
+        u = embedded(n, blocks)
+        rho = u @ rho @ u.conj().T
+        for c, t in layout.cnot_ring:
+            p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+            cx = embedded(n, {c: p0}) + embedded(n, {c: p1, t: PAULI["X"]})
+            rho = cx @ rho @ cx
+            rho = pauli_sum_reference(rho, c, t, weights)
+    return rho

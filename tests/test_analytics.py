@@ -116,20 +116,20 @@ class TestOptimalLambda:
         """The three closed forms, written out, for spot values."""
         d, nt = 4.0, 960.0
         np.testing.assert_allclose(
-            lambda_opt("gradient", 4, 960).value,
+            lambda_opt("gradient", 4, 960),
             d * nt / (2 * d * d + d * nt - 2))
         np.testing.assert_allclose(
-            lambda_opt("diag", 4, 960).value,
+            lambda_opt("diag", 4, 960),
             4 * d * nt / (9 * d * d + 4 * d * nt - 9))
         np.testing.assert_allclose(
-            lambda_opt("offdiag", 4, 960).value,
+            lambda_opt("offdiag", 4, 960),
             d ** 3 * nt / (4 * (d * d - 1) ** 2 + d ** 3 * nt))
 
     def test_lies_in_unit_interval_and_grows_with_budget(self):
         for kind in KINDS:
             prev = 0.0
             for nt in (48, 480, 4800, 48000):
-                lam = lambda_opt(kind, 16, nt).value
+                lam = lambda_opt(kind, 16, nt)
                 assert 0.0 < lam < 1.0
                 assert lam > prev
                 prev = lam
@@ -145,9 +145,9 @@ class TestOptimalLambda:
         d = 2 ** q
         nt = 10.0 ** log_nt
         if eta == 0.0:
-            lam = lambda_opt(kind, d, nt).value
+            lam = lambda_opt(kind, d, nt)
         else:
-            lam = lambda_opt_eta(kind, d, nt, eta).value
+            lam = lambda_opt_eta(kind, d, nt, eta)
         best = mse_sps(kind, d, lam, eta, 0.0, nt).total
         other = lam * (1.0 + rel)
         if other > 0:
@@ -158,29 +158,28 @@ class TestOptimalLambda:
         """lambda*(N -> inf) -> 1/(1 - eta): undo the signal shrinkage."""
         eta = 0.3
         for kind in KINDS:
-            lam = lambda_opt_eta(kind, 16, 1e14, eta).value
+            lam = lambda_opt_eta(kind, 16, 1e14, eta)
             np.testing.assert_allclose(lam, 1.0 / (1.0 - eta), rtol=1e-9)
 
     def test_zero_noise_reduces_to_naive(self):
         for kind in KINDS:
             a = lambda_opt_eta(kind, 8, 777, 0.0)
             b = lambda_opt(kind, 8, 777)
-            assert a.value == b.value  # bit-identical delegation
-            assert a.eta is None
+            assert a == b  # bit-identical delegation
 
 
 class TestOptimalEpsilon:
 
     def test_beats_neighbouring_steps(self):
         for kind in KINDS:
-            eps = epsilon_opt(kind, 16, 9600).value
+            eps = epsilon_opt(kind, 16, 9600)
             best = mse_fd(kind, 16, eps, 0.0, 0.0, 9600).total
             for factor in (0.9, 0.99, 1.01, 1.1):
                 alt = mse_fd(kind, 16, eps * factor, 0.0, 0.0, 9600).total
                 assert best <= alt + 1e-15
 
     def test_shrinks_with_budget(self):
-        values = [epsilon_opt("gradient", 16, nt).value
+        values = [epsilon_opt("gradient", 16, nt)
                   for nt in (96, 9600, 960000)]
         assert values[0] > values[1] > values[2]
 
@@ -188,7 +187,7 @@ class TestOptimalEpsilon:
         """eps* ~ (const <f^2>-strength / (N moment))^power at huge N."""
         for kind, power in (("gradient", 1 / 6), ("diag", 1 / 8),
                             ("offdiag", 1 / 8)):
-            num = epsilon_opt(kind, 4, 1e12).value
+            num = epsilon_opt(kind, 4, 1e12)
             asy = epsilon_opt_asymptotic(kind, 4, 1e12)
             np.testing.assert_allclose(num, asy, rtol=0.01)
             # the scaling power shows up between two huge budgets
@@ -197,11 +196,15 @@ class TestOptimalEpsilon:
             np.testing.assert_allclose(ratio, (1e-2) ** power, rtol=1e-9)
 
     def test_heuristic_regime_records_eta(self):
-        params = epsilon_opt("gradient", 16, 960, eta=0.226)
-        assert params.eta == 0.226
+        """A given rate tunes the step for it; none or 0 tunes it clean."""
+        heuristic = epsilon_opt("gradient", 16, 960, eta=0.226)
         naive = epsilon_opt("gradient", 16, 960)
-        assert naive.eta is None
-        assert naive.value != params.value
+        assert epsilon_opt("gradient", 16, 960, eta=0.0) == naive
+        assert naive != heuristic
+        eps_grid = heuristic * np.array([0.99, 1.01])
+        best = mse_fd("gradient", 16, heuristic, 0.226, 0.0, 960).total
+        assert all(best <= mse_fd("gradient", 16, e, 0.226, 0.0, 960).total
+                   for e in eps_grid)
 
 
 class TestSchemeParam:
@@ -212,13 +215,13 @@ class TestSchemeParam:
             assert analytics.scheme_param("ps", kind, d, nt, eta) == ("sps",
                                                                       1.0)
             assert analytics.scheme_param("nsps", kind, d, nt, eta) == (
-                "sps", lambda_opt(kind, d, nt).value)
+                "sps", lambda_opt(kind, d, nt))
             assert analytics.scheme_param("hsps", kind, d, nt, eta) == (
-                "sps", lambda_opt_eta(kind, d, nt, eta).value)
+                "sps", lambda_opt_eta(kind, d, nt, eta))
             assert analytics.scheme_param("nfd", kind, d, nt, eta) == (
-                "fd", epsilon_opt(kind, d, nt).value)
+                "fd", epsilon_opt(kind, d, nt))
             assert analytics.scheme_param("hfd", kind, d, nt, eta) == (
-                "fd", epsilon_opt(kind, d, nt, eta).value)
+                "fd", epsilon_opt(kind, d, nt, eta))
 
     def test_heuristic_schemes_are_naive_without_noise(self):
         for naive, heuristic in (("nsps", "hsps"), ("nfd", "hfd")):
@@ -242,7 +245,7 @@ class TestCrossovers:
         for kind in KINDS:
             for d, eta in ((4, 0.1), (16, 0.226), (64, 0.6)):
                 ns = n_star_sps_exact(kind, d, eta)
-                lam = lambda_opt(kind, d, ns).value
+                lam = lambda_opt(kind, d, ns)
                 a = mse_sps(kind, d, lam, eta, 0.0, ns).total
                 b = mse_sps(kind, d, 1.0, eta, 0.0, ns).total
                 np.testing.assert_allclose(a, b, rtol=1e-9)
@@ -269,7 +272,7 @@ class TestCrossovers:
 
     def test_fd_crossing_residual_is_tiny(self):
         ns = n_star_fd("gradient", 16, 0.25)
-        eps = epsilon_opt("gradient", 16, ns).value
+        eps = epsilon_opt("gradient", 16, ns)
         a = mse_fd("gradient", 16, eps, 0.25, 0.0, ns).total
         b = mse_sps("gradient", 16, 1.0, 0.25, 0.0, ns).total
         np.testing.assert_allclose(a, b, rtol=1e-5)
@@ -302,7 +305,7 @@ class TestCrossovers:
         values = [n_star_fd("gradient", d, 0.0) for d in (4, 16, 256)]
         np.testing.assert_allclose(values, [46.58, 197.96, 3179.8],
                                    rtol=1e-4)
-        eps = epsilon_opt("gradient", 16, values[1]).value
+        eps = epsilon_opt("gradient", 16, values[1])
         np.testing.assert_allclose(
             mse_fd("gradient", 16, eps, 0.0, 0.0, values[1]).total,
             mse_sps("gradient", 16, 1.0, 0.0, 0.0, values[1]).total,
@@ -318,7 +321,7 @@ class TestCrossovers:
     def test_crossing_near_float_range_keeps_lambda_valid(self):
         """d^k N past the largest float leaves lambda at 1, not inf/inf."""
         for kind in KINDS:
-            assert lambda_opt(kind, 2 ** 200, 1e300).value == 1.0
+            assert lambda_opt(kind, 2 ** 200, 1e300) == 1.0
         assert math.isfinite(n_star_sps_exact("offdiag", 2 ** 7, 1e-300))
 
 
@@ -347,9 +350,9 @@ class TestNoiseBias:
         """HSPS approximation error vanishes; FD stays pinned at the floor."""
         eta, d = 0.3, 16
         floor = noise_bias("diag", d, eta)
-        lam = lambda_opt_eta("diag", d, 1e9, eta).value
+        lam = lambda_opt_eta("diag", d, 1e9, eta)
         hsps = mse_sps("diag", d, lam, eta, 0.0, 1e9)
         assert hsps.approximation < 1e-8 * floor
-        eps = epsilon_opt("diag", d, 1e6, eta).value
+        eps = epsilon_opt("diag", d, 1e6, eta)
         assert mse_fd("diag", d, eps, eta, 0.0,
                       1e6).approximation >= floor * (1 - 1e-9)

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracle import check_state, embedded
 
-from paulishift.circuits import (AnsatzLayout, DensityMatrix, PauliObservable,
-                                 ParameterPoint, apply_cnot, build_ansatz,
-                                 check_state, cyclic_observable, evolve,
-                                 expectation, rotation_matrix, zero_state)
+from paulishift.circuits import (PauliObservable, _layer_unitary, apply_cnot,
+                                 build_ansatz, cyclic_observable, evolve,
+                                 expectation, rotation_matrix, shifted,
+                                 zero_state)
 from paulishift.harness import sample_parameter_set
 
 
@@ -41,13 +42,17 @@ class TestLayout:
             layout.flat_index(0, 1, 1)
 
     def test_default_blocks_are_zyz(self):
-        """Slot 2 carries the Y-encoded Euler angle on every qubit."""
-        layout = build_ansatz(2, 2)
-        for l in (1, 2):
-            for q in (1, 2):
-                assert layout.axis_at(l, q, 1) == "Z"
-                assert layout.axis_at(l, q, 2) == "Y"
-                assert layout.axis_at(l, q, 3) == "Z"
+        """Each qubit's block is Rz(slot 3) Ry(slot 2) Rz(slot 1), so slot 2
+        carries the Y-encoded Euler angle on every qubit."""
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3):
+            angles = rng.uniform(-4.0, 4.0, size=(n, 3))
+            blocks = {q: rotation_matrix("Z", c) @ rotation_matrix("Y", b)
+                      @ rotation_matrix("Z", a)
+                      for q, (a, b, c) in enumerate(angles, start=1)}
+            np.testing.assert_allclose(_layer_unitary(angles),
+                                       embedded(n, blocks), rtol=0,
+                                       atol=1e-15)
 
     def test_cnot_ring_closes(self):
         assert build_ansatz(4, 1).cnot_ring == ((1, 2), (2, 3), (3, 4), (4, 1))
@@ -63,23 +68,23 @@ class TestLayout:
             build_ansatz(2, 2, axis_pattern="xyx")
 
 
-class TestParameterPoint:
+class TestAngleVector:
 
     def test_shifted_adds_only_named_angles(self):
         layout = build_ansatz(2, 2)
-        theta = ParameterPoint(np.zeros(layout.parameter_count))
-        moved = theta.shifted(layout, {(1, 2, 2): 0.5, (2, 1, 3): -0.25})
+        theta = np.zeros(layout.parameter_count)
+        moved = shifted(layout, theta, {(1, 2, 2): 0.5, (2, 1, 3): -0.25})
         expect = np.zeros(layout.parameter_count)
         expect[layout.flat_index(2, 1, 2)] = 0.5
         expect[layout.flat_index(1, 2, 3)] = -0.25
-        np.testing.assert_allclose(moved.theta, expect)
-        np.testing.assert_allclose(theta.theta, 0.0)  # original untouched
+        np.testing.assert_allclose(moved, expect)
+        np.testing.assert_allclose(theta, 0.0)  # original untouched
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ParameterPoint(np.array([0.0, np.nan]))
-        with pytest.raises(ValueError):
-            ParameterPoint(np.zeros((2, 2)))
+        layout = build_ansatz(1, 1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                evolve(layout, np.array([0.0, bad, 0.0]))
 
 
 class TestGates:
@@ -98,6 +103,18 @@ class TestGates:
             u, math.cos(a / 2) * np.eye(2) - 1j * math.sin(a / 2) * y,
             atol=1e-15)
 
+    def test_rotation_stacks_match_scalar_calls(self):
+        """An array of angles gives, slice by slice, the scalar rotation
+        bit for bit."""
+        rng = np.random.default_rng(5)
+        angles = rng.uniform(-7.0, 7.0, size=(4, 3))
+        for axis in "XYZ":
+            stack = rotation_matrix(axis, angles)
+            assert stack.shape == (4, 3, 2, 2)
+            for idx in np.ndindex(angles.shape):
+                assert np.array_equal(stack[idx],
+                                      rotation_matrix(axis, angles[idx]))
+
     def test_rotation_full_period(self):
         """A 4 pi rotation is the identity; 2 pi is minus it (spinor sign)."""
         u2 = rotation_matrix("Z", 2 * math.pi)
@@ -109,22 +126,22 @@ class TestGates:
         """CNOT(1->2) maps |10> to |11> and leaves |01> alone."""
 
         def basis_state(index):
-            data = np.zeros((4, 4), dtype=complex)
-            data[index, index] = 1.0
-            return DensityMatrix(data, 2)
+            state = np.zeros((4, 4), dtype=complex)
+            state[index, index] = 1.0
+            return state
 
         flipped = apply_cnot(basis_state(0b10), 1, 2)
-        np.testing.assert_allclose(abs(flipped.data[3, 3]), 1.0, atol=1e-12)
+        np.testing.assert_allclose(abs(flipped[3, 3]), 1.0, atol=1e-12)
 
         same = apply_cnot(basis_state(0b01), 1, 2)
-        np.testing.assert_allclose(abs(same.data[1, 1]), 1.0, atol=1e-12)
+        np.testing.assert_allclose(abs(same[1, 1]), 1.0, atol=1e-12)
 
     def test_cnot_is_an_involution(self):
         rng = np.random.default_rng(7)
         layout = build_ansatz(3, 1)
         state = evolve(layout, sample_parameter_set(layout, rng))
         twice = apply_cnot(apply_cnot(state, 2, 3), 2, 3)
-        np.testing.assert_allclose(twice.data, state.data, atol=1e-14)
+        np.testing.assert_allclose(twice, state, atol=1e-14)
 
     def test_cnot_rejects_equal_qubits(self):
         with pytest.raises(ValueError):
@@ -136,12 +153,12 @@ class TestStatesAndObservables:
     def test_zero_state_is_valid(self):
         state = zero_state(3)
         check_state(state)
-        assert state.dim == 8
-        np.testing.assert_allclose(np.trace(state.data), 1.0)
+        assert state.shape == (8, 8)
+        np.testing.assert_allclose(np.trace(state), 1.0)
 
     def test_check_state_rejects_garbage(self):
         bad = zero_state(1)
-        bad.data[0, 1] = 0.5  # not Hermitian
+        bad[0, 1] = 0.5  # not Hermitian
         with pytest.raises(ValueError):
             check_state(bad)
 
@@ -174,7 +191,7 @@ class TestEvolve:
         """For the ZYZ block on |0>, <X> = sin(theta_2) cos(theta_3)."""
         layout = build_ansatz(1, 1)
         for t1, t2, t3 in ((0.3, 1.1, -0.4), (2.0, 0.5, 1.9), (0.0, 2.8, 0.0)):
-            theta = ParameterPoint(np.array([t1, t2, t3]))
+            theta = np.array([t1, t2, t3])
             f = expectation(evolve(layout, theta), cyclic_observable(1))
             np.testing.assert_allclose(f, math.sin(t2) * math.cos(t3),
                                        atol=1e-12)
@@ -184,7 +201,7 @@ class TestEvolve:
         layout = build_ansatz(3, 2)
         state = evolve(layout, sample_parameter_set(layout, rng))
         check_state(state)
-        purity = np.trace(state.data @ state.data).real
+        purity = np.trace(state @ state).real
         np.testing.assert_allclose(purity, 1.0, atol=1e-10)
 
     def test_expectations_stay_in_range(self):
@@ -204,11 +221,14 @@ class TestEvolve:
         theta = sample_parameter_set(layout, rng)
         f0 = expectation(evolve(layout, theta), obs)
         f1 = expectation(
-            evolve(layout, theta.shifted(layout, {(1, 2, 2): 2 * math.pi})),
+            evolve(layout, shifted(layout, theta, {(1, 2, 2): 2 * math.pi})),
             obs)
         np.testing.assert_allclose(f1, f0, atol=1e-12)
 
     def test_theta_length_checked(self):
+        """theta must be a flat vector of exactly 3 n L angles."""
         layout = build_ansatz(2, 2)
         with pytest.raises(ValueError):
-            evolve(layout, ParameterPoint(np.zeros(5)))
+            evolve(layout, np.zeros(5))
+        with pytest.raises(ValueError):
+            evolve(layout, np.zeros((4, 3)))

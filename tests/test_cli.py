@@ -8,11 +8,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulishift import analytics, cli
-from paulishift.analytics import SchemeParams
 from paulishift.cli import (canonical_json, config_digest, load_config, main,
                             parse_float_list, parse_int_grid)
 
@@ -185,6 +184,11 @@ class TestAnalyticCommand:
                                                        10 ** 400])),
                             min_size=1, max_size=3),
            nstar=st.booleans())
+    # d^k N_star overflows in lambda_opt below the 2^200 dimension cap
+    @example(targets="offdiag", dims=[7], rates=[1e-300], budgets=[48],
+             nstar=True)
+    @example(targets="all", dims=[180], rates=[1e-100], budgets=[48],
+             nstar=True)
     def test_analytic_never_raises(self, targets, dims, rates, budgets,
                                    nstar):
         """Any grid of targets, qubit counts, rates and budgets exits 0 or 2."""
@@ -367,8 +371,7 @@ class TestVerifyCommand:
         true_fn = analytics.lambda_opt
 
         def detuned(target, d, n_total):
-            good = true_fn(target, d, n_total)
-            return SchemeParams(scheme_family="sps", value=0.7 * good.value)
+            return 0.7 * true_fn(target, d, n_total)
 
         monkeypatch.setattr(analytics, "lambda_opt", detuned)
         ok, detail = cli._inv_stationarity(np.random.default_rng(0))

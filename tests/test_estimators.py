@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import paulishift
 from paulishift.circuits import (build_ansatz, cyclic_observable, evolve,
-                                 expectation)
+                                 expectation, shifted)
 from paulishift.estimators import (DiagHessian, EstimatorSpec, Gradient,
                                    OffDiagHessian, evaluation_points,
                                    point_count, target_kind)
@@ -122,7 +122,7 @@ class TestExactDerivatives:
         for spec in (EstimatorSpec("sps", OffDiagHessian(), lam=0.7),
                      EstimatorSpec("fd", DiagHessian(), epsilon=0.4)):
             by_hand = sum(coeff * expectation(
-                evolve(layout, theta.shifted(layout, shifts)), obs)
+                evolve(layout, shifted(layout, theta, shifts)), obs)
                 for shifts, coeff in evaluation_points(spec))
             assert cache.mean(spec, None) == by_hand
             assert estimator_mean(spec, layout, theta, None, obs) == by_hand
@@ -133,8 +133,8 @@ class TestExactDerivatives:
         exact = exact_derivative(target, layout, theta, None, obs)
         h = 1e-6
         loc = (target.qubit, target.layer, target.slot)
-        fp = expectation(evolve(layout, theta.shifted(layout, {loc: h})), obs)
-        fm = expectation(evolve(layout, theta.shifted(layout, {loc: -h})), obs)
+        fp, fm = (expectation(evolve(layout, shifted(layout, theta, {loc: s})),
+                              obs) for s in (h, -h))
         np.testing.assert_allclose(exact, (fp - fm) / (2 * h), atol=1e-6)
 
     def test_diag_matches_tiny_central_difference(self):
@@ -177,7 +177,7 @@ class TestExactDerivatives:
         f0 = expectation(evolve(layout, theta), obs)
         g = exact_derivative(Gradient(*loc), layout, theta, None, obs)
         h = exact_derivative(DiagHessian(*loc), layout, theta, None, obs)
-        fs = expectation(evolve(layout, theta.shifted(layout, {loc: shift})),
+        fs = expectation(evolve(layout, shifted(layout, theta, {loc: shift})),
                          obs)
         np.testing.assert_allclose(
             fs, f0 + math.sin(shift) * g + (1 - math.cos(shift)) * h,
@@ -216,7 +216,7 @@ class TestSampling:
         truth = estimator_mean(spec, layout, theta, None, obs)
         rng = np.random.default_rng(7)
         draws = sum(coeff * _binomial_estimates(
-            expectation(evolve(layout, theta.shifted(layout, shifts)), obs),
+            expectation(evolve(layout, shifted(layout, theta, shifts)), obs),
             96 // point_count(Gradient()), rng, 800)
             for shifts, coeff in evaluation_points(spec))
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))

@@ -44,20 +44,20 @@ class TestParameterSampling:
     def test_shapes_and_ranges(self):
         layout = build_ansatz(3, 4)
         theta = sample_parameter_set(layout, np.random.default_rng(1))
-        assert theta.theta.shape == (36,)
+        assert theta.shape == (36,)
         for layer in range(1, 5):
             for qubit in range(1, 4):
                 base = layout.flat_index(layer, qubit, 1)
-                assert 0.0 <= theta.theta[base] < 2 * math.pi
-                assert 0.0 <= theta.theta[base + 1] <= math.pi
-                assert 0.0 <= theta.theta[base + 2] < 2 * math.pi
+                assert 0.0 <= theta[base] < 2 * math.pi
+                assert 0.0 <= theta[base + 1] <= math.pi
+                assert 0.0 <= theta[base + 2] < 2 * math.pi
 
     def test_middle_angle_has_haar_density(self):
         """cos(beta) must be uniform on [-1, 1] for Haar blocks."""
         layout = build_ansatz(1, 1)
         rng = np.random.default_rng(2)
         cos_beta = np.array([
-            math.cos(sample_parameter_set(layout, rng).theta[1])
+            math.cos(sample_parameter_set(layout, rng)[1])
             for _ in range(4000)])
         np.testing.assert_allclose(cos_beta.mean(), 0.0, atol=0.05)
         np.testing.assert_allclose(cos_beta.var(), 1.0 / 3.0, atol=0.03)
@@ -186,7 +186,7 @@ class TestEmpiricalCrossing:
         ps = synthetic_curve("ps", d, eta, grid, lambda nt: 1.0)
         nsps = synthetic_curve(
             "nsps", d, eta, grid,
-            lambda nt: analytics.lambda_opt("gradient", d, nt).value)
+            lambda nt: analytics.lambda_opt("gradient", d, nt))
         crossing = empirical_n_star(nsps, ps)
         assert isinstance(crossing, CrossingEstimate)
         assert abs(crossing.n_star - exact) <= 48.0

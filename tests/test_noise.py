@@ -1,21 +1,19 @@
 """Tests for the noise channels and error-rate arithmetic."""
 import itertools
-from functools import reduce
 
 import numpy as np
 import pytest
+from dense_oracle import (check_state, dense_evolve, pauli_sum_reference,
+                          random_mixed_state)
 
-from paulishift.circuits import (PAULI, DensityMatrix, build_ansatz,
-                                 check_state, cyclic_observable, evolve,
-                                 expectation, rotation_matrix, zero_state)
+from paulishift.circuits import (build_ansatz, cyclic_observable, evolve,
+                                 expectation, zero_state)
 from paulishift.harness import (ExperimentConfig, NoiseSpec,
                                 distribution_study, sample_parameter_set,
                                 substream)
-from paulishift.noise import (TWO_QUBIT_PAULI_LABELS, CnotDepolarizing,
-                              CnotPauliChannel, GlobalDepolarizing,
-                              apply_pair_superoperator,
+from paulishift.noise import (CnotDepolarizing, CnotPauliChannel,
+                              GlobalDepolarizing, apply_pair_superoperator,
                               pauli_channel_superoperator,
-                              per_layer_error_rate_to_eta0,
                               random_pauli_weights, total_error_rate)
 
 
@@ -25,53 +23,6 @@ def _random_state(n, seed):
     return evolve(layout, sample_parameter_set(layout, rng))
 
 
-def _random_mixed_state(n, seed):
-    """A full-rank state with generic complex entries: G G^dag / tr."""
-    rng = np.random.default_rng(seed)
-    shape = (2 ** n, 2 ** n)
-    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    rho = g @ g.conj().T
-    return DensityMatrix(rho / np.trace(rho).real, n)
-
-
-def _embedded(n, factors):
-    """kron of the given single-qubit matrices, identity elsewhere."""
-    mats = [factors.get(q, PAULI["I"]) for q in range(1, n + 1)]
-    return reduce(np.kron, mats)
-
-
-def _pauli_sum_reference(state, j, k, weights):
-    """Direct Kraus evaluation: sum_i w_i P_i rho P_i plus the kept term."""
-    out = (1.0 - sum(weights)) * state.data
-    for w, label in zip(weights, TWO_QUBIT_PAULI_LABELS):
-        p = _embedded(state.n, {j: PAULI[label[0]], k: PAULI[label[1]]})
-        out = out + w * (p @ state.data @ p)
-    return out
-
-
-def _dense_evolve(layout, theta, weights):
-    """Reference circuit: dense layer unitaries and CNOT matrices, with the
-    Kraus-sum Pauli channel after every CNOT."""
-    n = layout.n
-    rho = zero_state(n).data
-    for layer in range(1, layout.L + 1):
-        blocks = {}
-        for q in range(1, n + 1):
-            u = np.eye(2)
-            for s in (1, 2, 3):
-                angle = theta.theta[layout.flat_index(layer, q, s)]
-                u = rotation_matrix(layout.axis_at(layer, q, s), angle) @ u
-            blocks[q] = u
-        u = _embedded(n, blocks)
-        rho = u @ rho @ u.conj().T
-        for c, t in layout.cnot_ring:
-            p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-            cx = _embedded(n, {c: p0}) + _embedded(n, {c: p1, t: PAULI["X"]})
-            rho = cx @ rho @ cx
-            rho = _pauli_sum_reference(DensityMatrix(rho, n), c, t, weights)
-    return DensityMatrix(rho, n)
-
-
 class TestTwoQubitChannels:
 
     def test_depolarizing_equals_explicit_pauli_sum(self):
@@ -79,23 +30,22 @@ class TestTwoQubitChannels:
         state = _random_state(3, 23)
         eta0 = 0.07
         fast = CnotDepolarizing(eta0).apply_after_cnot(state, 1, 3)
-        ref = _pauli_sum_reference(state, 1, 3, [eta0 / 15.0] * 15)
-        np.testing.assert_allclose(fast.data, ref, atol=1e-13)
+        ref = pauli_sum_reference(state, 1, 3, [eta0 / 15.0] * 15)
+        np.testing.assert_allclose(fast, ref, atol=1e-13)
 
     def test_pauli_channel_matches_reference(self):
         """n = 2..5, every ordered pair (the ring's (n, 1) included), random
         and uniform weights, on generic mixed states."""
         rng = np.random.default_rng(5)
         for n in (2, 3, 4, 5):
-            state = _random_mixed_state(n, 29 + n)
+            state = random_mixed_state(n, 29 + n)
             for weights in (random_pauli_weights(0.12, rng),
                             (0.3 / 15.0,) * 15):
                 superop = pauli_channel_superoperator(weights)
                 for j, k in itertools.permutations(range(1, n + 1), 2):
                     out = apply_pair_superoperator(state, j, k, superop)
-                    ref = _pauli_sum_reference(state, j, k, weights)
-                    np.testing.assert_allclose(out.data, ref, rtol=0,
-                                               atol=1e-13)
+                    ref = pauli_sum_reference(state, j, k, weights)
+                    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
 
     def test_channels_preserve_valid_states(self):
         state = _random_state(3, 31)
@@ -107,7 +57,7 @@ class TestTwoQubitChannels:
     def test_zero_rate_is_identity(self):
         state = _random_state(2, 37)
         out = CnotDepolarizing(0.0).apply_after_cnot(state, 1, 2)
-        np.testing.assert_allclose(out.data, state.data)
+        np.testing.assert_allclose(out, state)
 
     def test_channel_argument_validation(self):
         state = zero_state(2)
@@ -143,7 +93,7 @@ class TestNoiseModels:
         """A config's total rate compounds the per-CNOT rate over its n L
         CNOTs; the global channel's rate is already the total."""
         compound = 1.0 - 0.95 ** 20
-        assert total_error_rate(0.05, 4, 5).total == pytest.approx(compound)
+        assert total_error_rate(0.05, 4, 5) == pytest.approx(compound)
         for kind, rate, total in (("cnot_depolarizing", 0.05, compound),
                                   ("cnot_pauli", 0.05, compound),
                                   ("none", 0.0, 0.0),
@@ -165,7 +115,7 @@ class TestNoiseModels:
         theta = sample_parameter_set(layout, rng)
         eta0 = 0.08
         f_ref = expectation(
-            _dense_evolve(layout, theta, (eta0 / 15.0,) * 15), obs)
+            dense_evolve(layout, theta, (eta0 / 15.0,) * 15), obs)
         f_dep = expectation(
             evolve(layout, theta, CnotDepolarizing(eta0)), obs)
         f_pauli = expectation(
@@ -184,8 +134,8 @@ class TestNoiseModels:
         for channel, w in ((CnotDepolarizing(0.06), (0.06 / 15.0,) * 15),
                            (CnotPauliChannel(weights), weights)):
             out = evolve(layout, theta, channel)
-            ref = _dense_evolve(layout, theta, w)
-            np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+            ref = dense_evolve(layout, theta, w)
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
     def test_model_rate_validation(self):
         with pytest.raises(ValueError):
@@ -199,17 +149,16 @@ class TestNoiseModels:
 class TestErrorRates:
 
     def test_total_rate_composition(self):
-        summary = total_error_rate(0.05, 4, 5)
-        np.testing.assert_allclose(summary.per_layer, 1.0 - 0.95 ** 4)
-        np.testing.assert_allclose(summary.total, 1.0 - 0.95 ** 20)
-        assert summary.per_layer <= summary.total
-
-    def test_per_layer_inversion(self):
-        """eta0 -> per-layer -> eta0 round-trips."""
-        eta0 = 0.0125
-        per_layer = total_error_rate(eta0, 4, 1).per_layer
-        np.testing.assert_allclose(per_layer_error_rate_to_eta0(per_layer, 4),
-                                   eta0, rtol=1e-12)
+        """One layer compounds n CNOTs; L layers compound n L of them."""
+        np.testing.assert_allclose(total_error_rate(0.05, 4, 1),
+                                   1.0 - 0.95 ** 4)
+        np.testing.assert_allclose(total_error_rate(0.05, 4, 5),
+                                   1.0 - 0.95 ** 20)
+        assert total_error_rate(0.0, 4, 5) == 0.0
+        with pytest.raises(ValueError):
+            total_error_rate(1.0, 4, 5)
+        with pytest.raises(ValueError):
+            total_error_rate(0.5, 8, 10)  # 0.5^80 rounds the total to 1
 
     def test_random_weights_sum_to_rate(self):
         rng = np.random.default_rng(47)
@@ -243,7 +192,7 @@ class TestExtractG:
         config, summary = _g_study(2, 3, NoiseSpec("cnot_depolarizing", 0.04))
         layout, obs = config.layout(), config.resolved_observable()
         eta = config.eta_total()
-        assert eta == pytest.approx(total_error_rate(0.04, 2, 3).total)
+        assert eta == pytest.approx(total_error_rate(0.04, 2, 3))
         for s in range(config.parameter_sets):
             theta = sample_parameter_set(layout, substream(53, 0, s))
             f_noisy = expectation(
