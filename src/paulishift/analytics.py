@@ -206,6 +206,19 @@ def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> float:
     return num / den
 
 
+def _mse_fd_scan(kind: str, d: int, eps: np.ndarray, eta: float,
+                 n_total: float) -> np.ndarray:
+    """``mse_fd(kind, d, e, eta, 0.0, n_total).total`` for every e in eps,
+    as one array expression of the same formula."""
+    k, p = _FD_VAR_COEFF[kind]
+    m = _FD_SINC_POWER[kind]
+    moment = _moments(d).moment_for(kind)
+    finite = k / (n_total * eps ** p) * _shot_strength(d, eta, 0.0)
+    sinc = np.sinc(eps / 2.0 / math.pi)
+    approx = (1.0 - (1.0 - eta) * sinc ** m) ** 2 * moment
+    return finite + approx
+
+
 @lru_cache(maxsize=None)
 def _epsilon_opt_cached(kind: str, d: int, n_total: float,
                         eta: float) -> float:
@@ -215,7 +228,7 @@ def _epsilon_opt_cached(kind: str, d: int, n_total: float,
         return mse_fd(kind, d, eps, eta, 0.0, n_total).total
 
     grid = np.geomspace(_EPS_LO, hi, 512)
-    values = np.array([objective(e) for e in grid])
+    values = _mse_fd_scan(kind, d, grid, eta, n_total)
     interior = np.flatnonzero((values[1:-1] < values[:-2])
                               & (values[1:-1] <= values[2:])) + 1
     if len(interior) > 1:

@@ -13,7 +13,10 @@ Two estimator families cover each derivative target:
 Each estimator is a weighted sum of the circuit function at shifted
 parameter points. The harness evaluates those sums: exactly in
 ``harness._FunctionCache.mean``, and at finite shots with
-``harness._binomial_estimates``.
+``harness._binomial_estimates``. Circuits run only on the grid
+{-pi/2, 0, +pi/2} over the shifted angles; f at any other point (the
+diagonal rule's +/- pi, every finite-difference step) is rebuilt from it,
+since f is a + b cos s + c sin s along each angle.
 """
 from __future__ import annotations
 

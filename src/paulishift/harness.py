@@ -28,6 +28,7 @@ shots, even where NFD and HFD share a step (at zero noise).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -180,11 +181,36 @@ def _shift_rule(target: DerivativeTarget) -> EstimatorSpec:
     return EstimatorSpec("sps", target, lam=1.0)
 
 
-class _FunctionCache:
-    """Exact expectations at shifted parameter points, one circuit per point.
+_GRID = (-0.5 * math.pi, 0.0, 0.5 * math.pi)
 
-    The package's one caller of ``evolve``. Values are keyed by the shifts
-    and by noiselessness: one cache serves the clean circuit and one channel.
+
+def _grid_weights(shift: float) -> tuple[tuple[float, float], ...]:
+    """(grid shift, weight) pairs giving f at ``shift`` along one angle.
+
+    Along one angle f is a + b cos s + c sin s, fixed by its values at
+    -pi/2, 0 and +pi/2. A shift on the grid takes its own value: pushed
+    through the weights, cos(pi/2) = 6e-17 would leak into the result.
+    """
+    if not math.isfinite(shift):
+        raise ValueError(f"shift {shift} is not finite")
+    if shift in _GRID:
+        return ((shift, 1.0),)
+    c, s = math.cos(shift), math.sin(shift)
+    return ((_GRID[0], 0.5 * (1.0 - c - s)), (0.0, c),
+            (_GRID[2], 0.5 * (1.0 - c + s)))
+
+
+class _FunctionCache:
+    """Exact expectations at shifted parameter points of one parameter set.
+
+    Circuits run only on the grid {-pi/2, 0, +pi/2}^k over the shifted
+    angles, k <= 2. Every gate is exp(-i theta P / 2) and no channel depends
+    on theta, so f, clean or noisy, is a + b cos s + c sin s along each
+    angle; ``value`` rebuilds f at any other shift from the grid (the tensor
+    product of the one-angle weights for two angles). ``exact`` runs the
+    circuit at one point and is the package's one caller of ``evolve``.
+    Values are keyed by the nonzero shifts and by noiselessness: one cache
+    serves the clean circuit and one channel.
     """
 
     def __init__(self, layout, theta, obs):
@@ -193,13 +219,28 @@ class _FunctionCache:
         self.obs = obs
         self._values: dict[tuple, float] = {}
 
-    def value(self, shifts, noise) -> float:
-        key = (noise is None, tuple(sorted(shifts.items())))
+    def exact(self, shifts, noise) -> float:
+        """f at the shifted point, from one circuit."""
+        key = (noise is None,
+               tuple(sorted((loc, s) for loc, s in shifts.items() if s)))
         if key not in self._values:
-            point = shifted(self.layout, self.theta, shifts)
+            point = shifted(self.layout, self.theta, dict(key[1]))
             self._values[key] = expectation(
                 evolve(self.layout, point, noise), self.obs)
         return self._values[key]
+
+    def value(self, shifts, noise) -> float:
+        """f at the shifted point, rebuilt from the grid circuits."""
+        live = sorted((loc, s) for loc, s in shifts.items() if s)
+        if len(live) > 2:
+            raise ValueError("at most two angles can be shifted at once")
+        locs = [loc for loc, _ in live]
+        total = 0.0
+        for combo in itertools.product(*(_grid_weights(s) for _, s in live)):
+            grid_point = dict(zip(locs, (g for g, _ in combo)))
+            weight = math.prod(w for _, w in combo)
+            total += weight * self.exact(grid_point, noise)
+        return total
 
     def mean(self, spec: EstimatorSpec, noise) -> float:
         """Infinite-shot mean of the estimator: exact f at each point."""

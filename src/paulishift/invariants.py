@@ -16,7 +16,7 @@ import numpy as np
 from . import analytics, harness
 from .circuits import build_ansatz, cyclic_observable, shifted
 from .estimators import (DiagHessian, EstimatorSpec, Gradient, OffDiagHessian,
-                         target_kind)
+                         evaluation_points, target_kind)
 
 KINDS = analytics.TARGET_KINDS
 
@@ -117,7 +117,9 @@ def estimator_exactness(rng: np.random.Generator,
     Each draw is a random circuit (n in 1..4, L in 2..3) with two random
     distinct angles. Returns the max gaps of the shift rules to central
     differences, of FD means to the sinc damping law, and of shifted values
-    to the single-angle expansion.
+    to the single-angle expansion. Shifted values and FD means come from
+    direct circuits (``_FunctionCache.exact``): values rebuilt from the
+    shift grid obey the damping law and the expansion by construction.
     """
     h = 1e-6
     eps = 0.8
@@ -141,8 +143,8 @@ def estimator_exactness(rng: np.random.Generator,
         grad, hess, cross = (cache.mean(harness._shift_rule(t), None)
                              for t in (g_t, d_t, o_t))
 
-        def f_at(shifts):
-            return cache.value(shifts, None)
+        def f_at(shifts):  # direct circuits, so the simulator is checked
+            return cache.exact(shifts, None)
 
         def grad_at(shifts):
             return harness.exact_derivative(
@@ -155,7 +157,9 @@ def estimator_exactness(rng: np.random.Generator,
                        abs(cdx - cross))
         for target, expect, power in ((g_t, grad, 1), (d_t, hess, 2),
                                       (o_t, cross, 2)):
-            mean = cache.mean(EstimatorSpec("fd", target, epsilon=eps), None)
+            spec = EstimatorSpec("fd", target, epsilon=eps)
+            mean = sum(coeff * f_at(shifts)
+                       for shifts, coeff in evaluation_points(spec))
             worst_law = max(worst_law, abs(mean - damp ** power * expect))
         f0 = f_at({})
         for s in (0.3, -1.1, 2.5):

@@ -1,5 +1,6 @@
 """Tests for the closed-form error theory."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,59 @@ class TestOptimalEpsilon:
         best = mse_fd("gradient", 16, heuristic, 0.226, 0.0, 960).total
         assert all(best <= mse_fd("gradient", 16, e, 0.226, 0.0, 960).total
                    for e in eps_grid)
+
+
+def _scalar_epsilon_opt(kind, d, n_total, eta):
+    """Reference: the 512-point scan as scalar ``mse_fd`` calls, then the
+    golden-section refinement ``epsilon_opt`` runs. Returns (eps, scan)."""
+    def objective(eps):
+        return mse_fd(kind, d, eps, eta, 0.0, n_total).total
+
+    grid = np.geomspace(1e-6, 2.0 * math.pi - 1e-6, 512)
+    values = np.array([objective(e) for e in grid])
+    best = int(np.argmin(values))
+    lo = grid[max(best - 1, 0)]
+    up = grid[min(best + 1, len(grid) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, up
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    while b - a > 1e-9:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = objective(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = objective(x2)
+    eps = 0.5 * (a + b)
+    if objective(eps) > min(objective(lo), objective(up)):
+        eps = lo if objective(lo) <= objective(up) else up
+    return float(eps), values
+
+
+class TestStepScan:
+    """The array scan in ``epsilon_opt`` against scalar ``mse_fd`` calls."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_array_scan_matches_scalar_scan(self, kind):
+        grid = np.geomspace(1e-6, 2.0 * math.pi - 1e-6, 512)
+        for d in (2, 16, 2 ** 7, 2 ** 14):
+            for nt in (12.0, 1e3, 1e6, 1e10, 1e14):
+                for eta in (0.0, 0.05, 0.5, 0.9):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        ref, scalar = _scalar_epsilon_opt(kind, d, nt, eta)
+                        eps = analytics._epsilon_opt_cached.__wrapped__(
+                            kind, d, nt, eta)
+                    scan = analytics._mse_fd_scan(kind, d, grid, eta, nt)
+                    case = (kind, d, nt, eta)
+                    assert eps == ref, case
+                    assert np.argmin(scan) == np.argmin(scalar), case
+                    np.testing.assert_allclose(scan, scalar, rtol=1e-14,
+                                               err_msg=str(case))
 
 
 class TestSchemeParam:

@@ -289,7 +289,7 @@ parameter_sets = 3
 experiments_per_set = 5
 master_seed = 101
 schemes = ps,nfd,hfd
-""", "60685c139110d2e6077495672ca4ec09cdfd0a12375ac5b2c4a58bba19b1ba4d"),
+""", "4afcf0f5dc005fa49b740a0fe7c4382b67490d90df34c699b070cb8020ea7be4"),
         "pauli": ("""\
 [circuit]
 n = 3
@@ -306,7 +306,7 @@ experiments_per_set = 5
 master_seed = 103
 schemes = hfd,ps,nfd,hsps
 targets = offdiag,gradient,diag
-""", "ccfb0807065642b01be5ac6e35330e5734308c1e48cf69031edd5b9ee6ae94af"),
+""", "c4c7fb496c75ebd1f8fde710bbf0371f20b2a7f7609cc2602924aa9d5391971b"),
     }
 
     @pytest.mark.parametrize("stem", sorted(GOLDEN))

@@ -114,18 +114,23 @@ class TestEvaluationPoints:
 class TestExactDerivatives:
 
     def test_every_exact_mean_is_one_cache_mean(self):
-        """estimator_mean is the cache's mean, under its package name too."""
+        """estimator_mean is the cache's mean, under its package name too;
+        the mean sums the cache's values and matches direct circuits."""
         layout, obs, theta = _setup(seed=131)
         assert paulishift.estimator_mean is estimator_mean
         assert paulishift.exact_derivative is exact_derivative
         cache = _FunctionCache(layout, theta, obs)
         for spec in (EstimatorSpec("sps", OffDiagHessian(), lam=0.7),
                      EstimatorSpec("fd", DiagHessian(), epsilon=0.4)):
-            by_hand = sum(coeff * expectation(
+            from_values = sum(coeff * cache.value(shifts, None)
+                              for shifts, coeff in evaluation_points(spec))
+            direct = sum(coeff * expectation(
                 evolve(layout, shifted(layout, theta, shifts)), obs)
                 for shifts, coeff in evaluation_points(spec))
-            assert cache.mean(spec, None) == by_hand
-            assert estimator_mean(spec, layout, theta, None, obs) == by_hand
+            assert cache.mean(spec, None) == from_values
+            assert estimator_mean(spec, layout, theta, None, obs) == from_values
+            np.testing.assert_allclose(from_values, direct, rtol=0,
+                                       atol=1e-12)
 
     def test_gradient_matches_tiny_central_difference(self):
         layout, obs, theta = _setup()
@@ -155,18 +160,27 @@ class TestExactDerivatives:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_fd_mean_is_sinc_damped(self):
-        """Finite differences of a pure tone: factor sinc(eps/2) per order."""
+        """Finite differences of a pure tone: factor sinc(eps/2) per order.
+
+        The FD means come from direct circuits: the cache rebuilds off-grid
+        points from a + b cos s + c sin s, which obeys the law by itself.
+        """
         layout, obs, theta = _setup(seed=109)
         eps = 1.3
         sinc = math.sin(eps / 2) / (eps / 2)
+
+        def direct_mean(target):
+            return sum(coeff * expectation(
+                evolve(layout, shifted(layout, theta, shifts)), obs)
+                for shifts, coeff in evaluation_points(
+                    EstimatorSpec("fd", target, epsilon=eps)))
+
         g = exact_derivative(Gradient(), layout, theta, None, obs)
-        g_fd = estimator_mean(EstimatorSpec("fd", Gradient(), epsilon=eps),
-                              layout, theta, None, obs)
-        np.testing.assert_allclose(g_fd, sinc * g, atol=1e-9)
+        np.testing.assert_allclose(direct_mean(Gradient()), sinc * g,
+                                   atol=1e-9)
         h = exact_derivative(DiagHessian(), layout, theta, None, obs)
-        h_fd = estimator_mean(EstimatorSpec("fd", DiagHessian(), epsilon=eps),
-                              layout, theta, None, obs)
-        np.testing.assert_allclose(h_fd, sinc ** 2 * h, atol=1e-9)
+        np.testing.assert_allclose(direct_mean(DiagHessian()), sinc ** 2 * h,
+                                   atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(shift=st.floats(-3.0, 3.0, allow_nan=False))

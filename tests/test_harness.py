@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from paulishift import analytics
+from paulishift import analytics, harness, noise
 from paulishift.analytics import (CrossoverNotFound, mse_sps,
                                   n_star_sps_exact)
-from paulishift.circuits import PauliObservable, build_ansatz
+from paulishift.circuits import (PauliObservable, build_ansatz,
+                                 cyclic_observable, evolve, expectation,
+                                 shifted)
 from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
 from paulishift.harness import (CrossingEstimate, ExperimentConfig,
                                 MseEstimate, NoiseSpec, distribution_study,
@@ -120,6 +122,80 @@ class TestConfigValidation:
             noise=NoiseSpec("cnot_pauli", 0.1, redraw_weights=True))
         assert (redraw.noise_for_set(0).weights
                 != redraw.noise_for_set(3).weights)
+
+
+def _random_angle(rng, n, L):
+    return (int(rng.integers(1, n + 1)), int(rng.integers(1, L + 1)),
+            int(rng.integers(1, 4)))
+
+
+class TestShiftReconstruction:
+    """``value`` rebuilds f from grid circuits; ``exact`` runs the circuit."""
+
+    # eps/2 and eps at eps = 1e-6, the grid, +/- pi and two generic shifts
+    SHIFTS = (5e-7, -5e-7, 1e-6, -1e-6, math.pi / 2, -math.pi / 2, math.pi,
+              -math.pi, 0.8, -2.9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_value_matches_direct_evolve(self, seed):
+        """Every target kind at random locations, cross-layer pairs
+        included, under all four noise kinds: 1e-12 of direct circuits."""
+        rng = np.random.default_rng(seed)
+        n, L = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        layout, obs = build_ansatz(n, L), cyclic_observable(n)
+        theta = sample_parameter_set(layout, rng)
+        p = _random_angle(rng, n, L)
+        q = p
+        while q == p:
+            q = _random_angle(rng, n, L)
+        points = [{p: s} for s in self.SHIFTS]
+        points += [{p: a, q: b} for a in self.SHIFTS[::3]
+                   for b in self.SHIFTS[1::3]]
+        weights = noise.random_pauli_weights(0.1, rng)
+        for channel in (None, noise.GlobalDepolarizing(0.3),
+                        noise.CnotDepolarizing(0.05),
+                        noise.CnotPauliChannel(weights)):
+            cache = harness._FunctionCache(layout, theta, obs)
+            for shifts in points:
+                direct = expectation(
+                    evolve(layout, shifted(layout, theta, shifts), channel),
+                    obs)
+                assert abs(cache.value(shifts, channel) - direct) < 1e-12
+            for _, grid_point in cache._values:  # circuits ran on the grid
+                assert all(abs(s) == math.pi / 2 for _, s in grid_point)
+
+    def test_grid_and_zero_shifts_run_one_circuit(self):
+        """A grid shift takes the circuit value itself; zero shifts drop."""
+        layout, obs = build_ansatz(2, 2), cyclic_observable(2)
+        theta = sample_parameter_set(layout, np.random.default_rng(3))
+        cache = harness._FunctionCache(layout, theta, obs)
+        p, q = (1, 2, 2), (2, 1, 3)
+        value = cache.value({p: math.pi / 2, q: 0.0}, None)
+        assert value == cache.value({p: math.pi / 2}, None)
+        assert value == expectation(
+            evolve(layout, shifted(layout, theta, {p: math.pi / 2})), obs)
+        assert len(cache._values) == 1
+        with pytest.raises(ValueError):
+            cache.value({p: 0.1, q: 0.2, (1, 1, 1): 0.3}, None)
+        with pytest.raises(ValueError):
+            cache.value({p: math.nan}, None)
+
+    def test_fig5_set_runs_sixteen_circuits(self, monkeypatch):
+        """Seven clean PS points and the nine-point noisy grid."""
+        calls = []
+
+        def counting_evolve(*args):
+            calls.append(args)
+            return evolve(*args)
+
+        monkeypatch.setattr(harness, "evolve", counting_evolve)
+        config = ExperimentConfig(
+            n=4, L=5, noise=NoiseSpec("cnot_depolarizing", 0.05),
+            nt_grid=(96, 960, 9600, 96000, 960000), parameter_sets=1,
+            experiments_per_set=2, master_seed=31)
+        harness._run_set(config, 0)
+        assert sum(args[2] is None for args in calls) == 7
+        assert len(calls) == 16
 
 
 class TestMonteCarloMse:
