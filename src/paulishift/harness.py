@@ -12,12 +12,18 @@ Reproducibility contract: every random draw comes from a named substream of
 * ``(0, s)`` - circuit parameters of set ``s``;
 * ``(1, s)`` - per-set Pauli channel weights when redrawing, ``(1,)`` for the
   shared fixed weights;
-* ``(2, s)`` - all shot draws of set ``s``, consumed in one fixed enumeration
-  order (target, grid point, draw group, evaluation point; one vectorized
-  binomial over the experiments per evaluation point).
+* ``(2, s, k, i, j, N, g)`` - the shot draws of set ``s`` for one draw
+  group: target kind code ``k`` (gradient 0, diag 1, offdiag 2), flat
+  indices ``i`` and ``j`` of the target's angles (``j = i`` for a single
+  angle), budget ``N`` and group code ``g`` (0 for the draw PS, NSPS and
+  HSPS share, 1 for NFD, 2 for HFD). One vectorized binomial over the
+  experiments per evaluation point, in evaluation-point order.
 
 Each parameter set is therefore fully independent of every other, and results
 are reduced in set order, so outputs are bit-identical for any worker count.
+No code comes from a position in the config's lists, so a row depends only on
+its own (seed, set, target, budget, scheme): dropping or reordering other
+schemes or targets leaves its bytes unchanged.
 
 Variance note: the three scaled-shift schemes evaluate the same shifted
 circuits, so one draw per evaluation point is shared between PS, NSPS and
@@ -49,6 +55,7 @@ NOISE_KINDS = ("none", "global_depolarizing", "cnot_depolarizing",
 _STREAM_PARAMS = 0
 _STREAM_NOISE = 1
 _STREAM_SHOTS = 2
+_DRAW_GROUPS = {"sps": 0, "nfd": 1, "hfd": 2}
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -305,6 +312,17 @@ def _binomial_estimates(f: float, shots: int, rng: np.random.Generator,
     return (2.0 * draws - shots) / shots
 
 
+def _shots_key(layout: AnsatzLayout, target: DerivativeTarget
+               ) -> tuple[int, int, int]:
+    """Kind code and flat indices of the target's two angles (the one angle
+    twice for a single-angle target); ValueError if one is off the circuit."""
+    first = layout.flat_index(target.layer, target.qubit, target.slot)
+    second = first
+    if isinstance(target, OffDiagHessian):
+        second = layout.flat_index(target.layer2, target.qubit2, target.slot2)
+    return analytics.TARGET_KINDS.index(target_kind(target)), first, second
+
+
 def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     """Per-set mean squared errors, indexed (target, scheme, grid point)."""
     layout = config.layout()
@@ -319,7 +337,6 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     if isinstance(channel, noise_mod.NoNoise):
         channel = None
     cache = _FunctionCache(layout, theta, obs)
-    shots_rng = substream(config.master_seed, _STREAM_SHOTS, set_index)
 
     schemes = [s for s in analytics.SCHEMES if s in config.schemes]
     out = np.empty((len(config.targets), len(config.schemes),
@@ -327,6 +344,7 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     for t_idx, target in enumerate(config.targets):
         rule = _shift_rule(target)
         true_value = cache.mean(rule, None)
+        target_key = _shots_key(layout, target)
         for nt_idx, nt in enumerate(config.nt_grid):
             shots = nt // point_count(target)
             draws: dict[str, np.ndarray] = {}
@@ -340,8 +358,11 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
                 else:
                     group, drawn, scale = scheme, spec, 1.0
                 if group not in draws:
+                    rng = substream(config.master_seed, _STREAM_SHOTS,
+                                    set_index, *target_key, nt,
+                                    _DRAW_GROUPS[group])
                     draws[group] = sum(coeff * _binomial_estimates(
-                        cache.value(shifts, channel), shots, shots_rng, n_exp)
+                        cache.value(shifts, channel), shots, rng, n_exp)
                         for shifts, coeff in evaluation_points(drawn))
                 estimates[scheme] = scale * draws[group]
             for s_idx, scheme in enumerate(config.schemes):
@@ -354,12 +375,8 @@ def _check_target_locations(config: ExperimentConfig) -> None:
     """Raise ValueError if a target's angle lies outside the circuit."""
     layout = config.layout()
     for target in config.targets:
-        angles = [(target.layer, target.qubit, target.slot)]
-        if isinstance(target, OffDiagHessian):
-            angles.append((target.layer2, target.qubit2, target.slot2))
         try:
-            for layer, qubit, slot in angles:
-                layout.flat_index(layer, qubit, slot)
+            _shots_key(layout, target)
         except ValueError as exc:
             raise ValueError(
                 f"{target_kind(target)} target outside the n = {config.n}, "

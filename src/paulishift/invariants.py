@@ -143,7 +143,7 @@ def estimator_exactness(rng: np.random.Generator,
         grad, hess, cross = (cache.mean(harness._shift_rule(t), None)
                              for t in (g_t, d_t, o_t))
 
-        def f_at(shifts):  # direct circuits, so the simulator is checked
+        def f_at(shifts):
             return cache.exact(shifts, None)
 
         def grad_at(shifts):

@@ -289,7 +289,7 @@ parameter_sets = 3
 experiments_per_set = 5
 master_seed = 101
 schemes = ps,nfd,hfd
-""", "4afcf0f5dc005fa49b740a0fe7c4382b67490d90df34c699b070cb8020ea7be4"),
+""", "a6083ec3a448e3b35c92d534681da55f42c190092175a7eec2107d18d5e5ba86"),
         "pauli": ("""\
 [circuit]
 n = 3
@@ -306,7 +306,7 @@ experiments_per_set = 5
 master_seed = 103
 schemes = hfd,ps,nfd,hsps
 targets = offdiag,gradient,diag
-""", "c4c7fb496c75ebd1f8fde710bbf0371f20b2a7f7609cc2602924aa9d5391971b"),
+""", "15e4c46b1bca1ae77f0fa3b7a1814205b1c9da6fdc8ce30574af87234e61c922"),
     }
 
     @pytest.mark.parametrize("stem", sorted(GOLDEN))

@@ -1,4 +1,5 @@
 """Tests for the Monte Carlo experiment harness."""
+import dataclasses
 import math
 
 import numpy as np
@@ -214,6 +215,30 @@ class TestMonteCarloMse:
         parallel = monte_carlo_mse(config, workers=2)
         for a, b in zip(serial, parallel):
             assert a == b
+
+    def test_rows_independent_of_other_schemes_and_targets(self):
+        """Dropping or reordering schemes or targets keeps every other row."""
+        base = tiny_config(noise=NoiseSpec("cnot_depolarizing", 0.05),
+                           parameter_sets=3, experiments_per_set=20,
+                           targets=(Gradient(), DiagHessian(),
+                                    OffDiagHessian(layer2=1)))
+
+        def rows(config):
+            return {(r.target, r.scheme, r.n_total): r
+                    for r in monte_carlo_mse(config)}
+
+        full = rows(base)
+        variants = [
+            dict(schemes=("ps",)),
+            dict(schemes=("hfd", "nsps")),
+            dict(schemes=tuple(reversed(base.schemes))),
+            dict(targets=(base.targets[2],)),
+            dict(targets=(base.targets[1], base.targets[0])),
+            dict(nt_grid=(96,)),
+        ]
+        for change in variants:
+            subset = rows(dataclasses.replace(base, **change))
+            assert subset and all(full[k] == r for k, r in subset.items())
 
     def test_rerun_is_deterministic(self):
         config = tiny_config()
