@@ -64,18 +64,16 @@ def shifted(layout: AnsatzLayout, theta: np.ndarray,
     return out
 
 
-def build_ansatz(n: int, L: int, axis_pattern: str = "zyz") -> AnsatzLayout:
+def build_ansatz(n: int, L: int) -> AnsatzLayout:
     """Construct the layered ansatz layout.
 
-    The one pattern, "zyz", gives every qubit the block (Z, Y, Z), so slot 2
-    is the Y-encoded angle and Haar-random blocks can be drawn in Euler form.
+    Every qubit gets the block (Z, Y, Z), so slot 2 is the Y-encoded angle
+    and Haar-random blocks can be drawn in Euler form.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
     if L < 1:
         raise ValueError("need at least one layer")
-    if axis_pattern.lower() != "zyz":
-        raise ValueError(f"unknown axis pattern {axis_pattern!r}")
     if n == 1:
         ring: tuple[tuple[int, int], ...] = ()
     else:

@@ -193,14 +193,9 @@ def load_config(path: str):
             errors.append(f"experiment.targets: unknown target {name!r}")
         else:
             targets.append(_TARGET_NAMES[name]())
-    if grid is not None:
-        for nt in grid:
-            if nt % 12 != 0:
-                errors.append(f"experiment.nt_grid: {nt} is not a multiple "
-                              "of 12 (copies split over 2, 3 or 4 points)")
-            elif nt < 48:
-                errors.append(f"experiment.nt_grid: {nt} is below the "
-                              "minimum of 48")
+    if axis.lower() != "zyz":
+        errors.append(f"circuit.axis_pattern: {axis!r} is not zyz, the only "
+                      "pattern")
     if errors:
         return None, errors
     try:
@@ -211,8 +206,7 @@ def load_config(path: str):
         config = harness.ExperimentConfig(
             n=n, L=L, noise=spec, nt_grid=tuple(grid), parameter_sets=sets,
             experiments_per_set=exps, master_seed=seed,
-            schemes=tuple(schemes), targets=tuple(targets),
-            axis_pattern=axis)
+            schemes=tuple(schemes), targets=tuple(targets))
     except ValueError as exc:
         return None, [f"config: {exc}"]
     return config, []
@@ -220,7 +214,7 @@ def load_config(path: str):
 
 def config_to_dict(config: harness.ExperimentConfig) -> dict:
     return {
-        "n": config.n, "L": config.L, "axis_pattern": config.axis_pattern,
+        "n": config.n, "L": config.L, "axis_pattern": "zyz",
         "noise": {"kind": config.noise.kind, "rate": config.noise.rate,
                   "redraw_weights": config.noise.redraw_weights},
         "nt_grid": list(config.nt_grid),
@@ -229,7 +223,7 @@ def config_to_dict(config: harness.ExperimentConfig) -> dict:
         "master_seed": config.master_seed,
         "schemes": list(config.schemes),
         "targets": [target_kind(t) for t in config.targets],
-        "observable": "".join(config.resolved_observable().letters),
+        "observable": config.observable().letters,
     }
 
 

@@ -105,8 +105,6 @@ class ExperimentConfig:
     master_seed: int
     schemes: tuple[str, ...] = analytics.SCHEMES
     targets: tuple[DerivativeTarget, ...] = _DEFAULT_TARGETS
-    axis_pattern: str = "zyz"
-    observable: PauliObservable | None = None  # None: cyclic X,Y,Z pattern
 
     def __post_init__(self):
         if not self.nt_grid:
@@ -128,16 +126,13 @@ class ExperimentConfig:
             raise ValueError("duplicate scheme")
         if not self.targets:
             raise ValueError("target list must not be empty")
-        obs = self.resolved_observable()
-        if all(c == "I" for c in obs.letters):
-            raise ValueError("observable must be traceless")
-        self.layout()  # validates n, L, axis pattern
+        self.layout()  # validates n and L
 
     def layout(self) -> AnsatzLayout:
-        return build_ansatz(self.n, self.L, self.axis_pattern)
+        return build_ansatz(self.n, self.L)
 
-    def resolved_observable(self) -> PauliObservable:
-        return self.observable or cyclic_observable(self.n)
+    def observable(self) -> PauliObservable:
+        return cyclic_observable(self.n)
 
     def eta_total(self) -> float:
         if self.noise.kind == "none":
@@ -147,10 +142,10 @@ class ExperimentConfig:
         return noise_mod.total_error_rate(self.noise.rate, self.n, self.L)
 
     def noise_for_set(self, set_index: int):
-        """The channel applied to this parameter set's circuits."""
+        """The channel for this set's circuits; None when noiseless."""
         kind = self.noise.kind
         if kind == "none":
-            return noise_mod.NoNoise()
+            return None
         if kind == "global_depolarizing":
             return noise_mod.GlobalDepolarizing(self.noise.rate)
         if kind == "cnot_depolarizing":
@@ -326,7 +321,7 @@ def _shots_key(layout: AnsatzLayout, target: DerivativeTarget
 def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     """Per-set mean squared errors, indexed (target, scheme, grid point)."""
     layout = config.layout()
-    obs = config.resolved_observable()
+    obs = config.observable()
     d = 2 ** config.n
     eta = config.eta_total()
     n_exp = config.experiments_per_set
@@ -334,11 +329,8 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     theta = sample_parameter_set(
         layout, substream(config.master_seed, _STREAM_PARAMS, set_index))
     channel = config.noise_for_set(set_index)
-    if isinstance(channel, noise_mod.NoNoise):
-        channel = None
     cache = _FunctionCache(layout, theta, obs)
 
-    schemes = [s for s in analytics.SCHEMES if s in config.schemes]
     out = np.empty((len(config.targets), len(config.schemes),
                     len(config.nt_grid)))
     for t_idx, target in enumerate(config.targets):
@@ -348,8 +340,7 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
         for nt_idx, nt in enumerate(config.nt_grid):
             shots = nt // point_count(target)
             draws: dict[str, np.ndarray] = {}
-            estimates: dict[str, np.ndarray] = {}
-            for scheme in schemes:
+            for s_idx, scheme in enumerate(config.schemes):
                 spec = _scheme_spec(scheme, target, d, nt, eta)
                 # Scaled-shift schemes share one draw at the lambda = 1
                 # points; FD schemes draw by name (NFD = HFD at zero noise).
@@ -364,9 +355,7 @@ def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
                     draws[group] = sum(coeff * _binomial_estimates(
                         cache.value(shifts, channel), shots, rng, n_exp)
                         for shifts, coeff in evaluation_points(drawn))
-                estimates[scheme] = scale * draws[group]
-            for s_idx, scheme in enumerate(config.schemes):
-                err = estimates[scheme] - true_value
+                err = scale * draws[group] - true_value
                 out[t_idx, s_idx, nt_idx] = float(np.mean(err * err))
     return out
 
@@ -503,7 +492,7 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
         raise ValueError(
             "distribution study needs noise with a nonzero total rate")
     layout = config.layout()
-    obs = config.resolved_observable()
+    obs = config.observable()
     f_vals = np.empty(config.parameter_sets)
     g_vals = np.empty(config.parameter_sets)
     for s in range(config.parameter_sets):
@@ -550,28 +539,22 @@ def _moment_est(values: np.ndarray) -> MomentEstimate:
 
 
 def verify_two_design(n: int, L: int, samples: int,
-                      rng: np.random.Generator | int,
-                      layer: int | None = None) -> TwoDesignCheck:
+                      rng: np.random.Generator | int) -> TwoDesignCheck:
     """Monte Carlo check of the moment identities on the Haar-block ansatz.
 
     Evaluates the exact noiseless function and its derivatives at a bulk
     parameter location over random parameter sets and compares the sample
     moments with the ideal two-design values. The identities assume the
     probed gate is surrounded by scrambling sub-circuits on both sides, so
-    the default probe sits in the middle layer, where both sides are as
-    deep as the circuit allows; shallower locations (e.g. layer 2, the
-    spot the error experiments probe) can be selected explicitly and show
-    larger finite-depth deviations at small n. Needs L >= 2 so a
-    sandwiched layer exists.
+    the probe sits in layer L // 2 + 1, where both sides are as deep as the
+    circuit allows (for n = 1 the off-diagonal pair reaches one layer back).
+    Needs L >= 2 so a sandwiched layer exists.
     """
     if L < 2:
         raise ValueError("need L >= 2 so the probed layer is sandwiched")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if layer is None:
-        layer = L // 2 + 1
-    if not 1 <= layer <= L:
-        raise ValueError(f"probe layer {layer} outside 1..{L}")
+    layer = L // 2 + 1
     if isinstance(rng, (int, np.integer)):
         rng = substream(int(rng), _STREAM_PARAMS)
     layout = build_ansatz(n, L)
@@ -579,8 +562,7 @@ def verify_two_design(n: int, L: int, samples: int,
     if n >= 2:
         off = OffDiagHessian(layer=layer, qubit2=2, layer2=layer)
     else:
-        off = OffDiagHessian(layer=layer, qubit2=1,
-                             layer2=layer - 1 if layer > 1 else layer + 1)
+        off = OffDiagHessian(layer=layer, qubit2=1, layer2=layer - 1)
     targets = {
         "grad": _shift_rule(Gradient(layer=layer)),
         "diag": _shift_rule(DiagHessian(layer=layer)),

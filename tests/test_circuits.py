@@ -64,8 +64,6 @@ class TestLayout:
             build_ansatz(0, 1)
         with pytest.raises(ValueError):
             build_ansatz(1, 0)
-        with pytest.raises(ValueError):
-            build_ansatz(2, 2, axis_pattern="xyx")
 
 
 class TestAngleVector:

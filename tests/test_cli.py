@@ -5,6 +5,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +103,48 @@ class TestLoadConfig:
     def test_unreadable_file(self, tmp_path):
         config, errors = load_config(str(tmp_path / "missing.cfg"))
         assert config is None and errors
+
+    def test_axis_pattern_is_zyz_in_any_case(self, tmp_path, capsys):
+        path = tmp_path / "axes.cfg"
+        for value in ("zyz", "ZYZ", "Zyz"):
+            path.write_text(GOOD_CONFIG.replace(
+                "L = 2", f"L = 2\naxis_pattern = {value}"))
+            assert main(["mse-curves", str(path), "--out",
+                         str(tmp_path)]) == 0
+            manifest = json.loads((tmp_path / "axes.manifest.json")
+                                  .read_text())
+            assert manifest["config"]["axis_pattern"] == "zyz"
+        path.write_text(GOOD_CONFIG.replace("L = 2",
+                                            "L = 2\naxis_pattern = xyx"))
+        capsys.readouterr()
+        assert main(["mse-curves", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: circuit.axis_pattern: 'xyx'")
+        assert err.count("\n") == 1
+
+    # sha256 config_hash of each bundled config; the resolved config must
+    # keep hashing the same, so manifests stay comparable across versions.
+    BUNDLED_HASHES = {
+        "crossing_n4":
+            "09970b062323fa41d497d49fd92be26987662cf41069c985cc4e8f3ec635890e",
+        "fig2_n4_L1":
+            "82549899113125cef1229dd1c33d3fa8a96056dc76f1ceb728115f08ba585e4b",
+        "fig2_n4_L5":
+            "eb97a6b65089ab3bb2c68d753ca72c0e7d649d641f49330efba5e90dfb43fb60",
+        "fig5_n4":
+            "de77cd5f30d43d00a4a6d0767dd3e1d8d9879e716875448687727379dae0185b",
+        "pauli_redraw_n4":
+            "706c36e730b25ed379989c0840869bfa62a00cae5c3c5fb33b9722849c93afba",
+    }
+
+    def test_bundled_config_hashes_are_pinned(self):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        assert sorted(p.stem for p in configs.glob("*.cfg")) == sorted(
+            self.BUNDLED_HASHES)
+        for stem, digest in self.BUNDLED_HASHES.items():
+            config, errors = load_config(str(configs / f"{stem}.cfg"))
+            assert errors == []
+            assert config_digest(cli.config_to_dict(config)) == digest
 
 
 class TestAnalyticCommand:

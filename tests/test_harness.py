@@ -8,15 +8,14 @@ import pytest
 from paulishift import analytics, harness, noise
 from paulishift.analytics import (CrossoverNotFound, mse_sps,
                                   n_star_sps_exact)
-from paulishift.circuits import (PauliObservable, build_ansatz,
-                                 cyclic_observable, evolve, expectation,
+from paulishift.circuits import (build_ansatz, cyclic_observable, evolve, expectation,
                                  shifted)
 from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
 from paulishift.harness import (CrossingEstimate, ExperimentConfig,
                                 MseEstimate, NoiseSpec, distribution_study,
-                                empirical_n_star, monte_carlo_mse,
-                                sample_parameter_set, substream,
-                                verify_two_design)
+                                empirical_n_star, exact_derivative,
+                                monte_carlo_mse, sample_parameter_set,
+                                substream, verify_two_design)
 
 
 def tiny_config(**overrides):
@@ -97,10 +96,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(experiments_per_set=0)
 
-    def test_custom_observable_is_used(self):
-        config = tiny_config(observable=PauliObservable("ZZ"))
-        assert config.resolved_observable().letters == "ZZ"
-        assert tiny_config().resolved_observable().letters == "XY"
+    def test_observable_is_the_cyclic_pattern(self):
+        assert tiny_config().observable().letters == "XY"
+        assert tiny_config(n=4).observable().letters == "XYZX"
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
@@ -356,12 +354,14 @@ class TestTwoDesignCheck:
         assert check.samples == 400
 
     def test_probe_layer_defaults_to_middle(self):
-        """Identical draws, default probe equals the explicit middle layer."""
-        a = verify_two_design(2, 6, 40, 999)
-        b = verify_two_design(2, 6, 40, 999, layer=4)
-        assert a.mean_grad2.value == b.mean_grad2.value
-        c = verify_two_design(2, 6, 40, 999, layer=2)
-        assert a.mean_grad2.value != c.mean_grad2.value
+        """Identical draws give the gradient moment at layer L // 2 + 1."""
+        check = verify_two_design(2, 6, 40, 999)
+        layout, obs = build_ansatz(2, 6), cyclic_observable(2)
+        rng = substream(999, 0)
+        grads = np.array([exact_derivative(
+            Gradient(layer=4), layout, sample_parameter_set(layout, rng),
+            None, obs) for _ in range(40)])
+        assert check.mean_grad2.value == float((grads ** 2).mean())
 
     def test_single_qubit_fallback_runs(self):
         check = verify_two_design(1, 3, 50, 7)
@@ -372,5 +372,3 @@ class TestTwoDesignCheck:
             verify_two_design(2, 1, 100, 0)
         with pytest.raises(ValueError):
             verify_two_design(2, 4, 1, 0)
-        with pytest.raises(ValueError):
-            verify_two_design(2, 4, 100, 0, layer=5)

@@ -190,7 +190,7 @@ class TestExtractG:
     def test_decomposition_reconstructs_noisy_value(self):
         """f_noisy = (1 - eta) f + eta g by the definition of g."""
         config, summary = _g_study(2, 3, NoiseSpec("cnot_depolarizing", 0.04))
-        layout, obs = config.layout(), config.resolved_observable()
+        layout, obs = config.layout(), config.observable()
         eta = config.eta_total()
         assert eta == pytest.approx(total_error_rate(0.04, 2, 3))
         for s in range(config.parameter_sets):
