@@ -135,6 +135,15 @@ def parse_float_list(text: str) -> list[float]:
 
 # ── config files ─────────────────────────────────────────────────────────────
 
+def _boolean(text: str) -> bool:
+    """configparser's boolean words, in any letter case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not one of 1, yes, true, on, "
+                         "0, no, false, off") from None
+
+
 def load_config(path: str):
     """Parse an INI experiment config; returns (config, error list).
 
@@ -168,8 +177,7 @@ def load_config(path: str):
     axis = take("circuit", "axis_pattern", str, default="zyz")
     kind = take("noise", "kind", str, default="none")
     rate = take("noise", "rate", float, default=0.0)
-    redraw = take("noise", "redraw_weights",
-                  lambda s: s.lower() in ("1", "true", "yes"), default=False)
+    redraw = take("noise", "redraw_weights", _boolean, default=False)
     grid = take("experiment", "nt_grid", parse_int_grid, required=True)
     sets = take("experiment", "parameter_sets", int, required=True)
     exps = take("experiment", "experiments_per_set", int, required=True)
@@ -309,7 +317,7 @@ def cmd_mse_curves(args) -> int:
     started = _now()
     try:
         results = harness.monte_carlo_mse(config, workers=args.workers)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     stem = os.path.splitext(os.path.basename(args.config))[0]
@@ -345,7 +353,7 @@ def cmd_dist(args) -> int:
     started = _now()
     try:
         summary = harness.distribution_study(config)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     stem = os.path.splitext(os.path.basename(args.config))[0]

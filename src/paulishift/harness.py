@@ -90,6 +90,9 @@ class NoiseSpec:
 
 
 _DEFAULT_TARGETS = (Gradient(), DiagHessian(), OffDiagHessian())
+# One 2^n x 2^n complex state takes 16 * 4^n bytes: 256 MiB at n = 12, and a
+# run holds a few of them at once, against a few GiB of memory.
+MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,9 @@ class ExperimentConfig:
     targets: tuple[DerivativeTarget, ...] = _DEFAULT_TARGETS
 
     def __post_init__(self):
+        if self.n > MAX_QUBITS:
+            raise ValueError(f"n = {self.n} is above the cap of {MAX_QUBITS} "
+                             f"qubits (16 * 4^n bytes per state)")
         if not self.nt_grid:
             raise ValueError("nt_grid must not be empty")
         for nt in self.nt_grid:
@@ -547,8 +553,9 @@ def verify_two_design(n: int, L: int, samples: int,
     moments with the ideal two-design values. The identities assume the
     probed gate is surrounded by scrambling sub-circuits on both sides, so
     the probe sits in layer L // 2 + 1, where both sides are as deep as the
-    circuit allows (for n = 1 the off-diagonal pair reaches one layer back).
-    Needs L >= 2 so a sandwiched layer exists.
+    circuit allows; at small n and L the moments still deviate from the
+    two-design values by finite depth. For n = 1 the off-diagonal pair
+    reaches one layer back. Needs L >= 2 so a sandwiched layer exists.
     """
     if L < 2:
         raise ValueError("need L >= 2 so the probed layer is sandwiched")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulishift import analytics, cli
+from paulishift import analytics, cli, harness
 from paulishift.cli import (canonical_json, config_digest, load_config, main,
                             parse_float_list, parse_int_grid)
 
@@ -103,6 +104,29 @@ class TestLoadConfig:
     def test_unreadable_file(self, tmp_path):
         config, errors = load_config(str(tmp_path / "missing.cfg"))
         assert config is None and errors
+
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("yes", True), ("true", True), ("on", True),
+        ("0", False), ("no", False), ("false", False), ("off", False),
+        ("TRUE", True), ("Off", False)])
+    def test_redraw_weights_takes_boolean_words(self, word, value, tmp_path):
+        path = tmp_path / "pauli.cfg"
+        path.write_text(GOOD_CONFIG.replace(
+            "kind = global_depolarizing\nrate = 0.3",
+            f"kind = cnot_pauli\nrate = 0.1\nredraw_weights = {word}"))
+        config, errors = load_config(str(path))
+        assert errors == []
+        assert config.noise.redraw_weights is value
+
+    def test_misspelt_redraw_weights_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pauli.cfg"
+        path.write_text(GOOD_CONFIG.replace(
+            "kind = global_depolarizing\nrate = 0.3",
+            "kind = cnot_pauli\nrate = 0.1\nredraw_weights = ture"))
+        assert main(["mse-curves", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise.redraw_weights: 'ture'")
+        assert err.count("\n") == 1
 
     def test_axis_pattern_is_zyz_in_any_case(self, tmp_path, capsys):
         path = tmp_path / "axes.cfg"
@@ -312,6 +336,43 @@ class TestMseCurvesCommand:
             assert main(["mse-curves", str(path), "--out",
                          str(tmp_path)]) == 2
             assert message in capsys.readouterr().err
+
+    def test_qubit_cap_exits_2_before_allocating(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_circuits(*args):
+            raise AssertionError("a circuit ran past the qubit cap")
+
+        monkeypatch.setattr(harness, "evolve", no_circuits)
+        n = harness.MAX_QUBITS + 1
+        path = tmp_path / "big.cfg"
+        path.write_text(GOOD_CONFIG.replace("n = 2", f"n = {n}"))
+        for command in ("mse-curves", "dist"):
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                code = main([command, str(path), "--out", str(tmp_path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert peak < 2 ** 20  # one state at the cap + 1 is 1 GiB
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: config: n = {n} is above")
+            assert err.count("\n") == 1
+
+    def test_allocation_failure_exits_2(self, tmp_path, capsys):
+        """A run too large for memory ends in one line, not a traceback."""
+        path = tmp_path / "huge.cfg"
+        # 10^15 experiments need a 7 PiB shot array; 10^15 sets 7 PiB of
+        # samples in dist.
+        for command, old in (("mse-curves", "experiments_per_set = 6"),
+                             ("dist", "parameter_sets = 4")):
+            path.write_text(GOOD_CONFIG.replace(
+                old, old[:-1] + str(10 ** 15)))
+            capsys.readouterr()
+            assert main([command, str(path), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     # sha256 of the CSVs of two small seeded runs: a noiseless PS/NFD/HFD
     # run, where NFD and HFD share one step but draw their own shots, and a
