@@ -46,12 +46,10 @@ class AnsatzLayout:
 
     def flat_index(self, layer: int, qubit: int, slot: int) -> int:
         """Map (layer, qubit, slot), all 1-based, to a flat parameter index."""
-        if not 1 <= layer <= self.L:
-            raise ValueError(f"layer {layer} out of range 1..{self.L}")
-        if not 1 <= qubit <= self.n:
-            raise ValueError(f"qubit {qubit} out of range 1..{self.n}")
-        if not 1 <= slot <= 3:
-            raise ValueError(f"slot {slot} out of range 1..3")
+        for name, value, top in (("layer", layer, self.L),
+                                 ("qubit", qubit, self.n), ("slot", slot, 3)):
+            if not 1 <= value <= top:
+                raise ValueError(f"{name} {value} out of range 1..{top}")
         return ((layer - 1) * self.n + (qubit - 1)) * 3 + (slot - 1)
 
 
@@ -150,25 +148,32 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     return idx ^ flip
 
 
-def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Conjugate the state by CNOT = |0><0| (x) 1 + |1><1| (x) X."""
+def check_pair(state: np.ndarray, j: int, k: int) -> int:
+    """n for the state, or ValueError unless j and k are two of its qubits."""
     n = qubit_count(state)
-    if control == target:
-        raise ValueError("control and target must differ")
-    for q in (control, target):
+    if j == k:
+        raise ValueError("the two qubits must differ")
+    for q in (j, k):
         if not 1 <= q <= n:
             raise ValueError(f"qubit {q} out of range 1..{n}")
-    sigma = _cnot_permutation(n, control, target)
+    return n
+
+
+def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Conjugate the state by CNOT = |0><0| (x) 1 + |1><1| (x) X."""
+    sigma = _cnot_permutation(check_pair(state, control, target), control,
+                              target)
     # CNOT is a real permutation, so conjugation is a relabeling of both axes.
     return state[np.ix_(sigma, sigma)]
 
 
-def expectation(state: np.ndarray, obs: PauliObservable) -> float:
-    """tr(rho O) for a Pauli observable; the value is real in [-1, 1]."""
-    n = qubit_count(state)
-    if obs.n != n:
-        raise ValueError(f"observable on {obs.n} qubits, state on {n}")
-    val = complex(np.einsum("ij,ji->", state, obs.matrix()))
+def expectation(state: np.ndarray, obs) -> float:
+    """tr(rho O) for a Pauli observable or a Hermitian matrix O, such as one
+    pulled back by ``evolve(..., adjoint=True)``; the value is real."""
+    matrix = obs.matrix() if isinstance(obs, PauliObservable) else obs
+    if matrix.shape != state.shape:
+        raise ValueError(f"observable {matrix.shape}, state {state.shape}")
+    val = complex(np.einsum("ij,ji->", state, matrix))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
@@ -186,18 +191,29 @@ def _layer_unitary(angles: np.ndarray) -> np.ndarray:
     blocks = PAULI["I"]
     for s, axis in enumerate("ZYZ"):
         blocks = rotation_matrix(axis, angles[:, s]) @ blocks
-    return reduce(np.kron, blocks)
+    # kron(A_1, ..., A_n) folded left to right as broadcast outer products:
+    # each entry is np.kron's one product, without its per-call set-up.
+    u = blocks[0]
+    for block in blocks[1:]:
+        d = 2 * u.shape[0]
+        u = (u[:, None, :, None] * block[None, :, None, :]).reshape(d, d)
+    return u
 
 
-def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None) -> np.ndarray:
-    """Evolve |0...0><0...0| through the full layered circuit.
-
-    ``theta`` is the flat vector of 3nL finite angles. Per layer: all
-    single-qubit rotations first (kept noiseless), then the CNOT ring in
-    order, with the noise model's two-qubit channel applied immediately
-    after each CNOT.  A noise model is any object with
-    ``apply_after_cnot(state, control, target)`` and ``apply_final(state)``
-    hooks; pass None for the noiseless circuit.
+def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
+           layers: tuple[int, int] | None = None, state=None,
+           adjoint: bool = False) -> np.ndarray:
+    """Advance ``state`` (default |0...0><0...0|) through the 1-based,
+    inclusive ``layers = (first, last)`` (default all L) of ``theta``, the
+    flat vector of 3nL finite angles. Per layer: all single-qubit rotations
+    (noiseless), then the CNOT ring in order, with the noise model's
+    two-qubit channel after each CNOT; the final hook follows layer L, so
+    it joins any nonempty range ending there. An empty range (first =
+    last + 1) returns ``state``. With ``adjoint=True`` the range's map E
+    runs backwards as its adjoint, taking an observable O to E^dagger(O):
+    tr(O E(rho)) = tr(E^dagger(O) rho). A noise model is any object with
+    ``apply_after_cnot(state, control, target, adjoint=False)`` and
+    ``apply_final(state, adjoint=False)`` hooks; None is noiseless.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (layout.parameter_count,):
@@ -206,14 +222,32 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None) -> np.ndarray:
             f"{layout.parameter_count}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta entries must be finite")
-    state = zero_state(layout.n)
-    for angles in theta.reshape(layout.L, layout.n, 3):
-        u = _layer_unitary(angles)
+    first, last = (1, layout.L) if layers is None else layers
+    if not (1 <= first <= last + 1 and last <= layout.L):
+        raise ValueError(f"layers {first}..{last} outside 1..{layout.L}")
+    if state is None:
+        state = zero_state(layout.n)
+    final = noise is not None and first <= last == layout.L
+    angles = theta.reshape(layout.L, layout.n, 3)
+    if adjoint:
+        state = noise.apply_final(state, adjoint=True) if final else state
+        for layer in range(last, first - 1, -1):
+            for control, target in reversed(layout.cnot_ring):
+                if noise is not None:
+                    state = noise.apply_after_cnot(state, control, target,
+                                                   adjoint=True)
+                # CNOT is a self-inverse permutation: its own adjoint.
+                state = apply_cnot(state, control, target)
+            u = _layer_unitary(angles[layer - 1])
+            state = u.conj().T @ state @ u
+        return state
+    for layer in range(first, last + 1):
+        u = _layer_unitary(angles[layer - 1])
         state = u @ state @ u.conj().T
         for control, target in layout.cnot_ring:
             state = apply_cnot(state, control, target)
             if noise is not None:
                 state = noise.apply_after_cnot(state, control, target)
-    if noise is not None:
+    if final:
         state = noise.apply_final(state)
     return state

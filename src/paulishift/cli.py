@@ -45,6 +45,9 @@ _VERIFY_SEED = 20260822
 # overflow a float somewhere between 2^200 and 2^210, and near N = 10^308.
 _MAX_QUBITS = 200
 _MAX_COPIES = 10 ** 300
+# A range is counted before it is built. Each entry is a CSV row per target
+# and scheme: 10^4 is past any plotted curve, and more is a slip of a digit.
+_MAX_GRID_ENTRIES = 10_000
 
 
 def _fmt(value) -> str:
@@ -122,6 +125,10 @@ def parse_int_grid(text: str) -> list[int]:
             raise ValueError(f"bad range syntax {text!r}")
         if step <= 0 or stop < start:
             raise ValueError(f"bad range {text!r}")
+        count = (stop - start) // step + 1
+        if count > _MAX_GRID_ENTRIES:
+            raise ValueError(f"range {text!r} has {count} entries, above "
+                             f"the cap of {_MAX_GRID_ENTRIES}")
         return list(range(start, stop + 1, step))
     return [int(p) for p in text.split(",")]
 

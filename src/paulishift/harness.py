@@ -215,10 +215,14 @@ class _FunctionCache:
     angles, k <= 2. Every gate is exp(-i theta P / 2) and no channel depends
     on theta, so f, clean or noisy, is a + b cos s + c sin s along each
     angle; ``value`` rebuilds f at any other shift from the grid (the tensor
-    product of the one-angle weights for two angles). ``exact`` runs the
-    circuit at one point and is the package's one caller of ``evolve``.
-    Values are keyed by the nonzero shifts and by noiselessness: one cache
-    serves the clean circuit and one channel.
+    product of the one-angle weights for two angles).
+
+    ``exact`` cuts each circuit at the lowest (a) and highest (b) layer its
+    shifts touch, 1 and L unshifted: the state after layers 1..a-1 and the
+    observable pulled back through layers b+1..L and the final hook are
+    cached, so a point runs only layers a..b of its shifted angles. Values
+    and cut ends are keyed by noiselessness: one cache serves the clean
+    circuit and one channel.
     """
 
     def __init__(self, layout, theta, obs):
@@ -226,28 +230,43 @@ class _FunctionCache:
         self.theta = theta
         self.obs = obs
         self._values: dict[tuple, float] = {}
+        self._ends: dict[tuple, np.ndarray | None] = {}
 
     def exact(self, shifts, noise) -> float:
-        """f at the shifted point, from one circuit."""
+        """f at the shifted point: layers a..b between the cached cut ends."""
         key = (noise is None,
                tuple(sorted((loc, s) for loc, s in shifts.items() if s)))
         if key not in self._values:
+            touched = [layer for (_, layer, _), _ in key[1]]
+            a, b = min(touched or [1]), max(touched or [self.layout.L])
             point = shifted(self.layout, self.theta, dict(key[1]))
-            self._values[key] = expectation(
-                evolve(self.layout, point, noise), self.obs)
+            state = evolve(self.layout, point, noise, (a, b),
+                           self._end(noise, a - 1, False))
+            self._values[key] = expectation(state,
+                                            self._end(noise, b + 1, True))
         return self._values[key]
+
+    def _end(self, noise, layer: int, adjoint: bool):
+        """The state after layers 1..layer or the observable pulled back
+        through layers layer..L; an empty range runs no circuit, and None
+        is |0><0|."""
+        key = (noise is None, layer, adjoint)
+        if key not in self._ends:
+            start = self.obs.matrix() if adjoint else None
+            span = (layer, self.layout.L) if adjoint else (1, layer)
+            self._ends[key] = start if span[0] > span[1] else evolve(
+                self.layout, self.theta, noise, span, start, adjoint)
+        return self._ends[key]
 
     def value(self, shifts, noise) -> float:
         """f at the shifted point, rebuilt from the grid circuits."""
         live = sorted((loc, s) for loc, s in shifts.items() if s)
         if len(live) > 2:
             raise ValueError("at most two angles can be shifted at once")
-        locs = [loc for loc, _ in live]
         total = 0.0
         for combo in itertools.product(*(_grid_weights(s) for _, s in live)):
-            grid_point = dict(zip(locs, (g for g, _ in combo)))
-            weight = math.prod(w for _, w in combo)
-            total += weight * self.exact(grid_point, noise)
+            total += math.prod(w for _, w in combo) * self.exact(
+                {loc: g for (loc, _), (g, _) in zip(live, combo)}, noise)
         return total
 
     def mean(self, spec: EstimatorSpec, noise) -> float:

@@ -7,7 +7,9 @@ Pauli channels (depolarizing has all 15 weights eta0/15) and run through one
 kernel: a 16x16 superoperator on the pair's row and column bits.  The global
 channel is a reference model: it mixes toward the maximally mixed state, so
 every traceless observable satisfies f_noisy = (1 - eta) * f_clean exactly
-and the error-term expectation g vanishes identically.
+and the error-term expectation g vanishes identically.  Every hook takes
+``adjoint=True`` for its Heisenberg-picture map: the per-CNOT channels apply
+the transposed superoperator, the global one O -> (1 - eta) O + eta tr(O) I/d.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import PAULI, qubit_count
+from .circuits import PAULI, check_pair
 
 # The 15 non-identity two-qubit Pauli labels, in fixed row-major order
 # (first letter acts on the channel's first qubit).
@@ -58,15 +60,6 @@ def pauli_channel_superoperator(weights) -> np.ndarray:
             + np.tensordot(w, _PAIR_CONJUGATIONS, axes=1))
 
 
-def _check_pair(state: np.ndarray, j: int, k: int) -> None:
-    if j == k:
-        raise ValueError("channel qubits must be distinct")
-    n = qubit_count(state)
-    for q in (j, k):
-        if not 1 <= q <= n:
-            raise ValueError(f"qubit {q} out of range 1..{n}")
-
-
 @lru_cache(maxsize=512)
 def _pair_axes(n: int, j: int, k: int):
     """A split shape of rho, the axis order moving (r_j, r_k, c_j, c_k) to
@@ -91,10 +84,10 @@ def apply_pair_superoperator(state: np.ndarray, j: int, k: int,
     X, one column per setting of the other qubits, and replaced by
     superop @ X: O(16 d^2) work instead of d^3 matrix products.
     """
-    _check_pair(state, j, k)
+    n = check_pair(state, j, k)
     if np.iscomplexobj(superop):
         raise ValueError("superoperator must be real, as Pauli channels are")
-    split, order, inverse = _pair_axes(qubit_count(state), j, k)
+    split, order, inverse = _pair_axes(n, j, k)
     x = np.ascontiguousarray(state.reshape(split).transpose(order),
                              dtype=complex)
     # A real superoperator maps real and imaginary parts alike, so it acts
@@ -106,7 +99,7 @@ def apply_pair_superoperator(state: np.ndarray, j: int, k: int,
 # ── noise models ─────────────────────────────────────────────────────────────
 
 class _NoFinal:
-    def apply_final(self, state: np.ndarray) -> np.ndarray:
+    def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
         return state
 
 
@@ -114,7 +107,7 @@ class _NoFinal:
 class NoNoise(_NoFinal):
     """The noiseless model; both hooks are identities."""
 
-    def apply_after_cnot(self, state, control, target):
+    def apply_after_cnot(self, state, control, target, adjoint=False):
         return state
 
 
@@ -131,8 +124,9 @@ class CnotDepolarizing(_NoFinal):
         object.__setattr__(self, "superop", pauli_channel_superoperator(
             (self.eta0 / 15.0,) * 15))
 
-    def apply_after_cnot(self, state, control, target):
-        return apply_pair_superoperator(state, control, target, self.superop)
+    def apply_after_cnot(self, state, control, target, adjoint=False):
+        superop = self.superop.T if adjoint else self.superop
+        return apply_pair_superoperator(state, control, target, superop)
 
 
 @dataclass(frozen=True)
@@ -147,8 +141,9 @@ class CnotPauliChannel(_NoFinal):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "superop", pauli_channel_superoperator(w))
 
-    def apply_after_cnot(self, state, control, target):
-        return apply_pair_superoperator(state, control, target, self.superop)
+    def apply_after_cnot(self, state, control, target, adjoint=False):
+        superop = self.superop.T if adjoint else self.superop
+        return apply_pair_superoperator(state, control, target, superop)
 
 
 @dataclass(frozen=True)
@@ -161,12 +156,14 @@ class GlobalDepolarizing:
         if not 0.0 <= self.eta < 1.0:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
 
-    def apply_after_cnot(self, state, control, target):
+    def apply_after_cnot(self, state, control, target, adjoint=False):
         return state
 
-    def apply_final(self, state: np.ndarray) -> np.ndarray:
+    def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
         d = state.shape[0]
         mixed = np.eye(d, dtype=complex) / d
+        if adjoint:
+            mixed *= np.trace(state)
         return (1.0 - self.eta) * state + self.eta * mixed
 
 

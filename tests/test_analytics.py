@@ -260,6 +260,21 @@ class TestStepScan:
                     np.testing.assert_allclose(scan, scalar, rtol=1e-14,
                                                err_msg=str(case))
 
+    def test_scalar_sinc_is_numpy_sinc(self):
+        """``_sinc`` equals np.sinc to the bit on the scan grid's half
+        steps (its argument in ``mse_fd``), at zero and at random inputs."""
+        grid = np.geomspace(1e-6, 2.0 * math.pi - 1e-6, 512)
+        rng = np.random.default_rng(83)
+        xs = np.concatenate([grid / 2.0, rng.uniform(-40.0, 40.0, 20000),
+                             rng.normal(scale=1e-6, size=200),
+                             [0.0, -0.0, math.pi, -2.0 * math.pi]])
+        for x in xs:
+            want = float(np.sinc(float(x) / math.pi))
+            assert analytics._sinc(float(x)) == want, x
+        np.testing.assert_array_equal(
+            [analytics._sinc(e / 2.0) for e in grid],
+            np.sinc(grid / 2.0 / math.pi))
+
 
 class TestSchemeParam:
 

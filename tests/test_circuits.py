@@ -1,15 +1,19 @@
 """Tests for the density-matrix circuit simulator."""
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from dense_oracle import check_state, embedded
 
-from paulishift.circuits import (PauliObservable, _layer_unitary, apply_cnot,
+from paulishift.circuits import (PAULI, PauliObservable, _layer_unitary,
+                                 apply_cnot,
                                  build_ansatz, cyclic_observable, evolve,
                                  expectation, rotation_matrix, shifted,
                                  zero_state)
 from paulishift.harness import sample_parameter_set
+from paulishift.noise import (CnotDepolarizing, CnotPauliChannel,
+                              GlobalDepolarizing, random_pauli_weights)
 
 
 class TestLayout:
@@ -53,6 +57,18 @@ class TestLayout:
             np.testing.assert_allclose(_layer_unitary(angles),
                                        embedded(n, blocks), rtol=0,
                                        atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kron_fold_is_bit_identical(self, n):
+        """The broadcast fold equals reduce(np.kron, blocks) to the bit."""
+        rng = np.random.default_rng(70 + n)
+        for _ in range(5):
+            angles = rng.uniform(-4.0, 4.0, size=(n, 3))
+            blocks = PAULI["I"]
+            for s, axis in enumerate("ZYZ"):
+                blocks = rotation_matrix(axis, angles[:, s]) @ blocks
+            assert np.array_equal(_layer_unitary(angles),
+                                  reduce(np.kron, blocks))
 
     def test_cnot_ring_closes(self):
         assert build_ansatz(4, 1).cnot_ring == ((1, 2), (2, 3), (3, 4), (4, 1))
@@ -222,6 +238,49 @@ class TestEvolve:
             evolve(layout, shifted(layout, theta, {(1, 2, 2): 2 * math.pi})),
             obs)
         np.testing.assert_allclose(f1, f0, atol=1e-12)
+
+    def test_layer_ranges_compose(self):
+        """Layers 1..k then k+1..L from that state give the full circuit;
+        an empty range returns its state; the final hook runs with the
+        range that ends at layer L."""
+        rng = np.random.default_rng(19)
+        layout = build_ansatz(3, 4)
+        theta = sample_parameter_set(layout, rng)
+        for channel in (None, GlobalDepolarizing(0.2), CnotDepolarizing(0.1)):
+            full = evolve(layout, theta, channel)
+            for k in range(0, 5):
+                head = evolve(layout, theta, channel, (1, k))
+                tail = evolve(layout, theta, channel, (k + 1, 4), head)
+                np.testing.assert_allclose(tail, full, rtol=0, atol=1e-14)
+        state = zero_state(3)
+        assert evolve(layout, theta, GlobalDepolarizing(0.2), (5, 4),
+                      state) is state
+
+    def test_adjoint_range_pulls_the_observable_back(self):
+        """tr(O E(rho)) = tr(E^dagger(O) rho) over any layer range."""
+        rng = np.random.default_rng(29)
+        layout = build_ansatz(3, 3)
+        theta = sample_parameter_set(layout, rng)
+        rho = evolve(layout, sample_parameter_set(layout, rng))
+        obs = cyclic_observable(3)
+        weights = random_pauli_weights(0.1, rng)
+        for channel in (None, GlobalDepolarizing(0.2), CnotDepolarizing(0.1),
+                        CnotPauliChannel(weights)):
+            for first, last in ((1, 3), (2, 3), (1, 2), (2, 2), (4, 3)):
+                forward = evolve(layout, theta, channel, (first, last), rho)
+                back = evolve(layout, theta, channel, (first, last),
+                              obs.matrix(), adjoint=True)
+                assert abs(expectation(forward, obs)
+                           - expectation(rho, back)) < 1e-12
+
+    def test_layer_range_and_state_checked(self):
+        layout = build_ansatz(2, 2)
+        theta = np.zeros(layout.parameter_count)
+        for layers in ((0, 1), (1, 3), (3, 1)):
+            with pytest.raises(ValueError):
+                evolve(layout, theta, None, layers)
+        with pytest.raises(ValueError):
+            evolve(layout, theta, None, (1, 2), zero_state(3))
 
     def test_theta_length_checked(self):
         """theta must be a flat vector of exactly 3 n L angles."""

@@ -360,6 +360,34 @@ class TestMseCurvesCommand:
             assert err.startswith(f"config error: config: n = {n} is above")
             assert err.count("\n") == 1
 
+    def test_oversized_ranges_exit_2_before_building(self, tmp_path, capsys):
+        """A range is counted, not built: 10^20 entries exit 2 with one
+        line, allocating almost nothing."""
+        huge = "100000000000000000000"
+        path = tmp_path / "range.cfg"
+        path.write_text(GOOD_CONFIG.replace("nt_grid = 48,96",
+                                            f"nt_grid = 48:{huge}:12"))
+        for argv in (["dist", str(path), "--out", str(tmp_path)],
+                     ["analytic", "--d", "4", "--eta", "0.1",
+                      "--nt", f"12:{huge}:12"],
+                     ["analytic", "--nstar", "--n", f"2:{huge}",
+                      "--eta", "0.1"]):
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2, argv
+            assert peak < 2 ** 20, argv
+            err = capsys.readouterr().err
+            assert "above the cap of 10000" in err, argv
+            assert err.count("\n") == 1, argv
+        assert len(parse_int_grid("1:10000")) == 10000
+        with pytest.raises(ValueError):
+            parse_int_grid("1:10001")
+
     def test_allocation_failure_exits_2(self, tmp_path, capsys):
         """A run too large for memory ends in one line, not a traceback."""
         path = tmp_path / "huge.cfg"

@@ -1,14 +1,16 @@
 """Tests for the Monte Carlo experiment harness."""
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from paulishift import analytics, harness, noise
+from paulishift import analytics, circuits, harness, noise
 from paulishift.analytics import (CrossoverNotFound, mse_sps,
                                   n_star_sps_exact)
-from paulishift.circuits import (build_ansatz, cyclic_observable, evolve, expectation,
+from paulishift.circuits import (_layer_unitary, build_ansatz,
+                                 cyclic_observable, evolve, expectation,
                                  shifted)
 from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
 from paulishift.harness import (CrossingEstimate, ExperimentConfig,
@@ -138,7 +140,8 @@ class TestShiftReconstruction:
     @pytest.mark.parametrize("seed", range(8))
     def test_value_matches_direct_evolve(self, seed):
         """Every target kind at random locations, cross-layer pairs
-        included, under all four noise kinds: 1e-12 of direct circuits."""
+        included, under all four noise kinds: ``value`` and the cut
+        ``exact`` both within 1e-12 of direct full circuits."""
         rng = np.random.default_rng(seed)
         n, L = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         layout, obs = build_ansatz(n, L), cyclic_observable(n)
@@ -155,11 +158,13 @@ class TestShiftReconstruction:
                         noise.CnotDepolarizing(0.05),
                         noise.CnotPauliChannel(weights)):
             cache = harness._FunctionCache(layout, theta, obs)
+            cut = harness._FunctionCache(layout, theta, obs)
             for shifts in points:
                 direct = expectation(
                     evolve(layout, shifted(layout, theta, shifts), channel),
                     obs)
                 assert abs(cache.value(shifts, channel) - direct) < 1e-12
+                assert abs(cut.exact(shifts, channel) - direct) < 1e-12
             for _, grid_point in cache._values:  # circuits ran on the grid
                 assert all(abs(s) == math.pi / 2 for _, s in grid_point)
 
@@ -171,8 +176,9 @@ class TestShiftReconstruction:
         p, q = (1, 2, 2), (2, 1, 3)
         value = cache.value({p: math.pi / 2, q: 0.0}, None)
         assert value == cache.value({p: math.pi / 2}, None)
-        assert value == expectation(
-            evolve(layout, shifted(layout, theta, {p: math.pi / 2})), obs)
+        assert abs(value - expectation(
+            evolve(layout, shifted(layout, theta, {p: math.pi / 2})),
+            obs)) < 1e-12
         assert len(cache._values) == 1
         with pytest.raises(ValueError):
             cache.value({p: 0.1, q: 0.2, (1, 1, 1): 0.3}, None)
@@ -180,21 +186,37 @@ class TestShiftReconstruction:
             cache.value({p: math.nan}, None)
 
     def test_fig5_set_runs_sixteen_circuits(self, monkeypatch):
-        """Seven clean PS points and the nine-point noisy grid."""
+        """Seven clean PS points and the nine-point noisy grid, each cut
+        to the layers its shifts touch: 32 layer passes instead of 80."""
+        passes = []
+
+        def counting_unitary(angles):
+            passes.append(angles)
+            return _layer_unitary(angles)
+
+        def counting_evolve(*args, **kwargs):
+            bound = inspect.signature(evolve).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return evolve(*args, **kwargs)
+
         calls = []
-
-        def counting_evolve(*args):
-            calls.append(args)
-            return evolve(*args)
-
         monkeypatch.setattr(harness, "evolve", counting_evolve)
+        monkeypatch.setattr(circuits, "_layer_unitary", counting_unitary)
         config = ExperimentConfig(
             n=4, L=5, noise=NoiseSpec("cnot_depolarizing", 0.05),
             nt_grid=(96, 960, 9600, 96000, 960000), parameter_sets=1,
             experiments_per_set=2, master_seed=31)
         harness._run_set(config, 0)
-        assert sum(args[2] is None for args in calls) == 7
-        assert len(calls) == 16
+        # Per noise: the unshifted point runs layers 1..5; every other point
+        # runs layer 2 alone, between layer 1 forward and layers 3..5 pulled
+        # back, once each.
+        assert len(calls) == 16 + 2 + 2
+        assert sum(call["adjoint"] for call in calls) == 2
+        assert sum(call["noise"] is None for call in calls) == 7 + 2
+        clean = 5 + 6 * 1 + 1 + 3
+        noisy = 5 + 8 * 1 + 1 + 3
+        assert len(passes) == clean + noisy == 32
 
 
 class TestMonteCarloMse:

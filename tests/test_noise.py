@@ -12,7 +12,8 @@ from paulishift.harness import (ExperimentConfig, NoiseSpec,
                                 distribution_study, sample_parameter_set,
                                 substream)
 from paulishift.noise import (CnotDepolarizing, CnotPauliChannel,
-                              GlobalDepolarizing, apply_pair_superoperator,
+                              GlobalDepolarizing, NoNoise,
+                              apply_pair_superoperator,
                               pauli_channel_superoperator,
                               random_pauli_weights, total_error_rate)
 
@@ -144,6 +145,51 @@ class TestNoiseModels:
             GlobalDepolarizing(1.0)
         with pytest.raises(ValueError):
             CnotPauliChannel((0.5,) * 15)
+
+
+class TestAdjoints:
+    """tr(O E(rho)) = tr(E^dagger(O) rho) for every hook, with O generic."""
+
+    @staticmethod
+    def _pair(rho, obs, forward, backward):
+        lhs = np.trace(obs @ forward(rho))
+        rhs = np.trace(backward(obs) @ rho)
+        assert abs(lhs - rhs) < 1e-12
+
+    def test_every_model_hook(self):
+        rng = np.random.default_rng(43)
+        rho = random_mixed_state(3, 44)
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        obs = g + g.conj().T
+        weights = random_pauli_weights(0.2, rng)
+        for model in (NoNoise(), GlobalDepolarizing(0.3),
+                      CnotDepolarizing(0.1), CnotPauliChannel(weights)):
+            for j, k in ((1, 2), (3, 1)):
+                self._pair(
+                    rho, obs,
+                    lambda x: model.apply_after_cnot(x, j, k),
+                    lambda x: model.apply_after_cnot(x, j, k, adjoint=True))
+            self._pair(rho, obs, model.apply_final,
+                       lambda x: model.apply_final(x, adjoint=True))
+
+    def test_pair_superoperator_transpose_is_its_adjoint(self):
+        """A random real 16x16 map that is not symmetric, as a non-unital
+        channel's is not. Like every channel it preserves Hermiticity: it
+        commutes with the swap of row and column bits, without which S^T
+        would not be its adjoint."""
+        rng = np.random.default_rng(47)
+        swap = np.arange(16).reshape(4, 4).T.ravel()
+        raw = rng.normal(size=(16, 16))
+        superop = 0.5 * (raw + raw[np.ix_(swap, swap)])
+        assert not np.allclose(superop, superop.T)
+        rho = random_mixed_state(3, 48)
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        obs = g + g.conj().T
+        for j, k in ((1, 2), (2, 3), (3, 1)):
+            self._pair(
+                rho, obs,
+                lambda x: apply_pair_superoperator(x, j, k, superop),
+                lambda x: apply_pair_superoperator(x, j, k, superop.T))
 
 
 class TestErrorRates:
