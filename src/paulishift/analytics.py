@@ -209,29 +209,39 @@ def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> float:
     return num / den
 
 
+def _fd_total(kind: str, d: int, eta: float, n_total: float, sinc=_sinc):
+    """``eps -> mse_fd(kind, d, eps, eta, 0.0, n_total).total``: the same
+    formula in the same operation order, with everything but eps computed
+    once instead of per call; ``sinc(x)`` is sin(x)/x."""
+    k, p = _FD_VAR_COEFF[kind]
+    m = _FD_SINC_POWER[kind]
+    moment = _moments(d).moment_for(kind)
+    strength = _shot_strength(d, eta, 0.0)
+
+    def total(epsilon):
+        finite = k / (n_total * epsilon ** p) * strength
+        approx = (1.0 - (1.0 - eta) * sinc(epsilon / 2.0) ** m) ** 2 * moment
+        return finite + approx
+
+    return total
+
+
 def _mse_fd_scan(kind: str, d: int, eps: np.ndarray, eta: float,
                  n_total: float) -> np.ndarray:
     """``mse_fd(kind, d, e, eta, 0.0, n_total).total`` for every e in eps,
     as one array expression of the same formula."""
-    k, p = _FD_VAR_COEFF[kind]
-    m = _FD_SINC_POWER[kind]
-    moment = _moments(d).moment_for(kind)
-    finite = k / (n_total * eps ** p) * _shot_strength(d, eta, 0.0)
-    sinc = np.sinc(eps / 2.0 / math.pi)
-    approx = (1.0 - (1.0 - eta) * sinc ** m) ** 2 * moment
-    return finite + approx
+    return _fd_total(kind, d, eta, n_total,
+                     lambda x: np.sinc(x / math.pi))(eps)
+
+
+_EPS_GRID = np.geomspace(_EPS_LO, 2.0 * math.pi - _EPS_LO, 512)
 
 
 @lru_cache(maxsize=None)
 def _epsilon_opt_cached(kind: str, d: int, n_total: float,
                         eta: float) -> float:
-    hi = 2.0 * math.pi - _EPS_LO
-
-    def objective(eps: float) -> float:
-        return mse_fd(kind, d, eps, eta, 0.0, n_total).total
-
-    grid = np.geomspace(_EPS_LO, hi, 512)
-    values = _mse_fd_scan(kind, d, grid, eta, n_total)
+    objective = _fd_total(kind, d, eta, n_total)
+    values = _mse_fd_scan(kind, d, _EPS_GRID, eta, n_total)
     interior = np.flatnonzero((values[1:-1] < values[:-2])
                               & (values[1:-1] <= values[2:])) + 1
     if len(interior) > 1:
@@ -240,8 +250,8 @@ def _epsilon_opt_cached(kind: str, d: int, n_total: float,
             f"({kind}, d={d}, n_total={n_total}, eta={eta}); refining the "
             "global scan minimum", RuntimeWarning, stacklevel=3)
     best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    up = grid[min(best + 1, len(grid) - 1)]
+    lo = _EPS_GRID[max(best - 1, 0)]
+    up = _EPS_GRID[min(best + 1, len(_EPS_GRID) - 1)]
 
     # Golden-section search on [lo, up] to absolute tolerance 1e-9.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -200,20 +200,34 @@ def _layer_unitary(angles: np.ndarray) -> np.ndarray:
     return u
 
 
+def apply_ring(layout: AnsatzLayout, state: np.ndarray, noise=None,
+               adjoint: bool = False) -> np.ndarray:
+    """One layer's CNOT ring, the noise model's channel after each CNOT; with
+    ``adjoint=True`` its adjoint, pairs reversed (CNOT is its own adjoint)."""
+    for control, target in (reversed(layout.cnot_ring) if adjoint
+                            else layout.cnot_ring):
+        if noise is not None and adjoint:
+            state = noise.apply_after_cnot(state, control, target, adjoint=True)
+        state = apply_cnot(state, control, target)
+        if noise is not None and not adjoint:
+            state = noise.apply_after_cnot(state, control, target)
+    return state
+
+
 def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
            layers: tuple[int, int] | None = None, state=None,
-           adjoint: bool = False) -> np.ndarray:
+           adjoint: bool = False, unitary=None) -> np.ndarray:
     """Advance ``state`` (default |0...0><0...0|) through the 1-based,
     inclusive ``layers = (first, last)`` (default all L) of ``theta``, the
     flat vector of 3nL finite angles. Per layer: all single-qubit rotations
-    (noiseless), then the CNOT ring in order, with the noise model's
-    two-qubit channel after each CNOT; the final hook follows layer L, so
+    (noiseless), then ``apply_ring``; the final hook follows layer L, so
     it joins any nonempty range ending there. An empty range (first =
     last + 1) returns ``state``. With ``adjoint=True`` the range's map E
     runs backwards as its adjoint, taking an observable O to E^dagger(O):
     tr(O E(rho)) = tr(E^dagger(O) rho). A noise model is any object with
     ``apply_after_cnot(state, control, target, adjoint=False)`` and
     ``apply_final(state, adjoint=False)`` hooks; None is noiseless.
+    ``unitary`` builds a layer's unitary from its angles (``_layer_unitary``).
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (layout.parameter_count,):
@@ -227,27 +241,19 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
         raise ValueError(f"layers {first}..{last} outside 1..{layout.L}")
     if state is None:
         state = zero_state(layout.n)
+    build = _layer_unitary if unitary is None else unitary
     final = noise is not None and first <= last == layout.L
     angles = theta.reshape(layout.L, layout.n, 3)
     if adjoint:
         state = noise.apply_final(state, adjoint=True) if final else state
         for layer in range(last, first - 1, -1):
-            for control, target in reversed(layout.cnot_ring):
-                if noise is not None:
-                    state = noise.apply_after_cnot(state, control, target,
-                                                   adjoint=True)
-                # CNOT is a self-inverse permutation: its own adjoint.
-                state = apply_cnot(state, control, target)
-            u = _layer_unitary(angles[layer - 1])
+            state = apply_ring(layout, state, noise, adjoint=True)
+            u = build(angles[layer - 1])
             state = u.conj().T @ state @ u
         return state
     for layer in range(first, last + 1):
-        u = _layer_unitary(angles[layer - 1])
-        state = u @ state @ u.conj().T
-        for control, target in layout.cnot_ring:
-            state = apply_cnot(state, control, target)
-            if noise is not None:
-                state = noise.apply_after_cnot(state, control, target)
+        u = build(angles[layer - 1])
+        state = apply_ring(layout, u @ state @ u.conj().T, noise)
     if final:
         state = noise.apply_final(state)
     return state

@@ -34,17 +34,17 @@ shots, even where NFD and HFD share a step (at zero noise).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
 from . import analytics, noise as noise_mod
-from .circuits import (AnsatzLayout, PauliObservable, build_ansatz,
-                       cyclic_observable, evolve, expectation, shifted)
+from .circuits import (AnsatzLayout, PauliObservable, _layer_unitary,
+                       apply_ring, build_ansatz, cyclic_observable, evolve,
+                       expectation, shifted)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -192,8 +192,8 @@ def _shift_rule(target: DerivativeTarget) -> EstimatorSpec:
 _GRID = (-0.5 * math.pi, 0.0, 0.5 * math.pi)
 
 
-def _grid_weights(shift: float) -> tuple[tuple[float, float], ...]:
-    """(grid shift, weight) pairs giving f at ``shift`` along one angle.
+def _axis_weights(shift: float) -> np.ndarray:
+    """Weights on the grid shifts that give f at ``shift`` along one angle.
 
     Along one angle f is a + b cos s + c sin s, fixed by its values at
     -pi/2, 0 and +pi/2. A shift on the grid takes its own value: pushed
@@ -202,77 +202,116 @@ def _grid_weights(shift: float) -> tuple[tuple[float, float], ...]:
     if not math.isfinite(shift):
         raise ValueError(f"shift {shift} is not finite")
     if shift in _GRID:
-        return ((shift, 1.0),)
+        return np.array([float(shift == g) for g in _GRID])
     c, s = math.cos(shift), math.sin(shift)
-    return ((_GRID[0], 0.5 * (1.0 - c - s)), (0.0, c),
-            (_GRID[2], 0.5 * (1.0 - c + s)))
+    return np.array([0.5 * (1.0 - c - s), c, 0.5 * (1.0 - c + s)])
+
+
+def _angles(target: DerivativeTarget) -> tuple[tuple[int, int, int], ...]:
+    """The (qubit, layer, slot) of the target's one or two angles."""
+    first = (target.qubit, target.layer, target.slot)
+    if isinstance(target, OffDiagHessian):
+        return first, (target.qubit2, target.layer2, target.slot2)
+    return (first,)
+
+
+def _point_weights(spec: EstimatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Grid weights of the spec's evaluation points, (points, 3) or
+    (points, 3, 3) over its target's angles, and their coefficients."""
+    points = evaluation_points(spec)
+    weights = [reduce(np.multiply.outer, [_axis_weights(shifts.get(a, 0.0))
+                                          for a in _angles(spec.target)])
+               for shifts, _ in points]
+    return np.array(weights), np.array([coeff for _, coeff in points])
 
 
 class _FunctionCache:
     """Exact expectations at shifted parameter points of one parameter set.
 
-    Circuits run only on the grid {-pi/2, 0, +pi/2}^k over the shifted
-    angles, k <= 2. Every gate is exp(-i theta P / 2) and no channel depends
-    on theta, so f, clean or noisy, is a + b cos s + c sin s along each
-    angle; ``value`` rebuilds f at any other shift from the grid (the tensor
-    product of the one-angle weights for two angles).
-
-    ``exact`` cuts each circuit at the lowest (a) and highest (b) layer its
-    shifts touch, 1 and L unshifted: the state after layers 1..a-1 and the
-    observable pulled back through layers b+1..L and the final hook are
-    cached, so a point runs only layers a..b of its shifted angles. Values
-    and cut ends are keyed by noiselessness: one cache serves the clean
-    circuit and one channel.
+    Every gate is exp(-i theta P / 2) and no channel depends on theta, so f,
+    clean or noisy, is a + b cos s + c sin s along each angle. Circuits run
+    only on the grid {-pi/2, 0, +pi/2}^k over a target's k <= 2 angles, one
+    array that ``value`` contracts with the grid weights of any points. The
+    grid is cut at the target's lowest (a) and highest (b) layer: between
+    the state after layers 1..a-1 and the observable pulled back through the
+    final hook, layers L..b+1 and layer b's CNOT ring, a point in one layer
+    costs one layer unitary, one U rho U^dagger and one trace. Values, cut
+    ends and layer unitaries are built once, keyed by noiselessness: one
+    cache serves the clean circuit and one channel. The global channel runs
+    no circuit; it scales every traceless expectation by 1 - eta, exactly.
     """
 
     def __init__(self, layout, theta, obs):
         self.layout = layout
         self.theta = theta
         self.obs = obs
-        self._values: dict[tuple, float] = {}
-        self._ends: dict[tuple, np.ndarray | None] = {}
+        self._values: dict[tuple, np.ndarray | float] = {}
+        self._unitaries: dict[bytes, np.ndarray] = {}
 
-    def exact(self, shifts, noise) -> float:
-        """f at the shifted point: layers a..b between the cached cut ends."""
-        key = (noise is None,
-               tuple(sorted((loc, s) for loc, s in shifts.items() if s)))
-        if key not in self._values:
-            touched = [layer for (_, layer, _), _ in key[1]]
-            a, b = min(touched or [1]), max(touched or [self.layout.L])
-            point = shifted(self.layout, self.theta, dict(key[1]))
-            state = evolve(self.layout, point, noise, (a, b),
-                           self._end(noise, a - 1, False))
-            self._values[key] = expectation(state,
-                                            self._end(noise, b + 1, True))
-        return self._values[key]
-
-    def _end(self, noise, layer: int, adjoint: bool):
-        """The state after layers 1..layer or the observable pulled back
-        through layers layer..L; an empty range runs no circuit, and None
-        is |0><0|."""
-        key = (noise is None, layer, adjoint)
-        if key not in self._ends:
-            start = self.obs.matrix() if adjoint else None
-            span = (layer, self.layout.L) if adjoint else (1, layer)
-            self._ends[key] = start if span[0] > span[1] else evolve(
-                self.layout, self.theta, noise, span, start, adjoint)
-        return self._ends[key]
-
-    def value(self, shifts, noise) -> float:
-        """f at the shifted point, rebuilt from the grid circuits."""
-        live = sorted((loc, s) for loc, s in shifts.items() if s)
-        if len(live) > 2:
-            raise ValueError("at most two angles can be shifted at once")
-        total = 0.0
-        for combo in itertools.product(*(_grid_weights(s) for _, s in live)):
-            total += math.prod(w for _, w in combo) * self.exact(
-                {loc: g for (loc, _), (g, _) in zip(live, combo)}, noise)
-        return total
+    def value(self, target: DerivativeTarget, weights: np.ndarray,
+              noise) -> np.ndarray:
+        """f at each point whose grid weights over the target's angles are
+        a row of ``weights``, as from ``_point_weights``."""
+        grid = self._memo(("grid", _angles(target)), noise, self._grid)
+        return weights.reshape(len(weights), -1) @ grid.ravel()
 
     def mean(self, spec: EstimatorSpec, noise) -> float:
         """Infinite-shot mean of the estimator: exact f at each point."""
-        return sum(coeff * self.value(shifts, noise)
-                   for shifts, coeff in evaluation_points(spec))
+        weights, coeffs = _point_weights(spec)
+        return float(coeffs @ self.value(spec.target, weights, noise))
+
+    def exact(self, shifts, noise) -> float:
+        """f at the shifted point from the full circuit, no grid involved."""
+        return self._memo(("point", tuple(shifts.items())), noise, self._full)
+
+    def _memo(self, key, noise, run):
+        """``run(key[1], noise)`` once per key and noiselessness."""
+        if isinstance(noise, noise_mod.GlobalDepolarizing):
+            return (1.0 - noise.eta) * self._memo(key, None, run)
+        if (noise is None,) + key not in self._values:
+            self._values[(noise is None,) + key] = run(key[1], noise)
+        return self._values[(noise is None,) + key]
+
+    def _full(self, shifts, noise) -> float:
+        point = shifted(self.layout, self.theta, dict(shifts))
+        return expectation(evolve(self.layout, point, noise,
+                                  unitary=self._unitary), self.obs)
+
+    def _grid(self, angles, noise) -> np.ndarray:
+        layout = self.layout
+        a = min(layer for _, layer, _ in angles)
+        b = max(layer for _, layer, _ in angles)
+        start = self._memo(("forward", a), noise, self._forward)
+        obs = self._memo(("back", b), noise, self._back)
+        flat = [layout.flat_index(layer, q, slot) for q, layer, slot in angles]
+        grid = np.empty((3,) * len(angles))
+        for idx in np.ndindex(grid.shape):
+            point = self.theta.copy()
+            point[flat] += [_GRID[i] for i in idx]
+            state = start if a == b else evolve(
+                layout, point, noise, (a, b - 1), start, unitary=self._unitary)
+            u = self._unitary(point.reshape(layout.L, layout.n, 3)[b - 1])
+            grid[idx] = expectation(u @ state @ u.conj().T, obs)
+        return grid
+
+    def _forward(self, a: int, noise) -> np.ndarray:
+        return evolve(self.layout, self.theta, noise, (1, a - 1),
+                      unitary=self._unitary)
+
+    def _back(self, b: int, noise) -> np.ndarray:
+        obs = self.obs.matrix()
+        if b < self.layout.L:
+            obs = evolve(self.layout, self.theta, noise, (b + 1, self.layout.L),
+                         obs, adjoint=True, unitary=self._unitary)
+        elif noise is not None:  # an empty range skips the final hook
+            obs = noise.apply_final(obs, adjoint=True)
+        return apply_ring(self.layout, obs, noise, adjoint=True)
+
+    def _unitary(self, angles: np.ndarray) -> np.ndarray:
+        key = angles.tobytes()
+        if key not in self._unitaries:
+            self._unitaries[key] = _layer_unitary(angles)
+        return self._unitaries[key]
 
 
 def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,
@@ -336,65 +375,71 @@ def _shots_key(layout: AnsatzLayout, target: DerivativeTarget
                ) -> tuple[int, int, int]:
     """Kind code and flat indices of the target's two angles (the one angle
     twice for a single-angle target); ValueError if one is off the circuit."""
-    first = layout.flat_index(target.layer, target.qubit, target.slot)
-    second = first
-    if isinstance(target, OffDiagHessian):
-        second = layout.flat_index(target.layer2, target.qubit2, target.slot2)
-    return analytics.TARGET_KINDS.index(target_kind(target)), first, second
+    kind = target_kind(target)
+    try:
+        flat = [layout.flat_index(layer, q, slot)
+                for q, layer, slot in _angles(target)]
+    except ValueError as exc:
+        raise ValueError(f"{kind} target outside the n = {layout.n}, "
+                         f"L = {layout.L} circuit: {exc}") from None
+    return analytics.TARGET_KINDS.index(kind), flat[0], flat[-1]
+
+
+@lru_cache(maxsize=16)
+def _plan(config: ExperimentConfig) -> list[tuple]:
+    """Per target of the config: the target, its shot key, its shift rule,
+    the grid weights of every point drawn at any budget, and the draw
+    groups (budget index, budget, group code, rows of those weights,
+    coefficients, scheme indices, scales of shape (schemes, 1)). Scaled-shift
+    schemes share one draw at the lambda = 1 points; FD schemes draw by
+    name (NFD = HFD at zero noise)."""
+    d, eta = 2 ** config.n, config.eta_total()
+    plan = []
+    for target in config.targets:
+        key = _shots_key(config.layout(), target)
+        rule, rows, groups = _shift_rule(target), [], []
+        for nt_idx, nt in enumerate(config.nt_grid):
+            specs = [_scheme_spec(s, target, d, nt, eta)
+                     for s in config.schemes]
+            sps = [i for i, spec in enumerate(specs) if spec.scheme == "sps"]
+            draws = [(config.schemes[i], spec, [i], [[1.0]])
+                     for i, spec in enumerate(specs) if spec.scheme == "fd"]
+            if sps:
+                draws.append(("sps", rule, sps, [[specs[i].lam] for i in sps]))
+            for group, drawn, s_idx, scales in draws:
+                weights, coeffs = _point_weights(drawn)
+                groups.append((nt_idx, nt, _DRAW_GROUPS[group],
+                               range(len(rows), len(rows) + len(weights)),
+                               coeffs.tolist(), s_idx, np.array(scales)))
+                rows.extend(weights)
+        plan.append((target, key, rule, np.array(rows), groups))
+    return plan
 
 
 def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
     """Per-set mean squared errors, indexed (target, scheme, grid point)."""
     layout = config.layout()
-    obs = config.observable()
-    d = 2 ** config.n
-    eta = config.eta_total()
     n_exp = config.experiments_per_set
-
     theta = sample_parameter_set(
         layout, substream(config.master_seed, _STREAM_PARAMS, set_index))
     channel = config.noise_for_set(set_index)
-    cache = _FunctionCache(layout, theta, obs)
+    cache = _FunctionCache(layout, theta, config.observable())
 
     out = np.empty((len(config.targets), len(config.schemes),
                     len(config.nt_grid)))
-    for t_idx, target in enumerate(config.targets):
-        rule = _shift_rule(target)
+    for t_idx, (target, key, rule, weights, groups) in enumerate(
+            _plan(config)):
         true_value = cache.mean(rule, None)
-        target_key = _shots_key(layout, target)
-        for nt_idx, nt in enumerate(config.nt_grid):
+        f = cache.value(target, weights, channel).tolist()
+        for nt_idx, nt, code, rows, coeffs, s_idx, scales in groups:
             shots = nt // point_count(target)
-            draws: dict[str, np.ndarray] = {}
-            for s_idx, scheme in enumerate(config.schemes):
-                spec = _scheme_spec(scheme, target, d, nt, eta)
-                # Scaled-shift schemes share one draw at the lambda = 1
-                # points; FD schemes draw by name (NFD = HFD at zero noise).
-                if spec.scheme == "sps":
-                    group, drawn, scale = "sps", rule, spec.lam
-                else:
-                    group, drawn, scale = scheme, spec, 1.0
-                if group not in draws:
-                    rng = substream(config.master_seed, _STREAM_SHOTS,
-                                    set_index, *target_key, nt,
-                                    _DRAW_GROUPS[group])
-                    draws[group] = sum(coeff * _binomial_estimates(
-                        cache.value(shifts, channel), shots, rng, n_exp)
-                        for shifts, coeff in evaluation_points(drawn))
-                err = scale * draws[group] - true_value
-                out[t_idx, s_idx, nt_idx] = float(np.mean(err * err))
+            rng = substream(config.master_seed, _STREAM_SHOTS, set_index,
+                            *key, nt, code)
+            draws = sum(coeff * _binomial_estimates(f[row], shots, rng, n_exp)
+                        for row, coeff in zip(rows, coeffs))
+            err = scales * draws - true_value
+            out[t_idx, s_idx, nt_idx] = (err * err).sum(axis=1) / n_exp
     return out
-
-
-def _check_target_locations(config: ExperimentConfig) -> None:
-    """Raise ValueError if a target's angle lies outside the circuit."""
-    layout = config.layout()
-    for target in config.targets:
-        try:
-            _shots_key(layout, target)
-        except ValueError as exc:
-            raise ValueError(
-                f"{target_kind(target)} target outside the n = {config.n}, "
-                f"L = {config.L} circuit: {exc}") from None
 
 
 def monte_carlo_mse(config: ExperimentConfig,
@@ -407,7 +452,7 @@ def monte_carlo_mse(config: ExperimentConfig,
     for any worker count. Raises ValueError before any simulation if a
     target's angle lies outside the circuit.
     """
-    _check_target_locations(config)
+    _plan(config)  # checks every target's angles before any simulation
     indices = range(config.parameter_sets)
     if workers is None or workers <= 1:
         per_set = [_run_set(config, s) for s in indices]
@@ -524,8 +569,8 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
         theta = sample_parameter_set(
             layout, substream(config.master_seed, _STREAM_PARAMS, s))
         cache = _FunctionCache(layout, theta, obs)
-        f = cache.value({}, None)
-        f_noisy = cache.value({}, config.noise_for_set(s))
+        f = cache.exact({}, None)
+        f_noisy = cache.exact({}, config.noise_for_set(s))
         f_vals[s] = f
         g_vals[s] = (f_noisy - (1.0 - eta) * f) / eta
     var_f = float(np.var(f_vals))
@@ -599,7 +644,7 @@ def verify_two_design(n: int, L: int, samples: int,
     for i in range(samples):
         theta = sample_parameter_set(layout, rng)
         cache = _FunctionCache(layout, theta, obs)
-        f[i] = cache.value({}, None)
+        f[i] = cache.exact({}, None)
         for name, spec in targets.items():
             derivs[name][i] = cache.mean(spec, None)
     return TwoDesignCheck(

@@ -260,6 +260,19 @@ class TestStepScan:
                     np.testing.assert_allclose(scan, scalar, rtol=1e-14,
                                                err_msg=str(case))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_search_objective_is_mse_fd_to_the_bit(self, kind):
+        """The golden-section objective, its constants computed once per
+        scan, equals ``mse_fd(...).total`` bit for bit."""
+        steps = np.geomspace(1e-6, 2.0 * math.pi - 1e-6, 41)
+        for d in (2, 16, 2 ** 7, 2 ** 14):
+            for nt in (12.0, 1e3, 1e6, 1e10, 1e14):
+                for eta in (0.0, 0.05, 0.5, 0.9):
+                    total = analytics._fd_total(kind, d, eta, nt)
+                    for eps in list(steps) + steps.tolist():
+                        want = mse_fd(kind, d, eps, eta, 0.0, nt).total
+                        assert total(eps) == want, (kind, d, nt, eta, eps)
+
     def test_scalar_sinc_is_numpy_sinc(self):
         """``_sinc`` equals np.sinc to the bit on the scan grid's half
         steps (its argument in ``mse_fd``), at zero and at random inputs."""

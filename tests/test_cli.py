@@ -421,7 +421,7 @@ parameter_sets = 3
 experiments_per_set = 5
 master_seed = 101
 schemes = ps,nfd,hfd
-""", "a6083ec3a448e3b35c92d534681da55f42c190092175a7eec2107d18d5e5ba86"),
+""", "6a9e88f128bbac739a54e74fdf37d925b6dc66548b716340b6e9e57b88940c1b"),
         "pauli": ("""\
 [circuit]
 n = 3
@@ -438,7 +438,7 @@ experiments_per_set = 5
 master_seed = 103
 schemes = hfd,ps,nfd,hsps
 targets = offdiag,gradient,diag
-""", "15e4c46b1bca1ae77f0fa3b7a1814205b1c9da6fdc8ce30574af87234e61c922"),
+""", "c687a04e79c96b13dc08d0e404061c715c48a1cd64c9b76a82bc3b810e2f2425"),
     }
 
     @pytest.mark.parametrize("stem", sorted(GOLDEN))

@@ -13,8 +13,8 @@ from paulishift.estimators import (DiagHessian, EstimatorSpec, Gradient,
                                    OffDiagHessian, evaluation_points,
                                    point_count, target_kind)
 from paulishift.harness import (_binomial_estimates, _FunctionCache,
-                                estimator_mean, exact_derivative,
-                                sample_parameter_set)
+                                _point_weights, estimator_mean,
+                                exact_derivative, sample_parameter_set)
 
 
 def _setup(n=2, L=3, seed=101):
@@ -122,8 +122,9 @@ class TestExactDerivatives:
         cache = _FunctionCache(layout, theta, obs)
         for spec in (EstimatorSpec("sps", OffDiagHessian(), lam=0.7),
                      EstimatorSpec("fd", DiagHessian(), epsilon=0.4)):
-            from_values = sum(coeff * cache.value(shifts, None)
-                              for shifts, coeff in evaluation_points(spec))
+            weights, coeffs = _point_weights(spec)
+            from_values = float(
+                coeffs @ cache.value(spec.target, weights, None))
             direct = sum(coeff * expectation(
                 evolve(layout, shifted(layout, theta, shifts)), obs)
                 for shifts, coeff in evaluation_points(spec))

@@ -2,6 +2,7 @@
 import dataclasses
 import inspect
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from paulishift.analytics import (CrossoverNotFound, mse_sps,
 from paulishift.circuits import (_layer_unitary, build_ansatz,
                                  cyclic_observable, evolve, expectation,
                                  shifted)
-from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
+from paulishift.estimators import (DiagHessian, EstimatorSpec, Gradient,
+                                   OffDiagHessian, evaluation_points)
 from paulishift.harness import (CrossingEstimate, ExperimentConfig,
                                 MseEstimate, NoiseSpec, distribution_study,
                                 empirical_n_star, exact_derivative,
                                 monte_carlo_mse, sample_parameter_set,
                                 substream, verify_two_design)
+from dense_oracle import dense_evolve
 
 
 def tiny_config(**overrides):
@@ -130,6 +133,12 @@ def _random_angle(rng, n, L):
             int(rng.integers(1, 4)))
 
 
+def _weights(target, shifts):
+    """One point's grid weights over the target's angles, shape (1, 3[, 3])."""
+    return reduce(np.multiply.outer, [harness._axis_weights(shifts.get(a, 0.0))
+                                      for a in harness._angles(target)])[None]
+
+
 class TestShiftReconstruction:
     """``value`` rebuilds f from grid circuits; ``exact`` runs the circuit."""
 
@@ -140,8 +149,8 @@ class TestShiftReconstruction:
     @pytest.mark.parametrize("seed", range(8))
     def test_value_matches_direct_evolve(self, seed):
         """Every target kind at random locations, cross-layer pairs
-        included, under all four noise kinds: ``value`` and the cut
-        ``exact`` both within 1e-12 of direct full circuits."""
+        included, under all four noise kinds: ``value`` and the full
+        circuit of ``exact`` both within 1e-12 of direct full circuits."""
         rng = np.random.default_rng(seed)
         n, L = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         layout, obs = build_ansatz(n, L), cyclic_observable(n)
@@ -150,6 +159,7 @@ class TestShiftReconstruction:
         q = p
         while q == p:
             q = _random_angle(rng, n, L)
+        single, pair = Gradient(*p), OffDiagHessian(*p, *q)
         points = [{p: s} for s in self.SHIFTS]
         points += [{p: a, q: b} for a in self.SHIFTS[::3]
                    for b in self.SHIFTS[1::3]]
@@ -158,41 +168,57 @@ class TestShiftReconstruction:
                         noise.CnotDepolarizing(0.05),
                         noise.CnotPauliChannel(weights)):
             cache = harness._FunctionCache(layout, theta, obs)
-            cut = harness._FunctionCache(layout, theta, obs)
+            full = harness._FunctionCache(layout, theta, obs)
             for shifts in points:
                 direct = expectation(
                     evolve(layout, shifted(layout, theta, shifts), channel),
                     obs)
-                assert abs(cache.value(shifts, channel) - direct) < 1e-12
-                assert abs(cut.exact(shifts, channel) - direct) < 1e-12
-            for _, grid_point in cache._values:  # circuits ran on the grid
-                assert all(abs(s) == math.pi / 2 for _, s in grid_point)
+                target = single if len(shifts) == 1 else pair
+                value = cache.value(target, _weights(target, shifts), channel)
+                assert abs(value[0] - direct) < 1e-12
+                assert abs(full.exact(shifts, channel) - direct) < 1e-12
+            # values ran circuits only on the grids and their cut ends
+            assert {key[1] for key in cache._values} <= {"grid", "forward",
+                                                         "back"}
 
     def test_grid_and_zero_shifts_run_one_circuit(self):
-        """A grid shift takes the circuit value itself; zero shifts drop."""
+        """A grid shift takes the grid value itself; targets on the same
+        angle share one grid; a shift must be finite."""
         layout, obs = build_ansatz(2, 2), cyclic_observable(2)
         theta = sample_parameter_set(layout, np.random.default_rng(3))
         cache = harness._FunctionCache(layout, theta, obs)
         p, q = (1, 2, 2), (2, 1, 3)
-        value = cache.value({p: math.pi / 2, q: 0.0}, None)
-        assert value == cache.value({p: math.pi / 2}, None)
-        assert abs(value - expectation(
+        pair = OffDiagHessian(*p, *q)
+        value = cache.value(pair, _weights(pair, {p: math.pi / 2, q: 0.0}),
+                            None)
+        assert value[0] == cache._values[(True, "grid", (p, q))][2, 1]
+        assert abs(value[0] - expectation(
             evolve(layout, shifted(layout, theta, {p: math.pi / 2})),
             obs)) < 1e-12
-        assert len(cache._values) == 1
+        for target in (Gradient(*p), DiagHessian(*p)):
+            cache.mean(harness._shift_rule(target), None)
+        assert sum(key[1] == "grid" for key in cache._values) == 2
         with pytest.raises(ValueError):
-            cache.value({p: 0.1, q: 0.2, (1, 1, 1): 0.3}, None)
-        with pytest.raises(ValueError):
-            cache.value({p: math.nan}, None)
+            cache.value(Gradient(*p), _weights(Gradient(*p), {p: math.nan}),
+                        None)
 
     def test_fig5_set_runs_sixteen_circuits(self, monkeypatch):
-        """Seven clean PS points and the nine-point noisy grid, each cut
-        to the layers its shifts touch: 32 layer passes instead of 80."""
-        passes = []
+        """The fig5 set's grids (three points on the shared gradient and
+        diagonal angle, nine on the off-diagonal pair, clean and noisy) all
+        sit in layer 2: each point is one layer-2 unitary between the state
+        after layer 1 and the observable pulled back through layers 5..3 and
+        the layer-2 ring. 13 distinct unitaries, each built once (32 builds
+        before the grid plan), and 10 ring passes (32 before)."""
+        built, rings, calls = [], [], []
+        ring = circuits.apply_ring
 
         def counting_unitary(angles):
-            passes.append(angles)
+            built.append(angles.tobytes())
             return _layer_unitary(angles)
+
+        def counting_ring(*args, **kwargs):
+            rings.append(args)
+            return ring(*args, **kwargs)
 
         def counting_evolve(*args, **kwargs):
             bound = inspect.signature(evolve).bind(*args, **kwargs)
@@ -200,23 +226,80 @@ class TestShiftReconstruction:
             calls.append(bound.arguments)
             return evolve(*args, **kwargs)
 
-        calls = []
         monkeypatch.setattr(harness, "evolve", counting_evolve)
-        monkeypatch.setattr(circuits, "_layer_unitary", counting_unitary)
+        for module in (circuits, harness):
+            monkeypatch.setattr(module, "_layer_unitary", counting_unitary)
+            monkeypatch.setattr(module, "apply_ring", counting_ring)
         config = ExperimentConfig(
             n=4, L=5, noise=NoiseSpec("cnot_depolarizing", 0.05),
             nt_grid=(96, 960, 9600, 96000, 960000), parameter_sets=1,
             experiments_per_set=2, master_seed=31)
         harness._run_set(config, 0)
-        # Per noise: the unshifted point runs layers 1..5; every other point
-        # runs layer 2 alone, between layer 1 forward and layers 3..5 pulled
-        # back, once each.
-        assert len(calls) == 16 + 2 + 2
+        # Per noise: layer 1 forward and layers 5..3 pulled back; no point
+        # runs a circuit of its own.
+        assert len(calls) == 2 + 2
         assert sum(call["adjoint"] for call in calls) == 2
-        assert sum(call["noise"] is None for call in calls) == 7 + 2
-        clean = 5 + 6 * 1 + 1 + 3
-        noisy = 5 + 8 * 1 + 1 + 3
-        assert len(passes) == clean + noisy == 32
+        assert len(set(built)) == 13
+        assert len(built) == 13
+        assert len(rings) == 2 * (1 + 3 + 1) == 10
+
+
+class TestPlanAgainstOracle:
+    """Grid values and spec means against full circuits and the dense
+    reference, with the targets in layer 1, in layer L and across layers."""
+
+    @pytest.mark.parametrize("place, n, L", [
+        ("first", 5, 3), ("first", 1, 2), ("last", 4, 4), ("last", 2, 1),
+        ("across", 5, 2), ("across", 3, 4)])
+    def test_grid_and_means_match_full_circuits(self, place, n, L):
+        rng = np.random.default_rng([n, L, len(place)])
+        layers = {"first": (1, 1), "last": (L, L), "across": (1, L)}[place]
+        p = (int(rng.integers(1, n + 1)), layers[0], int(rng.integers(1, 4)))
+        q = p
+        while q == p:
+            q = (int(rng.integers(1, n + 1)), layers[1],
+                 int(rng.integers(1, 4)))
+        layout, obs = build_ansatz(n, L), cyclic_observable(n)
+        theta = sample_parameter_set(layout, rng)
+        pauli = noise.random_pauli_weights(0.1, rng)
+        models = ((None, (0.0,) * 15, 0.0),
+                  (noise.GlobalDepolarizing(0.3), (0.0,) * 15, 0.3),
+                  (noise.CnotDepolarizing(0.05), (0.05 / 15,) * 15, 0.0),
+                  (noise.CnotPauliChannel(pauli), pauli, 0.0))
+        targets = (Gradient(*p), DiagHessian(*p), OffDiagHessian(*p, *q))
+        for channel, kraus, eta in models:
+            cache = harness._FunctionCache(layout, theta, obs)
+
+            def circuit(shifts):
+                return expectation(evolve(
+                    layout, shifted(layout, theta, shifts), channel), obs)
+
+            seen = {}
+
+            def oracle(shifts):
+                key = tuple((a, s) for a, s in shifts.items() if s)
+                if key not in seen:
+                    rho = dense_evolve(layout, shifted(layout, theta, shifts),
+                                       kraus)
+                    rho = (1 - eta) * rho + eta * np.eye(len(rho)) / len(rho)
+                    seen[key] = np.trace(rho @ obs.matrix()).real
+                return seen[key]
+
+            for target in targets:
+                angles = harness._angles(target)
+                for idx in np.ndindex((3,) * len(angles)):
+                    shifts = {a: harness._GRID[i] for a, i in zip(angles, idx)}
+                    value = cache.value(target, _weights(target, shifts),
+                                        channel)[0]
+                    assert abs(value - circuit(shifts)) < 1e-12
+                    assert abs(value - oracle(shifts)) < 1e-12
+                for spec in (harness._shift_rule(target),
+                             EstimatorSpec("fd", target, epsilon=0.4)):
+                    points = evaluation_points(spec)
+                    mean = cache.mean(spec, channel)
+                    for reference in (circuit, oracle):
+                        assert abs(mean - sum(c * reference(shifts)
+                                              for shifts, c in points)) < 1e-12
 
 
 class TestMonteCarloMse:
@@ -347,7 +430,7 @@ class TestDistributionStudy:
         """The global channel's error term is exactly 0 for every set."""
         config = tiny_config(parameter_sets=12)
         summary = distribution_study(config)
-        np.testing.assert_allclose(summary.g_samples, 0.0, atol=1e-10)
+        assert np.all(summary.g_samples == 0.0)
         assert summary.r_var is None
         assert summary.var_f > 0.0
 
