@@ -190,6 +190,9 @@ def _shift_rule(target: DerivativeTarget) -> EstimatorSpec:
 
 
 _GRID = (-0.5 * math.pi, 0.0, 0.5 * math.pi)
+# The layer unitaries a cache holds stay under one n = 12 state: a set's
+# every distinct one up to n = 10, none at n = 12.
+_HELD_UNITARY_BYTES = 16 * 4 ** 12
 
 
 def _axis_weights(shift: float) -> np.ndarray:
@@ -235,10 +238,11 @@ class _FunctionCache:
     grid is cut at the target's lowest (a) and highest (b) layer: between
     the state after layers 1..a-1 and the observable pulled back through the
     final hook, layers L..b+1 and layer b's CNOT ring, a point in one layer
-    costs one layer unitary, one U rho U^dagger and one trace. Values, cut
-    ends and layer unitaries are built once, keyed by noiselessness: one
-    cache serves the clean circuit and one channel. The global channel runs
-    no circuit; it scales every traceless expectation by 1 - eta, exactly.
+    costs one layer unitary, one U rho U^dagger and one trace. Values and
+    cut ends are built once, keyed by noiselessness: one cache serves the
+    clean circuit and one channel; so are layer unitaries, within
+    ``_HELD_UNITARY_BYTES``. The global channel runs no circuit; it scales
+    every traceless expectation by 1 - eta, exactly.
     """
 
     def __init__(self, layout, theta, obs):
@@ -268,9 +272,10 @@ class _FunctionCache:
         """``run(key[1], noise)`` once per key and noiselessness."""
         if isinstance(noise, noise_mod.GlobalDepolarizing):
             return (1.0 - noise.eta) * self._memo(key, None, run)
-        if (noise is None,) + key not in self._values:
-            self._values[(noise is None,) + key] = run(key[1], noise)
-        return self._values[(noise is None,) + key]
+        stored = (noise is None,) + key
+        if stored not in self._values:
+            self._values[stored] = run(key[1], noise)
+        return self._values[stored]
 
     def _full(self, shifts, noise) -> float:
         point = shifted(self.layout, self.theta, dict(shifts))
@@ -309,9 +314,12 @@ class _FunctionCache:
 
     def _unitary(self, angles: np.ndarray) -> np.ndarray:
         key = angles.tobytes()
-        if key not in self._unitaries:
-            self._unitaries[key] = _layer_unitary(angles)
-        return self._unitaries[key]
+        u = self._unitaries.get(key)
+        if u is None:
+            u = _layer_unitary(angles)
+            if (len(self._unitaries) + 1) * u.nbytes < _HELD_UNITARY_BYTES:
+                self._unitaries[key] = u
+        return u
 
 
 def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,

@@ -202,6 +202,20 @@ class TestShiftReconstruction:
             cache.value(Gradient(*p), _weights(Gradient(*p), {p: math.nan}),
                         None)
 
+    def test_held_unitaries_stay_under_the_byte_cap(self, monkeypatch):
+        """Past the cap a unitary is rebuilt rather than held, with the
+        same values to the bit."""
+        layout, obs = build_ansatz(2, 3), cyclic_observable(2)
+        theta = sample_parameter_set(layout, np.random.default_rng(5))
+        spec = harness._shift_rule(OffDiagHessian(1, 2, 2, 2, 2, 3))
+        held = harness._FunctionCache(layout, theta, obs)
+        want = held.mean(spec, noise.CnotDepolarizing(0.05))
+        assert len(held._unitaries) == 9 + 2
+        monkeypatch.setattr(harness, "_HELD_UNITARY_BYTES", 3 * 16 * 4 ** 2)
+        capped = harness._FunctionCache(layout, theta, obs)
+        assert capped.mean(spec, noise.CnotDepolarizing(0.05)) == want
+        assert len(capped._unitaries) == 2
+
     def test_fig5_set_runs_sixteen_circuits(self, monkeypatch):
         """The fig5 set's grids (three points on the shared gradient and
         diagonal angle, nine on the off-diagonal pair, clean and noisy) all
