@@ -190,9 +190,6 @@ def _shift_rule(target: DerivativeTarget) -> EstimatorSpec:
 
 
 _GRID = (-0.5 * math.pi, 0.0, 0.5 * math.pi)
-# The layer unitaries a cache holds stay under one n = 12 state: a set's
-# every distinct one up to n = 10, none at n = 12.
-_HELD_UNITARY_BYTES = 16 * 4 ** 12
 
 
 def _axis_weights(shift: float) -> np.ndarray:
@@ -226,6 +223,11 @@ def _point_weights(spec: EstimatorSpec) -> tuple[np.ndarray, np.ndarray]:
                                           for a in _angles(spec.target)])
                for shifts, _ in points]
     return np.array(weights), np.array([coeff for _, coeff in points])
+
+
+# The layer unitaries a cache holds stay under one n = 12 state: a set's
+# every distinct one up to n = 10, none at n = 12.
+_HELD_UNITARY_BYTES = 16 * 4 ** 12
 
 
 class _FunctionCache:
