@@ -290,11 +290,10 @@ class _FunctionCache:
         b = max(layer for _, layer, _ in angles)
         start = self._memo(("forward", a), noise, self._forward)
         obs = self._memo(("back", b), noise, self._back)
-        flat = [layout.flat_index(layer, q, slot) for q, layer, slot in angles]
         grid = np.empty((3,) * len(angles))
         for idx in np.ndindex(grid.shape):
-            point = self.theta.copy()
-            point[flat] += [_GRID[i] for i in idx]
+            point = shifted(layout, self.theta,
+                            {angle: _GRID[i] for angle, i in zip(angles, idx)})
             state = start if a == b else evolve(
                 layout, point, noise, (a, b - 1), start, unitary=self._unitary)
             u = self._unitary(point.reshape(layout.L, layout.n, 3)[b - 1])
