@@ -40,7 +40,6 @@ from .estimators import DiagHessian, Gradient, OffDiagHessian, target_kind
 
 _TARGET_NAMES = {"gradient": Gradient, "diag": DiagHessian,
                  "offdiag": OffDiagHessian}
-_VERIFY_SEED = 20260822
 # analytic tables stop at d = 2^200 and N = 10^300: the closed forms
 # overflow a float somewhere between 2^200 and 2^210, and near N = 10^308.
 _MAX_QUBITS = 200
@@ -402,98 +401,26 @@ def cmd_dist(args) -> int:
 
 
 # ── verify command ───────────────────────────────────────────────────────────
-# Measured by paulishift.invariants at verify's sizes under the acceptance
-# bounds; the moments keep max(10%, 3 stderr), as 1500 samples need.
-
-def _inv_stationarity(rng) -> tuple[bool, str]:
-    residual, undershoot = invariants.stationarity(rng, 40)
-    return (residual < 1e-9 and undershoot < 1e-10,
-            f"max vertex residual {residual:.2e}, max grid undershoot "
-            f"{undershoot:.2e}")
-
-
-def _inv_nstar_roots(rng) -> tuple[bool, str]:
-    imbalance, small, h = invariants.crossing_consistency(rng, 30)
-    return (imbalance < 1e-9 and small < 5e-3 and h < 1e-6,
-            f"max crossing residual {imbalance:.2e}, small-rate ratio off "
-            f"by {small:.2e}, h-limit off by {h:.2e}")
-
-
-def _inv_epsilon_asymptotic(rng) -> tuple[bool, str]:
-    worst = invariants.step_asymptotics()
-    return worst < 0.01, f"max relative gap {worst:.2e}"
-
-
-def _inv_noise_floors(rng) -> tuple[bool, str]:
-    approx, step, decay, fd = invariants.noise_floors()
-    return (approx <= 1e-8 and step < 1.0 and decay <= 1e-5
-            and fd >= 1.0 - 1e-9,
-            f"HSPS approximation {approx:.1e} of the floor, total decay "
-            f"{decay:.1e}; FD approximation >= {fd:.9f} of the floor")
-
-
-def _inv_two_design(rng) -> tuple[bool, str]:
-    function, derivative = invariants.moment_deviations(2, 6, 1500, rng)
-    return (all(x.sigmas <= 3.0 for x in function)
-            and all(x.rel <= 0.10 or x.sigmas <= 3.0 for x in derivative),
-            f"function moments within {max(x.sigmas for x in function):.1f} "
-            f"stderr, derivative moments within "
-            f"{max(x.rel for x in derivative):.1%} or "
-            f"{max(x.sigmas for x in derivative):.1f} stderr")
-
-
-def _inv_estimator_exactness(rng) -> tuple[bool, str]:
-    cd, law, expansion = invariants.estimator_exactness(rng, 6)
-    return (cd < 1e-6 and law < 1e-9 and expansion < 1e-9,
-            f"central-difference gap {cd:.1e}, damping law gap {law:.1e}, "
-            f"single-angle expansion gap {expansion:.1e}")
-
-
-def _inv_mc_oracle(rng) -> tuple[bool, str]:
-    config = harness.ExperimentConfig(
-        n=4, L=5, noise=harness.NoiseSpec("global_depolarizing", 0.226),
-        nt_grid=(96, 960), parameter_sets=60, experiments_per_set=80,
-        master_seed=_VERIFY_SEED, schemes=("ps", "hsps"),
-        targets=(Gradient(),))
-    rows = invariants.mc_agreement(config)
-    worst = max(rows, key=lambda x: x.rel)
-    return (all(x.rel <= 0.10 or x.sigmas <= 3.0 for x in rows),
-            f"worst {worst.label}: {worst.rel:.1%} rel at "
-            f"{worst.sigmas:.1f} stderr")
-
-
-_QUICK_INVARIANTS = [
-    ("stationarity", _inv_stationarity),
-    ("nstar_roots", _inv_nstar_roots),
-    ("epsilon_asymptotic", _inv_epsilon_asymptotic),
-    ("noise_floors", _inv_noise_floors),
-]
-_FULL_INVARIANTS = _QUICK_INVARIANTS + [
-    ("two_design_moments", _inv_two_design),
-    ("estimator_exactness", _inv_estimator_exactness),
-    ("mc_oracle", _inv_mc_oracle),
-]
-
 
 def cmd_verify(args) -> int:
-    suite = _QUICK_INVARIANTS if args.quick else _FULL_INVARIANTS
-    rng = np.random.default_rng(_VERIFY_SEED)
+    rng = np.random.default_rng(invariants.SEED)
     report = []
-    all_ok = True
-    for name, fn in suite:
+    for row in invariants.CRITERIA:
+        if row.verify is None or (args.quick and not row.quick):
+            continue
         t0 = time.time()
         try:
-            ok, detail = fn(rng)
+            ok, detail = row.check(row.verify, rng)
         except Exception as exc:  # a crashed invariant is a failed invariant
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         seconds = time.time() - t0
-        report.append({"name": name, "passed": bool(ok), "detail": detail,
+        report.append({"name": row.name, "passed": bool(ok), "detail": detail,
                        "seconds": round(seconds, 3)})
-        all_ok &= bool(ok)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} "
+        print(f"{'PASS' if ok else 'FAIL'} {row.name}: {detail} "
               f"({seconds:.2f}s)")
+    all_ok = all(r["passed"] for r in report)
     doc = {"passed": all_ok, "quick": bool(args.quick),
-           "tool_version": __version__, "seed": _VERIFY_SEED,
+           "tool_version": __version__, "seed": invariants.SEED,
            "invariants": report}
     if args.json:
         path = os.path.join(_out_dir(args), args.json)

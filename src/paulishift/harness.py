@@ -93,6 +93,10 @@ _DEFAULT_TARGETS = (Gradient(), DiagHessian(), OffDiagHessian())
 # One 2^n x 2^n complex state takes 16 * 4^n bytes: 256 MiB at n = 12, and a
 # run holds a few of them at once, against a few GiB of memory.
 MAX_QUBITS = 12
+# Each worker is a forked process holding its own circuit caches, and the
+# pool starts them all at once: 256 is past the cores of one host, and more
+# is a slip of a digit.
+MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -458,12 +462,16 @@ def monte_carlo_mse(config: ExperimentConfig,
     Squared errors are measured against the exact noiseless derivative,
     averaged over experiments within each parameter set and then over sets;
     stderr is the standard error of the per-set means. Results are identical
-    for any worker count. Raises ValueError before any simulation if a
-    target's angle lies outside the circuit.
+    for any worker count; no more processes start than there are sets.
+    Raises ValueError before any simulation if ``workers`` is outside
+    [1, MAX_WORKERS] or a target's angle lies outside the circuit.
     """
+    if workers is not None and not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers = {workers} is outside [1, {MAX_WORKERS}]")
     _plan(config)  # checks every target's angles before any simulation
     indices = range(config.parameter_sets)
-    if workers is None or workers <= 1:
+    workers = min(workers or 1, config.parameter_sets)
+    if workers == 1:
         per_set = [_run_set(config, s) for s in indices]
     else:
         chunk = max(1, config.parameter_sets // (workers * 4))

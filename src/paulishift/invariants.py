@@ -1,15 +1,16 @@
 """Measured invariants of the closed forms, the estimators and the harness.
 
-One function per checked identity, shared by the acceptance tests and
-``paulishift verify``. Each takes its sample size (the Monte Carlo check an
-``ExperimentConfig``) and returns the worst margins it saw; the caller
-applies the bounds. Closed forms are looked up on ``analytics`` at call
-time, so a patched function there is what gets measured.
+One function per checked identity. Each takes its sample size (the Monte
+Carlo check an ``ExperimentConfig``) and returns the worst margins it saw.
+``CRITERIA`` holds each check's sizes, bounds and report text once for the
+acceptance tests and ``paulishift verify``. Closed forms are looked up on
+``analytics`` at call time, so a patched function there is what gets
+measured.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .estimators import (DiagHessian, EstimatorSpec, Gradient, OffDiagHessian,
                          evaluation_points, target_kind)
 
 KINDS = analytics.TARGET_KINDS
+SEED = 20260822  # the stream of every seeded criterion, in both suites
 
 
 class Deviation(NamedTuple):
@@ -93,12 +95,12 @@ def crossing_consistency(rng: np.random.Generator,
     return worst_eq, worst_ratio, worst_h
 
 
-def step_asymptotics() -> float:
+def step_asymptotics(dims: tuple[int, ...]) -> float:
     """Criterion 3: max relative gap of numeric optimal steps to their
-    large-budget closed form at N = 1e12, d = 4 and 16."""
+    large-budget closed form at N = 1e12 and each dimension in ``dims``."""
     worst = 0.0
     for kind in KINDS:
-        for d in (4, 16):
+        for d in dims:
             num = analytics.epsilon_opt(kind, d, 1e12)
             asym = analytics.epsilon_opt_asymptotic(kind, d, 1e12)
             worst = max(worst, abs(num / asym - 1.0))
@@ -185,10 +187,11 @@ def mc_agreement(config: harness.ExperimentConfig) -> list[Deviation]:
     return out
 
 
-def noise_floors() -> tuple[float, float, float, float]:
+def noise_floors(cells: tuple[tuple[int, float], ...]
+                 ) -> tuple[float, float, float, float]:
     """Known-noise scaling kills the floor; finite differences cannot.
 
-    Over three (d, eta) pairs per target, returns the max HSPS
+    Over the (d, eta) ``cells`` per target, returns the max HSPS
     approximation error at N = 1e9 over the naive floor, the max ratio of
     HSPS totals at consecutive decades of N, the max HSPS total at 1e9 over
     that at 1e2, and the min FD approximation error over the floor.
@@ -196,7 +199,7 @@ def noise_floors() -> tuple[float, float, float, float]:
     approx_ratio = step = decay = 0.0
     fd_ratio = math.inf
     for kind in KINDS:
-        for d, eta in ((2, 0.2), (16, 0.226), (64, 0.5)):
+        for d, eta in cells:
             floor = analytics.noise_bias(kind, d, eta)
             hsps = [analytics.scheme_mse("hsps", kind, d, 10.0 ** k, eta)[1]
                     for k in range(2, 10)]
@@ -210,21 +213,107 @@ def noise_floors() -> tuple[float, float, float, float]:
     return approx_ratio, step, decay, fd_ratio
 
 
-def moment_deviations(n: int, L: int, samples: int, rng: np.random.Generator
+class Moments(NamedTuple):
+    """Criterion 9's qubit counts (at L = 6) and samples, and the stderr
+    that excuse a derivative moment past 10%."""
+
+    ns: tuple[int, ...]
+    samples: int
+    sigmas: float
+
+
+def moment_deviations(rng: np.random.Generator, size: Moments
                       ) -> tuple[list[Deviation], list[Deviation]]:
     """Criterion 9: sampled ensemble moments against the 2-design values.
 
-    Returns the function moments <f>, <f^2> and the derivative moments.
+    Each qubit count draws from the stream state ``rng`` had on entry, so
+    adding a count leaves the others' draws alone. Returns the function
+    moments <f>, <f^2> and the derivative moments over every count.
     """
-    check = harness.verify_two_design(n, L, samples, rng)
-    m = check.analytic
-
     def deviation(label, est, expect):
         rel = abs(est.value / expect - 1.0) if expect else math.inf
         return Deviation(label, rel, abs(est.value - expect) / est.stderr)
 
-    return ([deviation("<f>", check.mean_f, m.mean_f),
-             deviation("<f^2>", check.mean_f2, m.mean_f2)],
-            [deviation("<grad^2>", check.mean_grad2, m.mean_grad2),
-             deviation("<diag^2>", check.mean_hess_diag2, m.mean_hess_diag2),
-             deviation("<off^2>", check.mean_hess_off2, m.mean_hess_off2)])
+    start = rng.bit_generator.state
+    function, derivative = [], []
+    for n in size.ns:
+        rng.bit_generator.state = start
+        est = harness.verify_two_design(n, 6, size.samples, rng)
+        m = est.analytic
+        function += [deviation("<f>", est.mean_f, m.mean_f),
+                     deviation("<f^2>", est.mean_f2, m.mean_f2)]
+        derivative += [
+            deviation("<grad^2>", est.mean_grad2, m.mean_grad2),
+            deviation("<diag^2>", est.mean_hess_diag2, m.mean_hess_diag2),
+            deviation("<off^2>", est.mean_hess_off2, m.mean_hess_off2)]
+    return function, derivative
+
+
+class Criterion(NamedTuple):
+    """A checked claim, with its sizes in the acceptance suite (``tier1``)
+    and in ``paulishift verify``; a suite whose size is None skips it.
+    ``quick`` rows also run in ``verify --quick``."""
+
+    name: str
+    measure: Callable  # (rng, size) -> margins
+    tier1: object
+    verify: object
+    quick: bool
+    passed: Callable  # (margins, size) -> bool
+    detail: Callable  # margins -> str
+
+    def check(self, size, rng: np.random.Generator) -> tuple[bool, str]:
+        """Measure at ``size``; returns (passed, detail)."""
+        margins = self.measure(rng, size)
+        return bool(self.passed(margins, size)), self.detail(margins)
+
+
+# In verify's order. The derivative moments' bound differs by suite: 1,500
+# samples need max(10%, 3 stderr), while 5,000 meet 10% alone (a 0-stderr
+# allowance adds nothing: the closed forms are positive).
+CRITERIA = (
+    Criterion("stationarity", stationarity, 200, 40, True,
+              lambda m, _: m[0] < 1e-9 and m[1] < 1e-10,
+              lambda m: f"max vertex residual {m[0]:.2e}, max grid "
+                        f"undershoot {m[1]:.2e}"),
+    Criterion("nstar_roots", crossing_consistency, 100, 30, True,
+              lambda m, _: m[0] < 1e-9 and m[1] < 5e-3 and m[2] < 1e-6,
+              lambda m: f"max crossing residual {m[0]:.2e}, small-rate "
+                        f"ratio off by {m[1]:.2e}, h-limit off by {m[2]:.2e}"),
+    Criterion("epsilon_asymptotic", lambda rng, dims: step_asymptotics(dims),
+              (4, 16), (4, 16), True, lambda m, _: m < 0.01,
+              lambda m: f"max relative gap {m:.2e}"),
+    Criterion("noise_floors", lambda rng, cells: noise_floors(cells),
+              None, ((2, 0.2), (16, 0.226), (64, 0.5)), True,
+              lambda m, _: (m[0] <= 1e-8 and m[1] < 1.0 and m[2] <= 1e-5
+                            and m[3] >= 1.0 - 1e-9),
+              lambda m: f"HSPS approximation {m[0]:.1e} of the floor, total "
+                        f"decay {m[2]:.1e}; FD approximation >= {m[3]:.9f} "
+                        f"of the floor"),
+    Criterion("two_design_moments", moment_deviations,
+              Moments((2, 3), 5000, 0.0), Moments((2,), 1500, 3.0), False,
+              lambda m, size: all(x.sigmas <= 3.0 for x in m[0]) and all(
+                  x.rel <= 0.10 or x.sigmas <= size.sigmas for x in m[1]),
+              lambda m: "function moments within {:.1f} stderr, derivative "
+                        "moments within {:.1%} or {:.1f} stderr".format(
+                            max(x.sigmas for x in m[0]),
+                            max(x.rel for x in m[1]),
+                            max(x.sigmas for x in m[1]))),
+    Criterion("estimator_exactness", estimator_exactness, 50, 6, False,
+              lambda m, _: m[0] < 1e-6 and m[1] < 1e-9 and m[2] < 1e-9,
+              lambda m: f"central-difference gap {m[0]:.1e}, damping law gap "
+                        f"{m[1]:.1e}, single-angle expansion gap {m[2]:.1e}"),
+    Criterion("mc_oracle", lambda rng, size: mc_agreement(
+                  harness.ExperimentConfig(
+                      n=4, noise=harness.NoiseSpec("global_depolarizing",
+                                                   0.226),
+                      master_seed=SEED, **size)),
+              dict(L=6, nt_grid=(96, 480, 2400), parameter_sets=200,
+                   experiments_per_set=200),
+              dict(L=5, nt_grid=(96, 960), parameter_sets=60,
+                   experiments_per_set=80, schemes=("ps", "hsps"),
+                   targets=(Gradient(),)), False,
+              lambda m, _: all(x.rel <= 0.10 or x.sigmas <= 3.0 for x in m),
+              lambda m: "worst {0.label}: {0.rel:.1%} rel at {0.sigmas:.1f} "
+                        "stderr".format(max(m, key=lambda x: x.rel))),
+)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulishift import analytics, cli, harness
+from paulishift import analytics, cli, harness, invariants
 from paulishift.cli import (canonical_json, config_digest, load_config, main,
                             parse_float_list, parse_int_grid)
 
@@ -402,6 +402,46 @@ class TestMseCurvesCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_worker_counts_outside_the_cap_exit_2(self, config_file,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        """Rejected before any process starts: a pool here is a failure."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        for workers in (0, -1, harness.MAX_WORKERS + 1):
+            capsys.readouterr()
+            assert main(["mse-curves", config_file, "--workers",
+                         str(workers), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: workers = {workers} is outside "
+                           f"[1, {harness.MAX_WORKERS}]\n")
+
+    def test_pool_never_exceeds_the_set_count(self, config_file, tmp_path,
+                                              monkeypatch, capsys):
+        """The pool runs in-process here; only its size is recorded."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        for workers in (3, harness.MAX_WORKERS):
+            assert main(["mse-curves", config_file, "--workers",
+                         str(workers), "--out", str(tmp_path)]) == 0
+        assert sizes == [3, 4]  # the config has four parameter sets
+
     # sha256 of the CSVs of two small seeded runs: a noiseless PS/NFD/HFD
     # run, where NFD and HFD share one step but draw their own shots, and a
     # Pauli run with schemes and targets out of order. A change that moves
@@ -506,18 +546,42 @@ class TestVerifyCommand:
             return 0.7 * true_fn(target, d, n_total)
 
         monkeypatch.setattr(analytics, "lambda_opt", detuned)
-        ok, detail = cli._inv_stationarity(np.random.default_rng(0))
+        row = next(r for r in invariants.CRITERIA if r.name == "stationarity")
+        ok, detail = row.check(row.verify, np.random.default_rng(0))
         assert not ok
 
     def test_crashing_invariant_fails_the_run(self, monkeypatch, tmp_path,
                                               capsys):
-        def boom(rng):
+        def boom(rng, size):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_QUICK_INVARIANTS", [("boom", boom)])
+        row = invariants.CRITERIA[0]._replace(name="boom", measure=boom)
+        monkeypatch.setattr(invariants, "CRITERIA", (row,))
         assert main(["verify", "--quick"]) == 1
         out = capsys.readouterr().out
         assert "FAIL boom" in out and "synthetic failure" in out
+
+    def test_full_suite_passes_in_table_order(self, tmp_path, capsys):
+        assert main(["verify", "--json", "full.json",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "full.json").read_text())
+        assert report["passed"] is True
+        assert report["quick"] is False
+        assert [inv["name"] for inv in report["invariants"]] == [
+            "stationarity", "nstar_roots", "epsilon_asymptotic",
+            "noise_floors", "two_design_moments", "estimator_exactness",
+            "mc_oracle"]
+
+    def test_format_docs_name_every_verify_row(self):
+        """The verify table in docs/formats.md lists exactly verify's rows."""
+        text = (Path(__file__).resolve().parent.parent / "docs"
+                / "formats.md").read_text()
+        section = text.split("## Verify report", 1)[1].split("\n## ", 1)[0]
+        documented = {line.split("|")[1].strip().strip("`")
+                      for line in section.splitlines()
+                      if line.startswith("| `")}
+        assert documented == {row.name for row in invariants.CRITERIA
+                              if row.verify is not None}
 
 
 class TestOutputFormatting:
