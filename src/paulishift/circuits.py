@@ -1,7 +1,8 @@
-"""Exact density-matrix simulation of layered Pauli-rotation circuits.
+"""Exact simulation of layered Pauli-rotation circuits.
 
-A state on n qubits is a plain dense 2^n x 2^n complex ndarray; n is read
-from its shape.  The angles are one flat float vector of length 3nL, laid out
+A state on n qubits is a plain dense complex ndarray: a 2^n x 2^n density
+matrix, or a 2^n statevector for noiseless circuits; n is read from its
+shape.  The angles are one flat float vector of length 3nL, laid out
 layer-major, then qubit, then slot, so ``theta.reshape(L, n, 3)`` holds each
 qubit's (Z, Y, Z) block angles.  Qubit 1 is the most significant bit of the
 computational-basis index, so tensor products read left to right:
@@ -111,10 +112,10 @@ def cyclic_observable(n: int) -> PauliObservable:
     return PauliObservable("".join("XYZ"[(q - 1) % 3] for q in range(1, n + 1)))
 
 
-# ── density matrices ─────────────────────────────────────────────────────────
+# ── states ───────────────────────────────────────────────────────────────────
 
 def qubit_count(state: np.ndarray) -> int:
-    """n for a 2^n x 2^n density matrix."""
+    """n for a 2^n x 2^n density matrix or a 2^n statevector."""
     return state.shape[0].bit_length() - 1
 
 
@@ -139,41 +140,45 @@ def rotation_matrix(axis: str, angle) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
-    """Basis permutation sigma with CNOT|i> = |sigma(i)>."""
-    d = 2 ** n
-    idx = np.arange(d)
-    cbit = (idx >> (n - control)) & 1
-    flip = cbit << (n - target)
-    return idx ^ flip
+def _cnot_permutation(n: int, pairs: tuple) -> np.ndarray:
+    """Gather index g with (C psi)[i] = psi[g[i]], for C the CNOTs in
+    ``pairs`` applied first to last."""
+    g = np.arange(2 ** n)
+    for control, target in reversed(pairs):
+        check_pair(n, control, target)
+        g ^= ((g >> (n - control)) & 1) << (n - target)
+    return g
 
 
-def check_pair(state: np.ndarray, j: int, k: int) -> int:
-    """n for the state, or ValueError unless j and k are two of its qubits."""
-    n = qubit_count(state)
+def check_pair(n: int, j: int, k: int) -> None:
+    """ValueError unless j and k are two distinct qubits of n."""
     if j == k:
         raise ValueError("the two qubits must differ")
     for q in (j, k):
         if not 1 <= q <= n:
             raise ValueError(f"qubit {q} out of range 1..{n}")
-    return n
 
 
-def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Conjugate the state by CNOT = |0><0| (x) 1 + |1><1| (x) X."""
-    sigma = _cnot_permutation(check_pair(state, control, target), control,
-                              target)
-    # CNOT is a real permutation, so conjugation is a relabeling of both axes.
-    return state[np.ix_(sigma, sigma)]
+def apply_cnot(state: np.ndarray, control, target) -> np.ndarray:
+    """CNOT = |0><0| (x) 1 + |1><1| (x) X on a statevector, or by conjugation
+    on a density matrix; tuples of controls and targets apply those CNOTs,
+    first to last, as one basis permutation."""
+    if np.ndim(control) == 0:
+        control, target = (control,), (target,)
+    g = _cnot_permutation(qubit_count(state),
+                          tuple(zip(control, target, strict=True)))
+    return state[g] if state.ndim == 1 else state[np.ix_(g, g)]
 
 
 def expectation(state: np.ndarray, obs) -> float:
-    """tr(rho O) for a Pauli observable or a Hermitian matrix O, such as one
-    pulled back by ``evolve(..., adjoint=True)``; the value is real."""
+    """tr(rho O), or <psi|O|psi> for a statevector, for a Pauli observable or
+    a Hermitian matrix O, such as one pulled back by ``evolve(...,
+    adjoint=True)``; the value is real."""
     matrix = obs.matrix() if isinstance(obs, PauliObservable) else obs
-    if matrix.shape != state.shape:
+    if matrix.shape != (len(state),) * 2:
         raise ValueError(f"observable {matrix.shape}, state {state.shape}")
-    val = complex(np.einsum("ij,ji->", state, matrix))
+    val = complex(np.vdot(state, matrix @ state) if state.ndim == 1
+                  else np.einsum("ij,ji->", state, matrix))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
@@ -200,17 +205,22 @@ def _layer_unitary(angles: np.ndarray) -> np.ndarray:
     return u
 
 
+def rotate(u: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """U psi for a statevector, U rho U^dagger for a density matrix."""
+    return u @ state if state.ndim == 1 else u @ state @ u.conj().T
+
+
 def apply_ring(layout: AnsatzLayout, state: np.ndarray, noise=None,
                adjoint: bool = False) -> np.ndarray:
-    """One layer's CNOT ring, the noise model's channel after each CNOT; with
-    ``adjoint=True`` its adjoint, pairs reversed (CNOT is its own adjoint)."""
-    for control, target in (reversed(layout.cnot_ring) if adjoint
-                            else layout.cnot_ring):
-        if noise is not None and adjoint:
-            state = noise.apply_after_cnot(state, control, target, adjoint=True)
-        state = apply_cnot(state, control, target)
-        if noise is not None and not adjoint:
-            state = noise.apply_after_cnot(state, control, target)
+    """One layer's CNOT ring: one basis permutation noiseless, else one
+    ``apply_after_cnot(..., cnot=True)`` per CNOT; with ``adjoint=True`` its
+    adjoint, pairs reversed (CNOT is its own adjoint)."""
+    ring = layout.cnot_ring[::-1] if adjoint else layout.cnot_ring
+    if noise is None:
+        return apply_cnot(state, *zip(*ring)) if ring else state
+    for control, target in ring:
+        state = noise.apply_after_cnot(state, control, target,
+                                       adjoint=adjoint, cnot=True)
     return state
 
 
@@ -224,9 +234,11 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
     it joins any nonempty range ending there. An empty range (first =
     last + 1) returns ``state``. With ``adjoint=True`` the range's map E
     runs backwards as its adjoint, taking an observable O to E^dagger(O):
-    tr(O E(rho)) = tr(E^dagger(O) rho). A noise model is any object with
-    ``apply_after_cnot(state, control, target, adjoint=False)`` and
-    ``apply_final(state, adjoint=False)`` hooks; None is noiseless.
+    tr(O E(rho)) = tr(E^dagger(O) rho). A noiseless forward run also takes
+    a statevector. A noise model is any object with hooks
+    ``apply_after_cnot(state, control, target, adjoint=False, cnot=False)``,
+    the channel after CNOT(control, target) and with ``cnot=True`` the CNOT
+    too, and ``apply_final(state, adjoint=False)``; None is noiseless.
     ``unitary`` builds a layer's unitary from its angles (``_layer_unitary``).
     """
     theta = np.asarray(theta, dtype=float)
@@ -241,6 +253,8 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
         raise ValueError(f"layers {first}..{last} outside 1..{layout.L}")
     if state is None:
         state = zero_state(layout.n)
+    elif state.ndim == 1 and (noise is not None or adjoint):
+        raise ValueError("a statevector runs noiseless and forward only")
     build = _layer_unitary if unitary is None else unitary
     final = noise is not None and first <= last == layout.L
     angles = theta.reshape(layout.L, layout.n, 3)
@@ -253,7 +267,7 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
         return state
     for layer in range(first, last + 1):
         u = build(angles[layer - 1])
-        state = apply_ring(layout, u @ state @ u.conj().T, noise)
+        state = apply_ring(layout, rotate(u, state), noise)
     if final:
         state = noise.apply_final(state)
     return state

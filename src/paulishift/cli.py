@@ -381,13 +381,11 @@ def cmd_dist(args) -> int:
              "var_g": summary.var_g, "r_var": summary.r_var,
              "config": config_to_dict(config)}
     if config.noise.kind == "cnot_pauli":
+        hashes = [_weights_hash(c.weights) for c in summary.channels]
         if config.noise.redraw_weights:
-            extra["weights_hashes"] = [
-                _weights_hash(config.noise_for_set(s).weights)
-                for s in range(config.parameter_sets)]
+            extra["weights_hashes"] = hashes
         else:
-            extra["weights_hash"] = _weights_hash(
-                config.noise_for_set(0).weights)
+            extra["weights_hash"] = hashes[0]
     manifest = RunManifest(
         config_hash=config_digest(config_to_dict(config)),
         master_seed=config.master_seed, started=started, finished=_now(),

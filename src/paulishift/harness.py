@@ -44,7 +44,7 @@ import numpy as np
 from . import analytics, noise as noise_mod
 from .circuits import (AnsatzLayout, PauliObservable, _layer_unitary,
                        apply_ring, build_ansatz, cyclic_observable, evolve,
-                       expectation, shifted)
+                       expectation, rotate, shifted, zero_state)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -244,11 +244,12 @@ class _FunctionCache:
     grid is cut at the target's lowest (a) and highest (b) layer: between
     the state after layers 1..a-1 and the observable pulled back through the
     final hook, layers L..b+1 and layer b's CNOT ring, a point in one layer
-    costs one layer unitary, one U rho U^dagger and one trace. Values and
-    cut ends are built once, keyed by noiselessness: one cache serves the
-    clean circuit and one channel; so are layer unitaries, within
-    ``_HELD_UNITARY_BYTES``. The global channel runs no circuit; it scales
-    every traceless expectation by 1 - eta, exactly.
+    costs one layer unitary, one U rho U^dagger (U psi noiseless: clean
+    states are statevectors) and one trace. Values and cut ends are built
+    once, keyed by noiselessness: one cache serves the clean circuit and one
+    channel; so are layer unitaries, within ``_HELD_UNITARY_BYTES``. The
+    global channel runs no circuit; it scales every traceless expectation by
+    1 - eta, exactly.
     """
 
     def __init__(self, layout, theta, obs):
@@ -285,28 +286,38 @@ class _FunctionCache:
 
     def _full(self, shifts, noise) -> float:
         point = shifted(self.layout, self.theta, dict(shifts))
-        return expectation(evolve(self.layout, point, noise,
-                                  unitary=self._unitary), self.obs)
+        return expectation(evolve(self.layout, point, noise, None,
+                                  self._start(noise), unitary=self._unitary),
+                           self.obs)
 
     def _grid(self, angles, noise) -> np.ndarray:
         layout = self.layout
-        a = min(layer for _, layer, _ in angles)
-        b = max(layer for _, layer, _ in angles)
+        layers = [layer for _, layer, _ in angles]
+        a, b = min(layers), max(layers)
         start = self._memo(("forward", a), noise, self._forward)
         obs = self._memo(("back", b), noise, self._back)
         grid = np.empty((3,) * len(angles))
+        segments = {None: start}  # a..b-1 see only the layer-a angle's shift
         for idx in np.ndindex(grid.shape):
             point = shifted(layout, self.theta,
                             {angle: _GRID[i] for angle, i in zip(angles, idx)})
-            state = start if a == b else evolve(
-                layout, point, noise, (a, b - 1), start, unitary=self._unitary)
+            i = idx[layers.index(a)] if a < b else None
+            if i not in segments:
+                segments[i] = evolve(layout, point, noise, (a, b - 1), start,
+                                     unitary=self._unitary)
             u = self._unitary(point.reshape(layout.L, layout.n, 3)[b - 1])
-            grid[idx] = expectation(u @ state @ u.conj().T, obs)
+            grid[idx] = expectation(rotate(u, segments[i]), obs)
         return grid
+
+    def _start(self, noise) -> np.ndarray:
+        """|0...0>, as a statevector when noiseless."""
+        if noise is not None:
+            return zero_state(self.layout.n)
+        return np.eye(1, 2 ** self.layout.n, dtype=complex)[0]
 
     def _forward(self, a: int, noise) -> np.ndarray:
         return evolve(self.layout, self.theta, noise, (1, a - 1),
-                      unitary=self._unitary)
+                      self._start(noise), unitary=self._unitary)
 
     def _back(self, b: int, noise) -> np.ndarray:
         obs = self.obs.matrix()
@@ -564,6 +575,7 @@ class DistributionSummary:
     var_g: float
     r_var: float | None  # None when var_g is numerically zero
     eta_total: float
+    channels: tuple  # each set's noise model, as drawn for its circuit
 
 
 def distribution_study(config: ExperimentConfig) -> DistributionSummary:
@@ -582,12 +594,13 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
     obs = config.observable()
     f_vals = np.empty(config.parameter_sets)
     g_vals = np.empty(config.parameter_sets)
-    for s in range(config.parameter_sets):
+    channels = tuple(map(config.noise_for_set, range(config.parameter_sets)))
+    for s, channel in enumerate(channels):
         theta = sample_parameter_set(
             layout, substream(config.master_seed, _STREAM_PARAMS, s))
         cache = _FunctionCache(layout, theta, obs)
         f = cache.exact({}, None)
-        f_noisy = cache.exact({}, config.noise_for_set(s))
+        f_noisy = cache.exact({}, channel)
         f_vals[s] = f
         g_vals[s] = (f_noisy - (1.0 - eta) * f) / eta
     var_f = float(np.var(f_vals))
@@ -595,7 +608,7 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
     r_var = var_f / var_g if var_g > 1e-15 else None
     return DistributionSummary(f_samples=f_vals, g_samples=g_vals,
                                var_f=var_f, var_g=var_g, r_var=r_var,
-                               eta_total=eta)
+                               eta_total=eta, channels=channels)
 
 
 # ── two-design moment verification ───────────────────────────────────────────

@@ -7,9 +7,11 @@ Pauli channels (depolarizing has all 15 weights eta0/15) and run through one
 kernel: a 16x16 superoperator on the pair's row and column bits.  The global
 channel is a reference model: it mixes toward the maximally mixed state, so
 every traceless observable satisfies f_noisy = (1 - eta) * f_clean exactly
-and the error-term expectation g vanishes identically.  Every hook takes
-``adjoint=True`` for its Heisenberg-picture map: the per-CNOT channels apply
-the transposed superoperator, the global one O -> (1 - eta) O + eta tr(O) I/d.
+and the error-term expectation g vanishes identically.  With ``cnot=True``
+the per-CNOT hook applies the CNOT too, for a Pauli channel S one pass of
+S K (K the CNOT's pair permutation).  Every hook takes ``adjoint=True`` for
+its Heisenberg-picture map: the per-CNOT channels apply the transposes S^T
+and K S^T, the global one O -> (1 - eta) O + eta tr(O) I/d.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import PAULI, check_pair
+from .circuits import PAULI, apply_cnot, check_pair, qubit_count
 
 # The 15 non-identity two-qubit Pauli labels, in fixed row-major order
 # (first letter acts on the channel's first qubit).
@@ -38,6 +40,8 @@ def _pair_conjugation(label: str) -> np.ndarray:
 # P rho P on the pair's 4x4 block, as 16x16 maps on its row-major vec.
 _PAIR_CONJUGATIONS = np.stack([_pair_conjugation(label)
                                for label in TWO_QUBIT_PAULI_LABELS])
+# CNOT from the pair's first qubit to its second: C (x) C on the same vec.
+_CNOT_PAIR = np.kron(*[np.eye(4)[[0, 1, 3, 2]]] * 2)
 
 
 def pauli_channel_superoperator(weights) -> np.ndarray:
@@ -68,6 +72,7 @@ def _pair_axes(n: int, j: int, k: int):
     Row and column indices each split as (before, bit, between, bit, after)
     around the lower and the higher qubit of the pair.
     """
+    check_pair(n, j, k)
     lo, hi = min(j, k), max(j, k)
     split = (2 ** (lo - 1), 2, 2 ** (hi - lo - 1), 2, 2 ** (n - hi))
     rj, rk = (1, 3) if j < k else (3, 1)
@@ -84,16 +89,21 @@ def apply_pair_superoperator(state: np.ndarray, j: int, k: int,
     X, one column per setting of the other qubits, and replaced by
     superop @ X: O(16 d^2) work instead of d^3 matrix products.
     """
-    n = check_pair(state, j, k)
     if np.iscomplexobj(superop):
         raise ValueError("superoperator must be real, as Pauli channels are")
-    split, order, inverse = _pair_axes(n, j, k)
+    split, order, inverse = _pair_axes(qubit_count(state), j, k)
     x = np.ascontiguousarray(state.reshape(split).transpose(order),
                              dtype=complex)
     # A real superoperator maps real and imaginary parts alike, so it acts
     # on the float view, half the work of a complex product.
     y = (superop @ x.reshape(16, -1).view(float)).view(complex)
     return y.reshape(x.shape).transpose(inverse).reshape(state.shape)
+
+
+def _pair_maps(weights) -> np.ndarray:
+    """The Pauli channel's superoperator S and the CNOT then it, S K."""
+    superop = pauli_channel_superoperator(weights)
+    return np.stack([superop, superop @ _CNOT_PAIR])
 
 
 # ── noise models ─────────────────────────────────────────────────────────────
@@ -105,10 +115,11 @@ class _NoFinal:
 
 @dataclass(frozen=True)
 class NoNoise(_NoFinal):
-    """The noiseless model; both hooks are identities."""
+    """The noiseless model: no channel, at most the CNOT."""
 
-    def apply_after_cnot(self, state, control, target, adjoint=False):
-        return state
+    def apply_after_cnot(self, state, control, target, adjoint=False,
+                         cnot=False):
+        return apply_cnot(state, control, target) if cnot else state
 
 
 @dataclass(frozen=True)
@@ -116,17 +127,18 @@ class CnotDepolarizing(_NoFinal):
     """Uniform depolarizing channel with rate eta0 after every CNOT."""
 
     eta0: float
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
+    maps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.eta0 < 1.0:
             raise ValueError(f"eta0 must be in [0, 1), got {self.eta0}")
-        object.__setattr__(self, "superop", pauli_channel_superoperator(
-            (self.eta0 / 15.0,) * 15))
+        object.__setattr__(self, "maps", _pair_maps((self.eta0 / 15.0,) * 15))
 
-    def apply_after_cnot(self, state, control, target, adjoint=False):
-        superop = self.superop.T if adjoint else self.superop
-        return apply_pair_superoperator(state, control, target, superop)
+    def apply_after_cnot(self, state, control, target, adjoint=False,
+                         cnot=False):
+        superop = self.maps[int(cnot)]
+        return apply_pair_superoperator(state, control, target,
+                                        superop.T if adjoint else superop)
 
 
 @dataclass(frozen=True)
@@ -134,16 +146,18 @@ class CnotPauliChannel(_NoFinal):
     """General Pauli channel with fixed weights after every CNOT."""
 
     weights: tuple[float, ...]
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
+    maps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "superop", pauli_channel_superoperator(w))
+        object.__setattr__(self, "maps", _pair_maps(w))
 
-    def apply_after_cnot(self, state, control, target, adjoint=False):
-        superop = self.superop.T if adjoint else self.superop
-        return apply_pair_superoperator(state, control, target, superop)
+    def apply_after_cnot(self, state, control, target, adjoint=False,
+                         cnot=False):
+        superop = self.maps[int(cnot)]
+        return apply_pair_superoperator(state, control, target,
+                                        superop.T if adjoint else superop)
 
 
 @dataclass(frozen=True)
@@ -156,8 +170,9 @@ class GlobalDepolarizing:
         if not 0.0 <= self.eta < 1.0:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
 
-    def apply_after_cnot(self, state, control, target, adjoint=False):
-        return state
+    def apply_after_cnot(self, state, control, target, adjoint=False,
+                         cnot=False):
+        return apply_cnot(state, control, target) if cnot else state
 
     def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
         d = state.shape[0]

@@ -34,6 +34,13 @@ def random_mixed_state(n, seed):
     return rho / np.trace(rho).real
 
 
+def random_hermitian(n, rng):
+    """A generic Hermitian 2^n x 2^n matrix, such as an observable."""
+    shape = (2 ** n, 2 ** n)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return g + g.conj().T
+
+
 def embedded(n, factors):
     """kron of the given single-qubit matrices, identity elsewhere."""
     mats = [factors.get(q, PAULI["I"]) for q in range(1, n + 1)]
@@ -50,24 +57,45 @@ def pauli_sum_reference(state, j, k, weights):
     return out
 
 
+def cnot_matrix(n, control, target):
+    """CNOT as the sum of projectors on the control, |0><0| + |1><1| X."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return (embedded(n, {control: p0})
+            + embedded(n, {control: p1, target: PAULI["X"]}))
+
+
+def dense_layer(layout, theta, layer):
+    """The layer's rotation blocks as one embedded dense unitary."""
+    blocks = {}
+    for q in range(1, layout.n + 1):
+        u = np.eye(2)
+        for s, axis in zip((1, 2, 3), "ZYZ"):
+            angle = theta[layout.flat_index(layer, q, s)]
+            u = rotation_matrix(axis, angle) @ u
+        blocks[q] = u
+    return embedded(layout.n, blocks)
+
+
 def dense_evolve(layout, theta, weights):
     """Reference circuit: dense layer unitaries and CNOT matrices, with the
     Kraus-sum Pauli channel after every CNOT."""
-    n = layout.n
-    rho = zero_state(n)
+    rho = zero_state(layout.n)
     for layer in range(1, layout.L + 1):
-        blocks = {}
-        for q in range(1, n + 1):
-            u = np.eye(2)
-            for s, axis in zip((1, 2, 3), "ZYZ"):
-                angle = theta[layout.flat_index(layer, q, s)]
-                u = rotation_matrix(axis, angle) @ u
-            blocks[q] = u
-        u = embedded(n, blocks)
+        u = dense_layer(layout, theta, layer)
         rho = u @ rho @ u.conj().T
         for c, t in layout.cnot_ring:
-            p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-            cx = embedded(n, {c: p0}) + embedded(n, {c: p1, t: PAULI["X"]})
+            cx = cnot_matrix(layout.n, c, t)
             rho = cx @ rho @ cx
             rho = pauli_sum_reference(rho, c, t, weights)
     return rho
+
+
+def dense_statevector(layout, theta):
+    """Reference noiseless circuit on |0...0> as a statevector."""
+    psi = np.zeros(2 ** layout.n, dtype=complex)
+    psi[0] = 1.0
+    for layer in range(1, layout.L + 1):
+        psi = dense_layer(layout, theta, layer) @ psi
+        for c, t in layout.cnot_ring:
+            psi = cnot_matrix(layout.n, c, t) @ psi
+    return psi

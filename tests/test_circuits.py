@@ -4,10 +4,13 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from dense_oracle import check_state, embedded
+from dense_oracle import (check_state, cnot_matrix, dense_evolve,
+                          dense_statevector, embedded, random_hermitian,
+                          random_mixed_state)
 
+from paulishift import circuits
 from paulishift.circuits import (PAULI, PauliObservable, _layer_unitary,
-                                 apply_cnot,
+                                 apply_cnot, apply_ring,
                                  build_ansatz, cyclic_observable, evolve,
                                  expectation, rotation_matrix, shifted,
                                  zero_state)
@@ -289,3 +292,83 @@ class TestEvolve:
             evolve(layout, np.zeros(5))
         with pytest.raises(ValueError):
             evolve(layout, np.zeros((4, 3)))
+
+
+def _basis_vector(n):
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[0] = 1.0
+    return psi
+
+
+class TestStatevectors:
+    """Noiseless circuits on statevectors against the dense oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_evolve_and_expectation_match_dense_oracle(self, n, L):
+        layout = build_ansatz(n, L)
+        rng = np.random.default_rng(80 + 10 * n + L)
+        theta = sample_parameter_set(layout, rng)
+        psi = evolve(layout, theta, state=_basis_vector(n))
+        np.testing.assert_allclose(psi, dense_statevector(layout, theta),
+                                   rtol=0, atol=1e-12)
+        rho = dense_evolve(layout, theta, (0.0,) * 15)
+        np.testing.assert_allclose(np.outer(psi, psi.conj()), rho, rtol=0,
+                                   atol=1e-12)
+        matrix = random_hermitian(n, rng)
+        for obs, m in ((cyclic_observable(n), cyclic_observable(n).matrix()),
+                       (matrix, matrix)):
+            assert abs(expectation(psi, obs)
+                       - np.trace(rho @ m).real) < 1e-12
+        head = evolve(layout, theta, None, (1, 1), _basis_vector(n))
+        np.testing.assert_allclose(evolve(layout, theta, None, (2, L), head),
+                                   psi, rtol=0, atol=1e-14)
+
+    def test_statevectors_run_noiseless_and_forward_only(self):
+        layout = build_ansatz(2, 1)
+        theta = np.zeros(layout.parameter_count)
+        with pytest.raises(ValueError):
+            evolve(layout, theta, CnotDepolarizing(0.1),
+                   state=_basis_vector(2))
+        with pytest.raises(ValueError):
+            evolve(layout, theta, state=_basis_vector(2), adjoint=True)
+        with pytest.raises(ValueError):
+            expectation(_basis_vector(3), cyclic_observable(2))
+
+
+class TestNoiselessRing:
+    """A layer's noiseless CNOT ring is one basis permutation."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_ring_matches_dense_cnots(self, n):
+        layout = build_ansatz(n, 1)
+        ring = np.eye(2 ** n)
+        for c, t in layout.cnot_ring:
+            ring = cnot_matrix(n, c, t) @ ring
+        rng = np.random.default_rng(90 + n)
+        rho, obs = random_mixed_state(n, 91 + n), random_hermitian(n, rng)
+        psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        np.testing.assert_allclose(apply_ring(layout, rho),
+                                   ring @ rho @ ring.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(apply_ring(layout, obs, adjoint=True),
+                                   ring.T @ obs @ ring, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(apply_ring(layout, psi), ring @ psi,
+                                   rtol=0, atol=1e-12)
+
+    def test_one_gather_per_ring(self, monkeypatch):
+        """The whole ring is one apply_cnot call, bit for bit the CNOTs
+        applied one at a time."""
+        layout = build_ansatz(4, 1)
+        rho = random_mixed_state(4, 97)
+        one_by_one = rho
+        for c, t in layout.cnot_ring:
+            one_by_one = apply_cnot(one_by_one, c, t)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return apply_cnot(*args)
+
+        monkeypatch.setattr(circuits, "apply_cnot", counting)
+        assert np.array_equal(apply_ring(layout, rho), one_by_one)
+        assert calls == [((1, 2, 3, 4), (2, 3, 4, 1))]

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -461,7 +462,7 @@ parameter_sets = 3
 experiments_per_set = 5
 master_seed = 101
 schemes = ps,nfd,hfd
-""", "6a9e88f128bbac739a54e74fdf37d925b6dc66548b716340b6e9e57b88940c1b"),
+""", "ae234e6958616006dc0e40c25a1be43cbd9963c3a0ab0d289fc714c58615498c"),
         "pauli": ("""\
 [circuit]
 n = 3
@@ -478,7 +479,7 @@ experiments_per_set = 5
 master_seed = 103
 schemes = hfd,ps,nfd,hsps
 targets = offdiag,gradient,diag
-""", "c687a04e79c96b13dc08d0e404061c715c48a1cd64c9b76a82bc3b810e2f2425"),
+""", "430670283c9e0b675213c97bed607631f6769443decf060266d74fa10b8c6fe3"),
     }
 
     @pytest.mark.parametrize("stem", sorted(GOLDEN))
@@ -510,6 +511,34 @@ class TestDistCommand:
         manifest = json.loads((out / "pauli.manifest.json").read_text())
         assert "weights_hash" in manifest
         assert manifest["r_var"] is None or manifest["r_var"] > 0
+
+    def test_each_redrawn_channel_is_drawn_once(self, tmp_path, monkeypatch,
+                                                capsys):
+        """The manifest hashes the channels the study drew: one draw per set,
+        and the hashes of independent draws."""
+        cfg = tmp_path / "redraw.cfg"
+        cfg.write_text(GOOD_CONFIG
+                       .replace("kind = global_depolarizing",
+                                "kind = cnot_pauli\nredraw_weights = true")
+                       .replace("rate = 0.3", "rate = 0.1"))
+        config, errors = load_config(str(cfg))
+        assert not errors
+        want = [cli._weights_hash(config.noise_for_set(s).weights)
+                for s in range(config.parameter_sets)]
+        draw = harness.ExperimentConfig.noise_for_set
+        drawn = []
+
+        def counting(self, set_index):
+            drawn.append(set_index)
+            return draw(self, set_index)
+
+        monkeypatch.setattr(harness.ExperimentConfig, "noise_for_set",
+                            counting)
+        out = tmp_path / "results"
+        assert main(["dist", str(cfg), "--out", str(out)]) == 0
+        assert drawn == list(range(config.parameter_sets))
+        manifest = json.loads((out / "redraw.manifest.json").read_text())
+        assert manifest["weights_hashes"] == want
 
     def test_global_noise_r_var_is_null(self, config_file, tmp_path, capsys):
         out = tmp_path / "results"
@@ -573,15 +602,29 @@ class TestVerifyCommand:
             "mc_oracle"]
 
     def test_format_docs_name_every_verify_row(self):
-        """The verify table in docs/formats.md lists exactly verify's rows."""
+        """The verify table in docs/formats.md lists exactly verify's rows,
+        each with the numbers of its verify size in order."""
         text = (Path(__file__).resolve().parent.parent / "docs"
                 / "formats.md").read_text()
         section = text.split("## Verify report", 1)[1].split("\n## ", 1)[0]
-        documented = {line.split("|")[1].strip().strip("`")
-                      for line in section.splitlines()
-                      if line.startswith("| `")}
-        assert documented == {row.name for row in invariants.CRITERIA
-                              if row.verify is not None}
+        documented = {cells[1].strip().strip("`"): cells[2]
+                      for cells in (line.split("|")
+                                    for line in section.splitlines()
+                                    if line.startswith("| `"))}
+
+        def numbers(size):
+            if isinstance(size, dict):
+                size = tuple(size.values())
+            if isinstance(size, tuple):
+                return [x for item in size for x in numbers(item)]
+            return [size] if isinstance(size, (int, float)) else []
+
+        rows = {row.name: row for row in invariants.CRITERIA
+                if row.verify is not None}
+        assert documented.keys() == rows.keys()
+        for name, cell in documented.items():
+            assert [float(x) for x in re.findall(r"\d+(?:\.\d+)?", cell)
+                    ] == numbers(rows[name].verify), name
 
 
 class TestOutputFormatting:

@@ -258,6 +258,41 @@ class TestShiftReconstruction:
         assert len(rings) == 2 * (1 + 3 + 1) == 10
 
 
+    def test_cross_layer_grid_runs_one_segment_per_first_angle_shift(
+            self, monkeypatch):
+        """A pair across layers a < b runs layers a..b-1 once per shift of
+        its layer-a angle (3 runs, 9 before), whichever of its two angles
+        sits in layer a, with the values of one run per point to the bit."""
+        layout, obs = build_ansatz(3, 4), cyclic_observable(3)
+        theta = sample_parameter_set(layout, np.random.default_rng(8))
+        segments = []
+
+        def counting_evolve(*args, **kwargs):
+            segments.append(args[3] == (2, 2))
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evolve", counting_evolve)
+        for target in (OffDiagHessian(1, 2, 2, 3, 3, 1),
+                       OffDiagHessian(3, 3, 1, 1, 2, 3)):
+            angles = harness._angles(target)
+            for channel in (None, noise.CnotDepolarizing(0.05)):
+                cache = harness._FunctionCache(layout, theta, obs)
+                segments.clear()
+                grid = cache._memo(("grid", angles), channel, cache._grid)
+                assert sum(segments) == 3
+                clean = channel is None
+                start = cache._values[(clean, "forward", 2)]
+                back = cache._values[(clean, "back", 3)]
+                for idx in np.ndindex(3, 3):
+                    point = shifted(layout, theta, {
+                        a: harness._GRID[i] for a, i in zip(angles, idx)})
+                    state = evolve(layout, point, channel, (2, 2), start,
+                                   unitary=cache._unitary)
+                    u = cache._unitary(point.reshape(4, 3, 3)[2])
+                    assert grid[idx] == expectation(
+                        circuits.rotate(u, state), back)
+
+
 class TestPlanAgainstOracle:
     """Grid values and spec means against full circuits and the dense
     reference, with the targets in layer 1, in layer L and across layers."""

@@ -3,11 +3,12 @@ import itertools
 
 import numpy as np
 import pytest
-from dense_oracle import (check_state, dense_evolve, pauli_sum_reference,
+from dense_oracle import (check_state, cnot_matrix, dense_evolve,
+                          pauli_sum_reference, random_hermitian,
                           random_mixed_state)
 
-from paulishift.circuits import (build_ansatz, cyclic_observable, evolve,
-                                 expectation, zero_state)
+from paulishift.circuits import (apply_ring, build_ansatz, cyclic_observable,
+                                 evolve, expectation, zero_state)
 from paulishift.harness import (ExperimentConfig, NoiseSpec,
                                 distribution_study, sample_parameter_set,
                                 substream)
@@ -190,6 +191,53 @@ class TestAdjoints:
                 rho, obs,
                 lambda x: apply_pair_superoperator(x, j, k, superop),
                 lambda x: apply_pair_superoperator(x, j, k, superop.T))
+
+
+class TestFusedCnotChannels:
+    """With ``cnot=True`` a per-CNOT hook is the CNOT and its channel in one
+    superoperator pass, S K, and its adjoint hook K S^T."""
+
+    @staticmethod
+    def _models(rng):
+        weights = random_pauli_weights(0.12, rng)
+        return ((CnotDepolarizing(0.06), (0.004,) * 15),
+                (CnotPauliChannel(weights), weights),
+                (NoNoise(), (0.0,) * 15),
+                (GlobalDepolarizing(0.3), (0.0,) * 15))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hook_matches_dense_cnot_then_kraus_sum(self, n):
+        rng = np.random.default_rng(61 + n)
+        rho, obs = random_mixed_state(n, 62 + n), random_hermitian(n, rng)
+        for model, weights in self._models(rng):
+            for c, t in itertools.permutations(range(1, n + 1), 2):
+                cx = cnot_matrix(n, c, t)
+                out = model.apply_after_cnot(rho, c, t, cnot=True)
+                ref = pauli_sum_reference(cx @ rho @ cx, c, t, weights)
+                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+                TestAdjoints._pair(
+                    rho, obs,
+                    lambda x: model.apply_after_cnot(x, c, t, cnot=True),
+                    lambda x: model.apply_after_cnot(x, c, t, adjoint=True,
+                                                     cnot=True))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_noisy_ring_and_its_adjoint(self, n):
+        """A whole noisy ring against the dense CNOTs and Kraus sums; its
+        adjoint passes the trace identity."""
+        rng = np.random.default_rng(71 + n)
+        layout = build_ansatz(n, 1)
+        rho, obs = random_mixed_state(n, 72 + n), random_hermitian(n, rng)
+        for model, weights in self._models(rng)[:2]:
+            ref = rho
+            for c, t in layout.cnot_ring:
+                cx = cnot_matrix(n, c, t)
+                ref = pauli_sum_reference(cx @ ref @ cx, c, t, weights)
+            np.testing.assert_allclose(apply_ring(layout, rho, model), ref,
+                                       rtol=0, atol=1e-12)
+            TestAdjoints._pair(
+                rho, obs, lambda x: apply_ring(layout, x, model),
+                lambda x: apply_ring(layout, x, model, adjoint=True))
 
 
 class TestErrorRates:
