@@ -297,7 +297,7 @@ class _FunctionCache:
         start = self._memo(("forward", a), noise, self._forward)
         obs = self._memo(("back", b), noise, self._back)
         grid = np.empty((3,) * len(angles))
-        segments = {None: start}  # a..b-1 see only the layer-a angle's shift
+        segments = {None: start}  # layers a..b-1 see only the layer-a shift
         for idx in np.ndindex(grid.shape):
             point = shifted(layout, self.theta,
                             {angle: _GRID[i] for angle, i in zip(angles, idx)})
