@@ -21,7 +21,7 @@ from .estimators import DiagHessian, EstimatorSpec, Gradient, OffDiagHessian
 from .harness import (ExperimentConfig, MseEstimate, NoiseSpec,
                       distribution_study, empirical_n_star, estimator_mean,
                       exact_derivative, monte_carlo_mse,
-                      sample_parameter_set, verify_two_design)
+                      sample_parameter_set)
 from .noise import (CnotDepolarizing, CnotPauliChannel, GlobalDepolarizing,
                     NoNoise, random_pauli_weights, total_error_rate)
 
@@ -39,5 +39,4 @@ __all__ = [
     "n_star_fd", "noise_bias", "CrossoverNotFound",
     "ExperimentConfig", "NoiseSpec", "MseEstimate", "sample_parameter_set",
     "monte_carlo_mse", "empirical_n_star", "distribution_study",
-    "verify_two_design",
 ]

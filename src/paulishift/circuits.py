@@ -213,14 +213,14 @@ def rotate(u: np.ndarray, state: np.ndarray) -> np.ndarray:
 def apply_ring(layout: AnsatzLayout, state: np.ndarray, noise=None,
                adjoint: bool = False) -> np.ndarray:
     """One layer's CNOT ring: one basis permutation noiseless, else one
-    ``apply_after_cnot(..., cnot=True)`` per CNOT; with ``adjoint=True`` its
-    adjoint, pairs reversed (CNOT is its own adjoint)."""
+    ``apply_after_cnot`` per CNOT; with ``adjoint=True`` its adjoint, pairs
+    reversed (CNOT is its own adjoint)."""
     ring = layout.cnot_ring[::-1] if adjoint else layout.cnot_ring
     if noise is None:
         return apply_cnot(state, *zip(*ring)) if ring else state
     for control, target in ring:
         state = noise.apply_after_cnot(state, control, target,
-                                       adjoint=adjoint, cnot=True)
+                                       adjoint=adjoint)
     return state
 
 
@@ -236,9 +236,9 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
     runs backwards as its adjoint, taking an observable O to E^dagger(O):
     tr(O E(rho)) = tr(E^dagger(O) rho). A noiseless forward run also takes
     a statevector. A noise model is any object with hooks
-    ``apply_after_cnot(state, control, target, adjoint=False, cnot=False)``,
-    the channel after CNOT(control, target) and with ``cnot=True`` the CNOT
-    too, and ``apply_final(state, adjoint=False)``; None is noiseless.
+    ``apply_after_cnot(state, control, target, adjoint=False)``, which
+    applies CNOT(control, target) and the channel after it, and
+    ``apply_final(state, adjoint=False)``; None is noiseless.
     ``unitary`` builds a layer's unitary from its angles (``_layer_unitary``).
     """
     theta = np.asarray(theta, dtype=float)

@@ -265,6 +265,8 @@ def cmd_analytic(args) -> int:
         grid = [] if args.nstar else parse_int_grid(args.nt)
         bad = ([f"unknown target {t!r}" for t in targets
                 if t not in _TARGET_NAMES]
+               + [f"duplicate target {t!r}" for i, t in enumerate(targets)
+                  if t in targets[:i]]
                + [f"eta {e} outside [0, 1)" for e in etas if not 0 <= e < 1]
                + [f"dimension {d} below 2" for d in dims if d < 2]
                + [f"dimension above the cap 2^{_MAX_QUBITS}" for d in dims

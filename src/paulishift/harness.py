@@ -2,9 +2,8 @@
 
 Responsibilities: draw Haar-random parameter sets, run finite-shot estimator
 experiments for the five schemes (PS, NSPS, HSPS, NFD, HFD) over a copy-number
-grid, locate empirical crossings between scheme MSE curves, study the clean
-and noise-mixed function distributions, and Monte Carlo check the ensemble
-moment identities.
+grid, locate empirical crossings between scheme MSE curves, and study the
+clean and noise-mixed function distributions.
 
 Reproducibility contract: every random draw comes from a named substream of
 ``SeedSequence(master_seed, spawn_key=...)``. Spawn keys are
@@ -136,6 +135,8 @@ class ExperimentConfig:
             raise ValueError("duplicate scheme")
         if not self.targets:
             raise ValueError("target list must not be empty")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError("duplicate target")
         self.layout()  # validates n and L
 
     def layout(self) -> AnsatzLayout:
@@ -609,79 +610,3 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
     return DistributionSummary(f_samples=f_vals, g_samples=g_vals,
                                var_f=var_f, var_g=var_g, r_var=r_var,
                                eta_total=eta, channels=channels)
-
-
-# ── two-design moment verification ───────────────────────────────────────────
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    value: float
-    stderr: float
-
-
-@dataclass(frozen=True)
-class TwoDesignCheck:
-    """Monte Carlo moment estimates next to their closed-form targets."""
-
-    analytic: analytics.TwoDesignMoments
-    mean_f: MomentEstimate
-    mean_f2: MomentEstimate
-    mean_grad2: MomentEstimate
-    mean_hess_diag2: MomentEstimate
-    mean_hess_off2: MomentEstimate
-    samples: int
-
-
-def _moment_est(values: np.ndarray) -> MomentEstimate:
-    return MomentEstimate(
-        value=float(values.mean()),
-        stderr=float(values.std(ddof=1) / math.sqrt(len(values))))
-
-
-def verify_two_design(n: int, L: int, samples: int,
-                      rng: np.random.Generator | int) -> TwoDesignCheck:
-    """Monte Carlo check of the moment identities on the Haar-block ansatz.
-
-    Evaluates the exact noiseless function and its derivatives at a bulk
-    parameter location over random parameter sets and compares the sample
-    moments with the ideal two-design values. The identities assume the
-    probed gate is surrounded by scrambling sub-circuits on both sides, so
-    the probe sits in layer L // 2 + 1, where both sides are as deep as the
-    circuit allows; at small n and L the moments still deviate from the
-    two-design values by finite depth. For n = 1 the off-diagonal pair
-    reaches one layer back. Needs L >= 2 so a sandwiched layer exists.
-    """
-    if L < 2:
-        raise ValueError("need L >= 2 so the probed layer is sandwiched")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    layer = L // 2 + 1
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng), _STREAM_PARAMS)
-    layout = build_ansatz(n, L)
-    obs = cyclic_observable(n)
-    if n >= 2:
-        off = OffDiagHessian(layer=layer, qubit2=2, layer2=layer)
-    else:
-        off = OffDiagHessian(layer=layer, qubit2=1, layer2=layer - 1)
-    targets = {
-        "grad": _shift_rule(Gradient(layer=layer)),
-        "diag": _shift_rule(DiagHessian(layer=layer)),
-        "off": _shift_rule(off),
-    }
-    f = np.empty(samples)
-    derivs = {name: np.empty(samples) for name in targets}
-    for i in range(samples):
-        theta = sample_parameter_set(layout, rng)
-        cache = _FunctionCache(layout, theta, obs)
-        f[i] = cache.exact({}, None)
-        for name, spec in targets.items():
-            derivs[name][i] = cache.mean(spec, None)
-    return TwoDesignCheck(
-        analytic=analytics.two_design_moments(n),
-        mean_f=_moment_est(f),
-        mean_f2=_moment_est(f * f),
-        mean_grad2=_moment_est(derivs["grad"] ** 2),
-        mean_hess_diag2=_moment_est(derivs["diag"] ** 2),
-        mean_hess_off2=_moment_est(derivs["off"] ** 2),
-        samples=samples)

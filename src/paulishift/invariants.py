@@ -226,26 +226,40 @@ def moment_deviations(rng: np.random.Generator, size: Moments
                       ) -> tuple[list[Deviation], list[Deviation]]:
     """Criterion 9: sampled ensemble moments against the 2-design values.
 
-    Each qubit count draws from the stream state ``rng`` had on entry, so
-    adding a count leaves the others' draws alone. Returns the function
-    moments <f>, <f^2> and the derivative moments over every count.
+    Per random parameter set of an L = 6 circuit, the exact noiseless f and
+    its shift-rule derivatives. The identities assume scrambling circuits on
+    both sides of the probed gate, so the probe sits in the middle layer, 4;
+    at n = 1 the off-diagonal pair reaches back to layer 3. Each qubit count
+    draws from the stream state ``rng`` had on entry, so adding a count
+    leaves the others' draws alone. Returns the function moments <f>, <f^2>
+    and the derivative moments over every count.
     """
-    def deviation(label, est, expect):
-        rel = abs(est.value / expect - 1.0) if expect else math.inf
-        return Deviation(label, rel, abs(est.value - expect) / est.stderr)
-
     start = rng.bit_generator.state
     function, derivative = [], []
     for n in size.ns:
         rng.bit_generator.state = start
-        est = harness.verify_two_design(n, 6, size.samples, rng)
-        m = est.analytic
-        function += [deviation("<f>", est.mean_f, m.mean_f),
-                     deviation("<f^2>", est.mean_f2, m.mean_f2)]
-        derivative += [
-            deviation("<grad^2>", est.mean_grad2, m.mean_grad2),
-            deviation("<diag^2>", est.mean_hess_diag2, m.mean_hess_diag2),
-            deviation("<off^2>", est.mean_hess_off2, m.mean_hess_off2)]
+        layout, obs = build_ansatz(n, 6), cyclic_observable(n)
+        off = (OffDiagHessian(layer=4, qubit2=2, layer2=4) if n >= 2
+               else OffDiagHessian(layer=4, qubit2=1, layer2=3))
+        rules = [harness._shift_rule(t)
+                 for t in (Gradient(layer=4), DiagHessian(layer=4), off)]
+        f, grad, diag, cross = values = np.empty((4, size.samples))
+        for i in range(size.samples):
+            cache = harness._FunctionCache(
+                layout, harness.sample_parameter_set(layout, rng), obs)
+            values[:, i] = [cache.exact({}, None)] + [cache.mean(rule, None)
+                                                      for rule in rules]
+        m = analytics.two_design_moments(n)
+        for out, label, x, expect in (
+                (function, "<f>", f, m.mean_f),
+                (function, "<f^2>", f * f, m.mean_f2),
+                (derivative, "<grad^2>", grad ** 2, m.mean_grad2),
+                (derivative, "<diag^2>", diag ** 2, m.mean_hess_diag2),
+                (derivative, "<off^2>", cross ** 2, m.mean_hess_off2)):
+            mean = float(x.mean())
+            stderr = float(x.std(ddof=1) / math.sqrt(size.samples))
+            rel = abs(mean / expect - 1.0) if expect else math.inf
+            out.append(Deviation(label, rel, abs(mean - expect) / stderr))
     return function, derivative
 
 

@@ -7,11 +7,11 @@ Pauli channels (depolarizing has all 15 weights eta0/15) and run through one
 kernel: a 16x16 superoperator on the pair's row and column bits.  The global
 channel is a reference model: it mixes toward the maximally mixed state, so
 every traceless observable satisfies f_noisy = (1 - eta) * f_clean exactly
-and the error-term expectation g vanishes identically.  With ``cnot=True``
-the per-CNOT hook applies the CNOT too, for a Pauli channel S one pass of
+and the error-term expectation g vanishes identically.  Each per-CNOT hook
+applies its CNOT and channel as one pass: for a Pauli channel S, the map
 S K (K the CNOT's pair permutation).  Every hook takes ``adjoint=True`` for
-its Heisenberg-picture map: the per-CNOT channels apply the transposes S^T
-and K S^T, the global one O -> (1 - eta) O + eta tr(O) I/d.
+its Heisenberg-picture map: the per-CNOT channels apply the transpose K S^T,
+the global one O -> (1 - eta) O + eta tr(O) I/d.
 """
 from __future__ import annotations
 
@@ -100,10 +100,9 @@ def apply_pair_superoperator(state: np.ndarray, j: int, k: int,
     return y.reshape(x.shape).transpose(inverse).reshape(state.shape)
 
 
-def _pair_maps(weights) -> np.ndarray:
-    """The Pauli channel's superoperator S and the CNOT then it, S K."""
-    superop = pauli_channel_superoperator(weights)
-    return np.stack([superop, superop @ _CNOT_PAIR])
+def _cnot_then_channel(weights) -> np.ndarray:
+    """S K: the CNOT, then the Pauli channel S, on the pair's vec."""
+    return pauli_channel_superoperator(weights) @ _CNOT_PAIR
 
 
 # ── noise models ─────────────────────────────────────────────────────────────
@@ -115,11 +114,10 @@ class _NoFinal:
 
 @dataclass(frozen=True)
 class NoNoise(_NoFinal):
-    """The noiseless model: no channel, at most the CNOT."""
+    """The noiseless model: the bare CNOT."""
 
-    def apply_after_cnot(self, state, control, target, adjoint=False,
-                         cnot=False):
-        return apply_cnot(state, control, target) if cnot else state
+    def apply_after_cnot(self, state, control, target, adjoint=False):
+        return apply_cnot(state, control, target)
 
 
 @dataclass(frozen=True)
@@ -127,18 +125,18 @@ class CnotDepolarizing(_NoFinal):
     """Uniform depolarizing channel with rate eta0 after every CNOT."""
 
     eta0: float
-    maps: np.ndarray = field(init=False, repr=False, compare=False)
+    superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.eta0 < 1.0:
             raise ValueError(f"eta0 must be in [0, 1), got {self.eta0}")
-        object.__setattr__(self, "maps", _pair_maps((self.eta0 / 15.0,) * 15))
+        object.__setattr__(self, "superop",
+                           _cnot_then_channel((self.eta0 / 15.0,) * 15))
 
-    def apply_after_cnot(self, state, control, target, adjoint=False,
-                         cnot=False):
-        superop = self.maps[int(cnot)]
-        return apply_pair_superoperator(state, control, target,
-                                        superop.T if adjoint else superop)
+    def apply_after_cnot(self, state, control, target, adjoint=False):
+        return apply_pair_superoperator(
+            state, control, target,
+            self.superop.T if adjoint else self.superop)
 
 
 @dataclass(frozen=True)
@@ -146,18 +144,17 @@ class CnotPauliChannel(_NoFinal):
     """General Pauli channel with fixed weights after every CNOT."""
 
     weights: tuple[float, ...]
-    maps: np.ndarray = field(init=False, repr=False, compare=False)
+    superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "maps", _pair_maps(w))
+        object.__setattr__(self, "superop", _cnot_then_channel(w))
 
-    def apply_after_cnot(self, state, control, target, adjoint=False,
-                         cnot=False):
-        superop = self.maps[int(cnot)]
-        return apply_pair_superoperator(state, control, target,
-                                        superop.T if adjoint else superop)
+    def apply_after_cnot(self, state, control, target, adjoint=False):
+        return apply_pair_superoperator(
+            state, control, target,
+            self.superop.T if adjoint else self.superop)
 
 
 @dataclass(frozen=True)
@@ -170,9 +167,8 @@ class GlobalDepolarizing:
         if not 0.0 <= self.eta < 1.0:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
 
-    def apply_after_cnot(self, state, control, target, adjoint=False,
-                         cnot=False):
-        return apply_cnot(state, control, target) if cnot else state
+    def apply_after_cnot(self, state, control, target, adjoint=False):
+        return apply_cnot(state, control, target)
 
     def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
         d = state.shape[0]

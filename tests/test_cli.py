@@ -227,6 +227,13 @@ class TestAnalyticCommand:
         assert main(["analytic", "--d", "4", "--eta", "0.1",
                      "--nt", "1" + "0" * 400]) == 2
 
+    def test_duplicate_target_exits_2(self, capsys):
+        assert main(["analytic", "--nstar", "--targets", "gradient,gradient",
+                     "--d", "4", "--eta", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate target 'gradient'\n"
+
     def test_zero_rate_nstar_row(self, capsys):
         """At eta = 0 only the finite-difference crossing exists."""
         assert main(["analytic", "--nstar", "--targets", "gradient",
@@ -331,7 +338,9 @@ class TestMseCurvesCommand:
                  "experiment.schemse: unknown key"),
                 ("[noise]", "[nosie]", "nosie.kind: unknown key"),
                 ("nt_grid = 48,96", "nt_grid = 120000000000000000000",
-                 "nt_grid entries must be multiples of 12 in [48, 2^63 - 1]")):
+                 "nt_grid entries must be multiples of 12 in [48, 2^63 - 1]"),
+                ("targets = gradient", "targets = gradient,gradient",
+                 "config: duplicate target")):
             path.write_text(GOOD_CONFIG.replace(old, new))
             capsys.readouterr()
             assert main(["mse-curves", str(path), "--out",

@@ -19,7 +19,8 @@ from paulishift.harness import (CrossingEstimate, ExperimentConfig,
                                 MseEstimate, NoiseSpec, distribution_study,
                                 empirical_n_star, exact_derivative,
                                 monte_carlo_mse, sample_parameter_set,
-                                substream, verify_two_design)
+                                substream)
+from paulishift.invariants import Moments, moment_deviations
 from dense_oracle import dense_evolve
 
 
@@ -94,6 +95,11 @@ class TestConfigValidation:
             tiny_config(schemes=("ps", "ps"))
         with pytest.raises(ValueError):
             tiny_config(schemes=())
+
+    def test_duplicate_target_rejected(self):
+        """A repeated target would write each of its rows twice."""
+        with pytest.raises(ValueError, match="duplicate target"):
+            tiny_config(targets=(Gradient(), DiagHessian(), Gradient()))
 
     def test_counts_checked(self):
         with pytest.raises(ValueError):
@@ -498,31 +504,50 @@ class TestDistributionStudy:
 
 
 class TestTwoDesignCheck:
+    """Criterion 9's sampler, ``invariants.moment_deviations``."""
+
+    @staticmethod
+    def _squared_deviation(target, n, samples, seed, expect):
+        """(rel, sigmas) of <target^2> over the sampler's own draws."""
+        layout, obs = build_ansatz(n, 6), cyclic_observable(n)
+        rng = np.random.default_rng(seed)
+        x = np.array([exact_derivative(
+            target, layout, sample_parameter_set(layout, rng), None, obs)
+            for _ in range(samples)]) ** 2
+        mean = float(x.mean())
+        stderr = float(x.std(ddof=1) / math.sqrt(samples))
+        return abs(mean / expect - 1.0), abs(mean - expect) / stderr
 
     def test_moments_at_small_samples(self):
-        check = verify_two_design(2, 4, 400, 31415)
-        an = check.analytic
-        assert abs(check.mean_f.value) < 4 * check.mean_f.stderr
-        assert (abs(check.mean_f2.value - an.mean_f2)
-                < max(4 * check.mean_f2.stderr, 0.1 * an.mean_f2))
-        assert check.samples == 400
+        (f, f2), _ = moment_deviations(np.random.default_rng(31415),
+                                       Moments((2,), 400, 3.0))
+        assert (f.label, f2.label) == ("<f>", "<f^2>")
+        assert f.sigmas < 4
+        assert f2.sigmas < 4 or f2.rel < 0.1
 
     def test_probe_layer_defaults_to_middle(self):
-        """Identical draws give the gradient moment at layer L // 2 + 1."""
-        check = verify_two_design(2, 6, 40, 999)
-        layout, obs = build_ansatz(2, 6), cyclic_observable(2)
-        rng = substream(999, 0)
-        grads = np.array([exact_derivative(
-            Gradient(layer=4), layout, sample_parameter_set(layout, rng),
-            None, obs) for _ in range(40)])
-        assert check.mean_grad2.value == float((grads ** 2).mean())
+        """Identical draws give the gradient moment at layer 4 of L = 6."""
+        _, derivative = moment_deviations(np.random.default_rng(999),
+                                          Moments((2,), 40, 3.0))
+        expect = analytics.two_design_moments(2).mean_grad2
+        assert derivative[0] == ("<grad^2>", *self._squared_deviation(
+            Gradient(layer=4), 2, 40, 999, expect))
 
     def test_single_qubit_fallback_runs(self):
-        check = verify_two_design(1, 3, 50, 7)
-        assert math.isfinite(check.mean_hess_off2.value)
+        """At n = 1 the off-diagonal pair reaches back to layer 3."""
+        _, derivative = moment_deviations(np.random.default_rng(7),
+                                          Moments((1,), 50, 3.0))
+        expect = analytics.two_design_moments(1).mean_hess_off2
+        off = OffDiagHessian(layer=4, qubit2=1, layer2=3)
+        assert derivative[2] == ("<off^2>", *self._squared_deviation(
+            off, 1, 50, 7, expect))
+        assert all(math.isfinite(x.sigmas) for x in derivative)
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            verify_two_design(2, 1, 100, 0)
-        with pytest.raises(ValueError):
-            verify_two_design(2, 4, 1, 0)
+    def test_each_count_draws_from_the_entry_state(self):
+        """Adding n = 3 leaves the n = 2 deviations as they were, and n = 3
+        draws what it draws alone."""
+        def at(ns):
+            return moment_deviations(np.random.default_rng(11),
+                                     Moments(ns, 30, 3.0))
+        (f_2, d_2), (f_3, d_3), (f_23, d_23) = at((2,)), at((3,)), at((2, 3))
+        assert (f_23, d_23) == (f_2 + f_3, d_2 + d_3)
