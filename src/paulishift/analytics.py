@@ -172,8 +172,7 @@ def mse_fd(target, d: int, epsilon: float, eta: float, g: float,
 
 def lambda_opt(target, d: int, n_total: float) -> float:
     """Noise-free optimal scaling of the shift rule; always in (0, 1]."""
-    if n_total < 1:
-        raise ValueError("n_total must be at least 1")
+    _check_common(0.0, 0.0, n_total)
     kind = _kind(target)
     nt = float(n_total)
     if kind == "gradient":
@@ -194,10 +193,7 @@ def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> float:
     Minimizes the g-dropped upper bound of the scaled-shift MSE:
     lambda* = (1-eta) M N_T / [c (1 - (1-eta)^2 <f^2>) + (1-eta)^2 M N_T].
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError("eta must lie in [0, 1)")
-    if n_total < 1:
-        raise ValueError("n_total must be at least 1")
+    _check_common(eta, 0.0, n_total)
     kind = _kind(target)
     if eta == 0.0:
         return lambda_opt(kind, d, n_total)
@@ -226,14 +222,6 @@ def _fd_total(kind: str, d: int, eta: float, n_total: float, sinc=_sinc):
     return total
 
 
-def _mse_fd_scan(kind: str, d: int, eps: np.ndarray, eta: float,
-                 n_total: float) -> np.ndarray:
-    """``mse_fd(kind, d, e, eta, 0.0, n_total).total`` for every e in eps,
-    as one array expression of the same formula."""
-    return _fd_total(kind, d, eta, n_total,
-                     lambda x: np.sinc(x / math.pi))(eps)
-
-
 _EPS_GRID = np.geomspace(_EPS_LO, 2.0 * math.pi - _EPS_LO, 512)
 
 
@@ -241,7 +229,8 @@ _EPS_GRID = np.geomspace(_EPS_LO, 2.0 * math.pi - _EPS_LO, 512)
 def _epsilon_opt_cached(kind: str, d: int, n_total: float,
                         eta: float) -> float:
     objective = _fd_total(kind, d, eta, n_total)
-    values = _mse_fd_scan(kind, d, _EPS_GRID, eta, n_total)
+    values = _fd_total(kind, d, eta, n_total,
+                       lambda x: np.sinc(x / math.pi))(_EPS_GRID)
     interior = np.flatnonzero((values[1:-1] < values[:-2])
                               & (values[1:-1] <= values[2:])) + 1
     if len(interior) > 1:
@@ -283,14 +272,9 @@ def epsilon_opt(target, d: int, n_total: float,
     Search domain [1e-6, 2*pi - 1e-6], golden-section refinement of
     a 512-point log-spaced scan, absolute tolerance 1e-9 on epsilon.
     """
-    if n_total < 1:
-        raise ValueError("n_total must be at least 1")
-    kind = _kind(target)
-    if eta is None or eta == 0.0:
-        return _epsilon_opt_cached(kind, d, float(n_total), 0.0)
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in [0, 1)")
-    return _epsilon_opt_cached(kind, d, float(n_total), float(eta))
+    eta = float(eta or 0.0)  # None is the noise-free step
+    _check_common(eta, 0.0, n_total)
+    return _epsilon_opt_cached(_kind(target), d, float(n_total), eta)
 
 
 def epsilon_opt_asymptotic(target, d: int, n_total: float) -> float:
@@ -300,8 +284,7 @@ def epsilon_opt_asymptotic(target, d: int, n_total: float) -> float:
     (eps^2/24 per sinc factor) gives constants 1152, 2592, 2304 and powers
     1/6, 1/8, 1/8 for gradient, diagonal and off-diagonal targets.
     """
-    if n_total < 1:
-        raise ValueError("n_total must be at least 1")
+    _check_common(0.0, 0.0, n_total)
     kind = _kind(target)
     moments = _moments(d)
     s0 = d / (d + 1.0)

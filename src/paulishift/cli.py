@@ -12,19 +12,21 @@ Subcommands:
 * ``verify``     - run the built-in invariant suite and report pass/fail.
 
 File outputs land in ``--out`` (default: $PAULISHIFT_OUTDIR or the working
-directory). Every file-producing run writes a manifest JSON naming its
-outputs, the config hash and the tool version. CSV floats are printed with 17
-significant digits; given the same config and seed the bytes are identical
-for any worker count.
+directory), made and checked before any run. Every file-producing run writes
+a manifest JSON naming its outputs, the config hash and the tool version;
+``mse-curves`` and ``dist`` share ``_run_config`` and differ in their CSVs.
+CSV floats are printed with 17 significant digits; given the same config and
+seed the bytes are identical for any worker count.
 
 Exit codes: 0 success, 1 experiment or invariant failure, 2 usage or config
-error.
+error, or an output that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -55,11 +57,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _out_dir(args) -> str:
+def _out_path(args, name: str) -> str:
+    """``name`` in the out dir, made if missing; OSError if either fails."""
     out = getattr(args, "out", None) or os.environ.get("PAULISHIFT_OUTDIR",
                                                        ".")
     os.makedirs(out, exist_ok=True)
-    return out
+    path = os.path.join(out, name)
+    if not os.path.isdir(os.path.dirname(path)):
+        raise FileNotFoundError(f"no directory for {path!r}")
+    return path
 
 
 def _write_rows(fh, header: list[str], rows: list[list]) -> None:
@@ -98,8 +104,8 @@ class RunManifest:
                "finished": self.finished,
                "outputs": self.outputs}
         doc.update(self.extra)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        with open(path, "w") as fh:  # RFC 8259 JSON: no NaN or infinity
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -155,11 +161,16 @@ def load_config(path: str):
 
     Errors carry ``section.key`` field paths. A non-empty error list means
     the config is unusable and ``config`` is None. A key that is never read
-    is an error, so a misspelt key or section cannot go unnoticed.
+    is an error, so a misspelt key or section cannot go unnoticed. Values
+    are literal (no % interpolation); a file that cannot be decoded or
+    parsed is one error.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     errors: list[str] = []
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeError) as exc:
+        return None, [" ".join(str(exc).split())]
     if not read:
         return None, [f"{path}: cannot read config file"]
     known: set[tuple[str, str]] = set()
@@ -180,7 +191,6 @@ def load_config(path: str):
 
     n = take("circuit", "n", int, required=True)
     L = take("circuit", "L", int, required=True)
-    axis = take("circuit", "axis_pattern", str, default="zyz")
     kind = take("noise", "kind", str, default="none")
     rate = take("noise", "rate", float, default=0.0)
     redraw = take("noise", "redraw_weights", _boolean, default=False)
@@ -207,9 +217,6 @@ def load_config(path: str):
             errors.append(f"experiment.targets: unknown target {name!r}")
         else:
             targets.append(_TARGET_NAMES[name]())
-    if axis.lower() != "zyz":
-        errors.append(f"circuit.axis_pattern: {axis!r} is not zyz, the only "
-                      "pattern")
     if errors:
         return None, errors
     try:
@@ -227,18 +234,11 @@ def load_config(path: str):
 
 
 def config_to_dict(config: harness.ExperimentConfig) -> dict:
-    return {
-        "n": config.n, "L": config.L, "axis_pattern": "zyz",
-        "noise": {"kind": config.noise.kind, "rate": config.noise.rate,
-                  "redraw_weights": config.noise.redraw_weights},
-        "nt_grid": list(config.nt_grid),
-        "parameter_sets": config.parameter_sets,
-        "experiments_per_set": config.experiments_per_set,
-        "master_seed": config.master_seed,
-        "schemes": list(config.schemes),
-        "targets": [target_kind(t) for t in config.targets],
-        "observable": config.observable().letters,
-    }
+    """Every field, the targets by kind, the one axis pattern (zyz) and the
+    observable: the manifest's resolved config and the input of its hash."""
+    return dict(dataclasses.asdict(config), axis_pattern="zyz",
+                targets=[target_kind(t) for t in config.targets],
+                observable=config.observable().letters)
 
 
 # ── analytic command ─────────────────────────────────────────────────────────
@@ -280,6 +280,7 @@ def cmd_analytic(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    path = _out_path(args, args.csv) if args.csv else None
     started = _now()
     cells = list(itertools.product(targets, dims, etas))
     if args.nstar:
@@ -298,8 +299,7 @@ def cmd_analytic(args) -> int:
             rows.append([kind, d, eta, nt, scheme, value, mse.finite_copy,
                          mse.approximation, mse.total])
 
-    if args.csv:
-        path = os.path.join(_out_dir(args), args.csv)
+    if path:
         _write_csv(path, header, rows)
         manifest = RunManifest(
             config_hash=config_digest({"command": "analytic",
@@ -314,59 +314,58 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-# ── mse-curves command ───────────────────────────────────────────────────────
+# ── config commands: mse-curves and dist ─────────────────────────────────────
 
-def cmd_mse_curves(args) -> int:
+def _run_config(args, run, write) -> int:
+    """Load ``args.config``, make the out dir and ``run(config)``. Then
+    ``write(result, config, prefix)`` writes CSVs named prefix + suffix
+    (prefix: the config's stem in the out dir) and returns their paths, the
+    manifest's extras and a note for the summary line."""
     config, errors = load_config(args.config)
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
+    prefix = _out_path(args,
+                       os.path.splitext(os.path.basename(args.config))[0])
     started = _now()
     try:
-        results = harness.monte_carlo_mse(config, workers=args.workers)
+        result = run(config)
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    stem = os.path.splitext(os.path.basename(args.config))[0]
-    out = _out_dir(args)
-    csv_path = os.path.join(out, f"{stem}_mse.csv")
-    rows = [[target_kind(r.target), r.scheme, r.n_total, r.mean, r.stderr]
-            for r in results]
-    _write_csv(csv_path, ["target", "scheme", "n_total", "mse_mean",
-                          "mse_stderr"], rows)
+    paths, extra, note = write(result, config, prefix)
+    resolved = config_to_dict(config)
     manifest = RunManifest(
-        config_hash=config_digest(config_to_dict(config)),
-        master_seed=config.master_seed, started=started, finished=_now(),
-        outputs=[os.path.basename(csv_path)],
-        extra={"eta_total": config.eta_total(),
-               "config": config_to_dict(config)})
-    manifest.write(os.path.join(out, f"{stem}.manifest.json"))
-    print(f"wrote {csv_path}")
+        config_hash=config_digest(resolved), master_seed=config.master_seed,
+        started=started, finished=_now(),
+        outputs=[os.path.basename(p) for p in paths],
+        extra=dict(extra, config=resolved))
+    manifest.write(prefix + ".manifest.json")
+    print(f"wrote {paths[0]}{note}")
     return 0
 
 
-# ── dist command ─────────────────────────────────────────────────────────────
+def _write_mse(results, config, prefix: str):
+    path = prefix + "_mse.csv"
+    _write_csv(path, ["target", "scheme", "n_total", "mse_mean",
+                      "mse_stderr"],
+               [[target_kind(r.target), r.scheme, r.n_total, r.mean, r.stderr]
+                for r in results])
+    return [path], {"eta_total": config.eta_total()}, ""
+
+
+def cmd_mse_curves(args) -> int:
+    return _run_config(args, lambda config: harness.monte_carlo_mse(
+        config, workers=args.workers), _write_mse)
+
 
 def _weights_hash(weights) -> str:
     return config_digest([_fmt(w) for w in weights])[:16]
 
 
-def cmd_dist(args) -> int:
-    config, errors = load_config(args.config)
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
-    started = _now()
-    try:
-        summary = harness.distribution_study(config)
-    except (ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stem = os.path.splitext(os.path.basename(args.config))[0]
-    out = _out_dir(args)
-    dist_path = os.path.join(out, f"{stem}_dist.csv")
+def _write_dist(summary, config, prefix: str):
+    dist_path = prefix + "_dist.csv"
     rows = [[i, f, g] for i, (f, g) in
             enumerate(zip(summary.f_samples, summary.g_samples))]
     _write_csv(dist_path, ["set_index", "f", "g"], rows)
@@ -374,35 +373,33 @@ def cmd_dist(args) -> int:
     edges = np.linspace(-1.0, 1.0, 41)
     count_f, _ = np.histogram(summary.f_samples, bins=edges)
     count_g, _ = np.histogram(summary.g_samples, bins=edges)
-    hist_path = os.path.join(out, f"{stem}_hist.csv")
+    hist_path = prefix + "_hist.csv"
     _write_csv(hist_path, ["bin_left", "bin_right", "count_f", "count_g"],
                [[edges[i], edges[i + 1], int(count_f[i]), int(count_g[i])]
                 for i in range(len(count_f))])
 
     extra = {"eta_total": summary.eta_total, "var_f": summary.var_f,
-             "var_g": summary.var_g, "r_var": summary.r_var,
-             "config": config_to_dict(config)}
+             "var_g": summary.var_g, "r_var": summary.r_var}
     if config.noise.kind == "cnot_pauli":
         hashes = [_weights_hash(c.weights) for c in summary.channels]
         if config.noise.redraw_weights:
             extra["weights_hashes"] = hashes
         else:
             extra["weights_hash"] = hashes[0]
-    manifest = RunManifest(
-        config_hash=config_digest(config_to_dict(config)),
-        master_seed=config.master_seed, started=started, finished=_now(),
-        outputs=[os.path.basename(dist_path), os.path.basename(hist_path)],
-        extra=extra)
-    manifest.write(os.path.join(out, f"{stem}.manifest.json"))
     r = "undefined" if summary.r_var is None else f"{summary.r_var:.4g}"
-    print(f"wrote {dist_path} (eta_total={summary.eta_total:.6g}, "
-          f"var_f={summary.var_f:.4g}, var_g={summary.var_g:.4g}, r_var={r})")
-    return 0
+    return [dist_path, hist_path], extra, (
+        f" (eta_total={summary.eta_total:.6g}, var_f={summary.var_f:.4g}, "
+        f"var_g={summary.var_g:.4g}, r_var={r})")
+
+
+def cmd_dist(args) -> int:
+    return _run_config(args, harness.distribution_study, _write_dist)
 
 
 # ── verify command ───────────────────────────────────────────────────────────
 
 def cmd_verify(args) -> int:
+    path = _out_path(args, args.json) if args.json else None
     rng = np.random.default_rng(invariants.SEED)
     report = []
     for row in invariants.CRITERIA:
@@ -422,10 +419,9 @@ def cmd_verify(args) -> int:
     doc = {"passed": all_ok, "quick": bool(args.quick),
            "tool_version": __version__, "seed": invariants.SEED,
            "invariants": report}
-    if args.json:
-        path = os.path.join(_out_dir(args), args.json)
+    if path:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         print(f"wrote {path}")
     return 0 if all_ok else 1
@@ -478,7 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # an output that cannot be made or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ class NoiseSpec:
     """Which channel to attach and at what strength.
 
     ``rate`` is the per-CNOT rate eta0 for the CNOT-attached channels and the
-    total rate eta for the global one; ignored for "none".
+    total rate eta for the global one; ignored for "none", but finite.
     ``redraw_weights`` makes the Pauli channel draw fresh weights per
     parameter set instead of sharing one fixed draw.
     """
@@ -82,6 +82,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"noise rate {self.rate} is not finite")
         if self.kind != "none" and not 0.0 < self.rate < 1.0:
             raise ValueError("noise rate must lie in (0, 1)")
         if self.redraw_weights and self.kind != "cnot_pauli":
@@ -239,11 +241,12 @@ class _FunctionCache:
     """Exact expectations at shifted parameter points of one parameter set.
 
     Every gate is exp(-i theta P / 2) and no channel depends on theta, so f,
-    clean or noisy, is a + b cos s + c sin s along each angle. Circuits run
-    only on the grid {-pi/2, 0, +pi/2}^k over a target's k <= 2 angles, one
-    array that ``value`` contracts with the grid weights of any points. The
-    grid is cut at the target's lowest (a) and highest (b) layer: between
-    the state after layers 1..a-1 and the observable pulled back through the
+    clean or noisy, is a + b cos s + c sin s along each angle. Shifted
+    values come only from the grid {-pi/2, 0, +pi/2}^k over a target's
+    k <= 2 angles, one array that ``value`` contracts with the grid weights
+    of any points; ``exact`` is f at theta from the full circuit. The grid
+    is cut at the target's lowest (a) and highest (b) layer: between the
+    state after layers 1..a-1 and the observable pulled back through the
     final hook, layers L..b+1 and layer b's CNOT ring, a point in one layer
     costs one layer unitary, one U rho U^dagger (U psi noiseless: clean
     states are statevectors) and one trace. Values and cut ends are built
@@ -272,9 +275,9 @@ class _FunctionCache:
         weights, coeffs = _point_weights(spec)
         return float(coeffs @ self.value(spec.target, weights, noise))
 
-    def exact(self, shifts, noise) -> float:
-        """f at the shifted point from the full circuit, no grid involved."""
-        return self._memo(("point", tuple(shifts.items())), noise, self._full)
+    def exact(self, noise) -> float:
+        """f at theta from the full circuit, no grid involved."""
+        return self._memo(("full", self.layout.L + 1), noise, self._full)
 
     def _memo(self, key, noise, run):
         """``run(key[1], noise)`` once per key and noiselessness."""
@@ -285,11 +288,8 @@ class _FunctionCache:
             self._values[stored] = run(key[1], noise)
         return self._values[stored]
 
-    def _full(self, shifts, noise) -> float:
-        point = shifted(self.layout, self.theta, dict(shifts))
-        return expectation(evolve(self.layout, point, noise, None,
-                                  self._start(noise), unitary=self._unitary),
-                           self.obs)
+    def _full(self, end: int, noise) -> float:
+        return expectation(self._forward(end, noise), self.obs)
 
     def _grid(self, angles, noise) -> np.ndarray:
         layout = self.layout
@@ -600,8 +600,8 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
         theta = sample_parameter_set(
             layout, substream(config.master_seed, _STREAM_PARAMS, s))
         cache = _FunctionCache(layout, theta, obs)
-        f = cache.exact({}, None)
-        f_noisy = cache.exact({}, channel)
+        f = cache.exact(None)
+        f_noisy = cache.exact(channel)
         f_vals[s] = f
         g_vals[s] = (f_noisy - (1.0 - eta) * f) / eta
     var_f = float(np.var(f_vals))

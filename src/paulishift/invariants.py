@@ -120,7 +120,7 @@ def estimator_exactness(rng: np.random.Generator,
     distinct angles. Returns the max gaps of the shift rules to central
     differences, of FD means to the sinc damping law, and of shifted values
     to the single-angle expansion. Shifted values and FD means come from
-    direct circuits (``_FunctionCache.exact``): values rebuilt from the
+    direct circuits (``exact`` at shifted angles): values rebuilt from the
     shift grid obey the damping law and the expansion by construction.
     """
     h = 1e-6
@@ -146,7 +146,8 @@ def estimator_exactness(rng: np.random.Generator,
                              for t in (g_t, d_t, o_t))
 
         def f_at(shifts):
-            return cache.exact(shifts, None)
+            return harness._FunctionCache(
+                layout, shifted(layout, theta, shifts), obs).exact(None)
 
         def grad_at(shifts):
             return harness.exact_derivative(
@@ -247,8 +248,8 @@ def moment_deviations(rng: np.random.Generator, size: Moments
         for i in range(size.samples):
             cache = harness._FunctionCache(
                 layout, harness.sample_parameter_set(layout, rng), obs)
-            values[:, i] = [cache.exact({}, None)] + [cache.mean(rule, None)
-                                                      for rule in rules]
+            values[:, i] = [cache.exact(None)] + [cache.mean(rule, None)
+                                                  for rule in rules]
         m = analytics.two_design_moments(n)
         for out, label, x, expect in (
                 (function, "<f>", f, m.mean_f),

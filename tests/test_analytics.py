@@ -253,7 +253,8 @@ class TestStepScan:
                         ref, scalar = _scalar_epsilon_opt(kind, d, nt, eta)
                         eps = analytics._epsilon_opt_cached.__wrapped__(
                             kind, d, nt, eta)
-                    scan = analytics._mse_fd_scan(kind, d, grid, eta, nt)
+                    scan = analytics._fd_total(
+                        kind, d, eta, nt, lambda x: np.sinc(x / math.pi))(grid)
                     case = (kind, d, nt, eta)
                     assert eps == ref, case
                     assert np.argmin(scan) == np.argmin(scalar), case

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and file outputs."""
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from paulishift import analytics, cli, harness, invariants
 from paulishift.cli import (canonical_json, config_digest, load_config, main,
                             parse_float_list, parse_int_grid)
+from paulishift.estimators import Gradient, OffDiagHessian
 
 GOOD_CONFIG = """\
 [circuit]
@@ -35,6 +37,19 @@ master_seed = 11
 schemes = ps,nsps
 targets = gradient
 """
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.fixture(autouse=True)
+def strict_json_outputs(tmp_path):
+    """Every manifest and report a test writes is strict JSON: no NaN or
+    infinity, which json.loads would otherwise accept."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -129,23 +144,46 @@ class TestLoadConfig:
         assert err.startswith("config error: noise.redraw_weights: 'ture'")
         assert err.count("\n") == 1
 
-    def test_axis_pattern_is_zyz_in_any_case(self, tmp_path, capsys):
+    def test_axis_pattern_is_an_unknown_key(self, tmp_path, capsys):
+        """zyz is the only pattern and no key selects it; the manifest
+        still records it, since the config hash covers it."""
         path = tmp_path / "axes.cfg"
-        for value in ("zyz", "ZYZ", "Zyz"):
+        path.write_text(GOOD_CONFIG)
+        assert main(["mse-curves", str(path), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "axes.manifest.json").read_text())
+        assert manifest["config"]["axis_pattern"] == "zyz"
+        for value in ("zyz", "xyx"):
             path.write_text(GOOD_CONFIG.replace(
                 "L = 2", f"L = 2\naxis_pattern = {value}"))
-            assert main(["mse-curves", str(path), "--out",
-                         str(tmp_path)]) == 0
-            manifest = json.loads((tmp_path / "axes.manifest.json")
-                                  .read_text())
-            assert manifest["config"]["axis_pattern"] == "zyz"
-        path.write_text(GOOD_CONFIG.replace("L = 2",
-                                            "L = 2\naxis_pattern = xyx"))
-        capsys.readouterr()
-        assert main(["mse-curves", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: circuit.axis_pattern: 'xyx'")
-        assert err.count("\n") == 1
+            capsys.readouterr()
+            assert main(["mse-curves", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == "config error: circuit.axis_pattern: unknown key\n"
+
+    def test_config_to_dict_spells_every_field(self):
+        """The resolved config equals the hand-built dict it replaced, for a
+        config whose every field differs from its default."""
+        config = harness.ExperimentConfig(
+            n=3, L=4, noise=harness.NoiseSpec("cnot_pauli", 0.07, True),
+            nt_grid=(96, 48), parameter_sets=5, experiments_per_set=7,
+            master_seed=123, schemes=("hfd", "ps"),
+            targets=(OffDiagHessian(), Gradient()))
+        want = {
+            "n": 3, "L": 4, "axis_pattern": "zyz",
+            "noise": {"kind": "cnot_pauli", "rate": 0.07,
+                      "redraw_weights": True},
+            "nt_grid": [96, 48], "parameter_sets": 5,
+            "experiments_per_set": 7, "master_seed": 123,
+            "schemes": ["hfd", "ps"], "targets": ["offdiag", "gradient"],
+            "observable": "XYZ"}
+        got = cli.config_to_dict(config)
+        assert canonical_json(got) == canonical_json(want)
+        assert config_digest(got) == config_digest(want)
+        defaults = harness.ExperimentConfig(
+            n=2, L=2, noise=harness.NoiseSpec(), nt_grid=(48,),
+            parameter_sets=1, experiments_per_set=1, master_seed=0)
+        assert all(getattr(config, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(config))
 
     # sha256 config_hash of each bundled config; the resolved config must
     # keep hashing the same, so manifests stay comparable across versions.
@@ -340,12 +378,76 @@ class TestMseCurvesCommand:
                 ("nt_grid = 48,96", "nt_grid = 120000000000000000000",
                  "nt_grid entries must be multiples of 12 in [48, 2^63 - 1]"),
                 ("targets = gradient", "targets = gradient,gradient",
-                 "config: duplicate target")):
+                 "config: duplicate target"),
+                # no NaN or infinity reaches a manifest, for any noise kind
+                ("rate = 0.3", "rate = nan",
+                 "noise: noise rate nan is not finite"),
+                ("kind = global_depolarizing\nrate = 0.3",
+                 "kind = none\nrate = inf",
+                 "noise: noise rate inf is not finite")):
             path.write_text(GOOD_CONFIG.replace(old, new))
             capsys.readouterr()
             assert main(["mse-curves", str(path), "--out",
                          str(tmp_path)]) == 2
             assert message in capsys.readouterr().err
+        # Files configparser cannot parse: one line naming file and line.
+        # Values are literal, so a % is only a bad integer. A byte that is
+        # not UTF-8 is one line too.
+        for text, message in (
+                (GOOD_CONFIG + "[circuit]\nn = 3\n",
+                 f"{str(path)!r} [line 16]: section 'circuit' already "
+                 "exists"),
+                (GOOD_CONFIG.replace("n = 2", "n = 2\nn = 3"),
+                 f"{str(path)!r} [line 3]: option 'n' in section 'circuit' "
+                 "already exists"),
+                ("seed = 1\n" + GOOD_CONFIG,
+                 "File contains no section headers. file: "
+                 f"{str(path)!r}, line: 1"),
+                (GOOD_CONFIG.replace("schemes = ps", "schemes ps"),
+                 f"Source contains parsing errors: {str(path)!r} [line 14]"),
+                (GOOD_CONFIG.replace("master_seed = 11", "master_seed = 5%"),
+                 "experiment.master_seed: invalid literal for int() with "
+                 "base 10: '5%'"),
+                (GOOD_CONFIG.replace("n = 2", "n = 2 \udcff"),
+                 "can't decode byte 0xff")):
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            capsys.readouterr()
+            for command in ("mse-curves", "dist"):
+                assert main([command, str(path), "--out",
+                             str(tmp_path)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and message in err
+                assert err.count("\n") == 1
+
+    def test_unwritable_outputs_exit_2_before_running(self, config_file,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+        """An --out that is a file, or a --csv or --json in a missing
+        directory, ends in one error line before any run."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(harness, "monte_carlo_mse", no_run)
+        monkeypatch.setattr(harness, "distribution_study", no_run)
+        monkeypatch.setattr(invariants, "CRITERIA", (
+            invariants.CRITERIA[0]._replace(measure=no_run),))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for argv in (["mse-curves", config_file, "--out", str(blocker)],
+                     ["dist", config_file, "--out", str(blocker)],
+                     ["analytic", "--d", "4", "--eta", "0.1", "--nt", "96",
+                      "--csv", "sub/x.csv", "--out", str(tmp_path)],
+                     ["verify", "--quick", "--json", "sub/v.json",
+                      "--out", str(tmp_path)],
+                     ["verify", "--json", "v.json", "--out", str(blocker)]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: "), argv
+            assert captured.err.count("\n") == 1, argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
+                                                              "run.cfg"]
 
     def test_qubit_cap_exits_2_before_allocating(self, tmp_path, capsys,
                                                  monkeypatch):

@@ -146,7 +146,8 @@ def _weights(target, shifts):
 
 
 class TestShiftReconstruction:
-    """``value`` rebuilds f from grid circuits; ``exact`` runs the circuit."""
+    """``value`` rebuilds f from grid circuits; ``exact`` runs the circuit
+    at theta, so a shifted reference is a cache built at the shifted angles."""
 
     # eps/2 and eps at eps = 1e-6, the grid, +/- pi and two generic shifts
     SHIFTS = (5e-7, -5e-7, 1e-6, -1e-6, math.pi / 2, -math.pi / 2, math.pi,
@@ -155,8 +156,9 @@ class TestShiftReconstruction:
     @pytest.mark.parametrize("seed", range(8))
     def test_value_matches_direct_evolve(self, seed):
         """Every target kind at random locations, cross-layer pairs
-        included, under all four noise kinds: ``value`` and the full
-        circuit of ``exact`` both within 1e-12 of direct full circuits."""
+        included, under all four noise kinds: ``value``, and ``exact`` of a
+        cache built at the shifted angles, both within 1e-12 of direct full
+        circuits."""
         rng = np.random.default_rng(seed)
         n, L = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         layout, obs = build_ansatz(n, L), cyclic_observable(n)
@@ -174,18 +176,36 @@ class TestShiftReconstruction:
                         noise.CnotDepolarizing(0.05),
                         noise.CnotPauliChannel(weights)):
             cache = harness._FunctionCache(layout, theta, obs)
-            full = harness._FunctionCache(layout, theta, obs)
             for shifts in points:
-                direct = expectation(
-                    evolve(layout, shifted(layout, theta, shifts), channel),
-                    obs)
+                point = shifted(layout, theta, shifts)
+                direct = expectation(evolve(layout, point, channel), obs)
                 target = single if len(shifts) == 1 else pair
                 value = cache.value(target, _weights(target, shifts), channel)
                 assert abs(value[0] - direct) < 1e-12
-                assert abs(full.exact(shifts, channel) - direct) < 1e-12
+                full = harness._FunctionCache(layout, point, obs)
+                assert abs(full.exact(channel) - direct) < 1e-12
             # values ran circuits only on the grids and their cut ends
             assert {key[1] for key in cache._values} <= {"grid", "forward",
                                                          "back"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_matches_direct_evolve(self, seed):
+        """``exact`` is f at theta from the full circuit under every noise
+        kind. It memoizes one float per noiselessness, never a state, and
+        the global channel scales the clean value."""
+        rng = np.random.default_rng(100 + seed)
+        n, L = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        layout, obs = build_ansatz(n, L), cyclic_observable(n)
+        theta = sample_parameter_set(layout, rng)
+        global_ = noise.GlobalDepolarizing(0.3)
+        for channel in (None, global_, noise.CnotDepolarizing(0.05),
+                        noise.CnotPauliChannel(
+                            noise.random_pauli_weights(0.1, rng))):
+            cache = harness._FunctionCache(layout, theta, obs)
+            direct = expectation(evolve(layout, theta, channel), obs)
+            assert abs(cache.exact(channel) - direct) < 1e-12
+            assert [type(v) for v in cache._values.values()] == [float]
+        assert cache.exact(global_) == (1.0 - 0.3) * cache.exact(None)
 
     def test_grid_and_zero_shifts_run_one_circuit(self):
         """A grid shift takes the grid value itself; targets on the same
