@@ -57,14 +57,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _out_path(args, name: str) -> str:
-    """``name`` in the out dir, made if missing; OSError if either fails."""
+def _out_path(args, name: str, prefix: bool = False) -> str:
+    """``name`` in the out dir, made if missing; OSError if either fails, or
+    if ``name`` is a directory there and not a file-name ``prefix``."""
     out = getattr(args, "out", None) or os.environ.get("PAULISHIFT_OUTDIR",
                                                        ".")
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
     if not os.path.isdir(os.path.dirname(path)):
         raise FileNotFoundError(f"no directory for {path!r}")
+    if not prefix and os.path.isdir(path):
+        raise IsADirectoryError(f"{path!r} is a directory")
     return path
 
 
@@ -326,8 +329,8 @@ def _run_config(args, run, write) -> int:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
-    prefix = _out_path(args,
-                       os.path.splitext(os.path.basename(args.config))[0])
+    prefix = _out_path(args, os.path.splitext(
+        os.path.basename(args.config))[0], prefix=True)
     started = _now()
     try:
         result = run(config)

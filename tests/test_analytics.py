@@ -261,6 +261,30 @@ class TestStepScan:
                     np.testing.assert_allclose(scan, scalar, rtol=1e-14,
                                                err_msg=str(case))
 
+    def test_bisection_steps_match_scalar_search(self, monkeypatch):
+        """Every (kind, d, N) that ``n_star_fd``'s bisection solves gets
+        the scalar reference's step to the bit."""
+        solve, seen = analytics.epsilon_opt, []
+
+        def record(target, d, n_total, eta=None):
+            eps = solve(target, d, n_total, eta)
+            seen.append((target, d, n_total, eta, eps))
+            return eps
+
+        monkeypatch.setattr(analytics, "epsilon_opt", record)
+        for kind in KINDS:
+            for d, eta in ((3, 0.013), (64, 0.37), (4096, 0.0)):
+                analytics.n_star_fd(kind, d, eta)
+        assert len(seen) > 9 * 20
+        assert {(s[0], s[1]) for s in seen} == {
+            (kind, d) for kind in KINDS for d in (3, 64, 4096)}
+        for kind, d, nt, eta, eps in seen:
+            assert eta is None  # the naive step: solved noise-free
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert eps == _scalar_epsilon_opt(kind, d, nt, 0.0)[0], (
+                    kind, d, nt)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_search_objective_is_mse_fd_to_the_bit(self, kind):
         """The golden-section objective, its constants computed once per

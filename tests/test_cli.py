@@ -330,6 +330,30 @@ class TestAnalyticCommand:
         assert manifest["outputs"] == ["table.csv"]
         assert manifest["master_seed"] is None
 
+    # sha256 of two analytic tables over every target, a zero rate (whose
+    # shift-rule crossings are empty cells), d from 2 to 2^12 and budgets
+    # that are not round: each finite-difference step and crossing is
+    # pinned to the bit. A change that moves these bytes on purpose
+    # updates the digests and says why.
+    ANALYTIC_GOLDEN = {
+        "nstar": (["--nstar", "--d", "2,3,64,4096", "--eta", "0,0.013,0.37"],
+                  "638cae5e2a2ad68044002766b9386c1ea0ab9b9572d93d8beab9caae"
+                  "8cd5f280"),
+        "mse": (["--d", "2,4096", "--eta", "0,0.07,0.5", "--nt",
+                 "13:1600:397"],
+                "8e27835f0990335efe9185c297f8fcef717734d0994c0ad2550dfad00a"
+                "321742"),
+    }
+
+    @pytest.mark.parametrize("stem", sorted(ANALYTIC_GOLDEN))
+    def test_analytic_golden_bytes(self, stem, tmp_path, capsys):
+        """Analytic CSV bytes match the pinned reference exactly."""
+        argv, digest = self.ANALYTIC_GOLDEN[stem]
+        assert main(["analytic", "--targets", "all", *argv,
+                     "--csv", f"{stem}.csv", "--out", str(tmp_path)]) == 0
+        csv_bytes = (tmp_path / f"{stem}.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == digest
+
 
 class TestMseCurvesCommand:
 
@@ -448,6 +472,36 @@ class TestMseCurvesCommand:
             assert captured.err.count("\n") == 1, argv
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
                                                               "run.cfg"]
+
+    def test_directory_names_exit_2_before_running(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """An analytic --csv or verify --json that names a directory in
+        the out dir ends in one error line before any closed form or
+        criterion runs, and nothing is written."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a closed form ran")
+
+        class NoCriteria:
+            def __iter__(self):
+                raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(analytics, "n_star_fd", no_run)
+        monkeypatch.setattr(invariants, "CRITERIA", NoCriteria())
+        (tmp_path / "sub").mkdir()
+        for name in ("sub", ".", "sub/"):
+            for argv in (["analytic", "--nstar", "--d", "4", "--eta", "0.1",
+                          "--csv", name, "--out", str(tmp_path)],
+                         ["verify", "--json", name, "--out", str(tmp_path)],
+                         ["verify", "--quick", "--json", name,
+                          "--out", str(tmp_path)]):
+                capsys.readouterr()
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                assert captured.err.startswith("error: "), argv
+                assert captured.err.count("\n") == 1, argv
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
 
     def test_qubit_cap_exits_2_before_allocating(self, tmp_path, capsys,
                                                  monkeypatch):

@@ -32,6 +32,15 @@ def test_spans_table_is_not_empty():
     assert "circuits:_layer_unitary" in _TARGETS
 
 
+def test_step_cache_reports_hits_and_misses():
+    """traced_cli.py also reads the step solver's cache statistics, outside
+    SPANS, after every traced run."""
+    analytics = importlib.import_module("paulishift.analytics")
+    info = analytics._epsilon_opt_cached.cache_info()
+    assert isinstance(info.hits, int)
+    assert isinstance(info.misses, int)
+
+
 @pytest.mark.parametrize("target", _TARGETS)
 def test_span_target_is_defined_where_named(target):
     """Each attribute is in its owner's own __dict__ (a method in its own
