@@ -205,42 +205,47 @@ def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> float:
     return num / den
 
 
-def _fd_total(kind: str, d: int, eta: float, n_total: float, sinc=_sinc):
+def _fd_total(kind: str, d: int, eta: float, n_total: float):
     """``eps -> mse_fd(kind, d, eps, eta, 0.0, n_total).total``: the same
     formula in the same operation order, with everything but eps computed
-    once instead of per call; ``sinc(x)`` is sin(x)/x."""
+    once instead of per call. ``s`` is sinc(eps / 2), computed as ``_sinc``
+    does unless given (the scan passes its table)."""
     k, p = _FD_VAR_COEFF[kind]
     m = _FD_SINC_POWER[kind]
     moment = _moments(d).moment_for(kind)
     strength = _shot_strength(d, eta, 0.0)
+    keep, pi, sin = 1.0 - eta, math.pi, math.sin
 
-    def total(epsilon):
-        finite = k / (n_total * epsilon ** p) * strength
-        approx = (1.0 - (1.0 - eta) * sinc(epsilon / 2.0) ** m) ** 2 * moment
-        return finite + approx
+    def total(epsilon, s=None):
+        if s is None:
+            t = epsilon / 2.0 / pi
+            y = pi * (t if t != 0.0 else 1e-20)
+            s = sin(y) / y
+        return (k / (n_total * epsilon ** p) * strength
+                + (1.0 - keep * s ** m) ** 2 * moment)
 
     return total
 
 
 _EPS_GRID = np.geomspace(_EPS_LO, 2.0 * math.pi - _EPS_LO, 512)
+_EPS_SINC = np.sinc(_EPS_GRID / 2.0 / math.pi)  # sinc(eps / 2) on the grid
 
 
 @lru_cache(maxsize=None)
 def _epsilon_opt_cached(kind: str, d: int, n_total: float,
                         eta: float) -> float:
     objective = _fd_total(kind, d, eta, n_total)
-    values = _fd_total(kind, d, eta, n_total,
-                       lambda x: np.sinc(x / math.pi))(_EPS_GRID)
-    interior = np.flatnonzero((values[1:-1] < values[:-2])
-                              & (values[1:-1] <= values[2:])) + 1
-    if len(interior) > 1:
+    values = objective(_EPS_GRID, _EPS_SINC)
+    minima = np.count_nonzero((values[1:-1] < values[:-2])
+                              & (values[1:-1] <= values[2:]))
+    if minima > 1:
         warnings.warn(
-            f"finite-difference MSE scan found {len(interior)} local minima "
+            f"finite-difference MSE scan found {minima} local minima "
             f"({kind}, d={d}, n_total={n_total}, eta={eta}); refining the "
             "global scan minimum", RuntimeWarning, stacklevel=3)
     best = int(np.argmin(values))
-    lo = _EPS_GRID[max(best - 1, 0)]
-    up = _EPS_GRID[min(best + 1, len(_EPS_GRID) - 1)]
+    lo = float(_EPS_GRID[max(best - 1, 0)])  # Python floats: same bits,
+    up = float(_EPS_GRID[min(best + 1, len(_EPS_GRID) - 1)])  # faster
 
     # Golden-section search on [lo, up] to absolute tolerance 1e-9.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -406,13 +411,13 @@ def n_star_fd(target, d: int, eta: float) -> float:
         raise ValueError("eta must lie in [0, 1)")
     kind = _kind(target)
 
-    def diff(n: float) -> float:
+    def diff(n: float) -> tuple[float, float]:  # (NFD - PS, PS) MSEs at N
+        ps = mse_sps(kind, d, 1.0, eta, 0.0, n).total
         eps = epsilon_opt(kind, d, n)
-        return (mse_fd(kind, d, eps, eta, 0.0, n).total
-                - mse_sps(kind, d, 1.0, eta, 0.0, n).total)
+        return mse_fd(kind, d, eps, eta, 0.0, n).total - ps, ps
 
     lo, hi = _N_BRACKET
-    d_lo, d_hi = diff(lo), diff(hi)
+    d_lo, d_hi = diff(lo)[0], diff(hi)[0]
     if d_lo >= 0.0:
         raise CrossoverBelowBracket(
             f"naive finite differences do not beat PS even at N={lo:g} "
@@ -424,9 +429,8 @@ def n_star_fd(target, d: int, eta: float) -> float:
     log_lo, log_hi = math.log(lo), math.log(hi)
     for _ in range(200):
         mid = math.exp(0.5 * (log_lo + log_hi))
-        d_mid = diff(mid)
-        rel = abs(d_mid) / mse_sps(kind, d, 1.0, eta, 0.0, mid).total
-        if rel <= 1e-6:
+        d_mid, ps = diff(mid)
+        if abs(d_mid) / ps <= 1e-6:
             return mid
         if d_mid < 0.0:
             log_lo = math.log(mid)

@@ -253,8 +253,8 @@ class TestStepScan:
                         ref, scalar = _scalar_epsilon_opt(kind, d, nt, eta)
                         eps = analytics._epsilon_opt_cached.__wrapped__(
                             kind, d, nt, eta)
-                    scan = analytics._fd_total(
-                        kind, d, eta, nt, lambda x: np.sinc(x / math.pi))(grid)
+                    scan = analytics._fd_total(kind, d, eta, nt)(
+                        grid, np.sinc(grid / 2.0 / math.pi))
                     case = (kind, d, nt, eta)
                     assert eps == ref, case
                     assert np.argmin(scan) == np.argmin(scalar), case
@@ -312,6 +312,8 @@ class TestStepScan:
         np.testing.assert_array_equal(
             [analytics._sinc(e / 2.0) for e in grid],
             np.sinc(grid / 2.0 / math.pi))
+        np.testing.assert_array_equal(analytics._EPS_SINC,
+                                      np.sinc(grid / 2.0 / math.pi))
 
 
 class TestSchemeParam:
