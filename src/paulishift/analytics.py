@@ -244,8 +244,9 @@ def _epsilon_opt_cached(kind: str, d: int, n_total: float,
             f"({kind}, d={d}, n_total={n_total}, eta={eta}); refining the "
             "global scan minimum", RuntimeWarning, stacklevel=3)
     best = int(np.argmin(values))
-    lo = float(_EPS_GRID[max(best - 1, 0)])  # Python floats: same bits,
-    up = float(_EPS_GRID[min(best + 1, len(_EPS_GRID) - 1)])  # faster
+    # Python floats search faster than numpy scalars, with the same bits.
+    lo = float(_EPS_GRID[max(best - 1, 0)])
+    up = float(_EPS_GRID[min(best + 1, len(_EPS_GRID) - 1)])
 
     # Golden-section search on [lo, up] to absolute tolerance 1e-9.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -446,62 +446,45 @@ class TestMseCurvesCommand:
     def test_unwritable_outputs_exit_2_before_running(self, config_file,
                                                       tmp_path, monkeypatch,
                                                       capsys):
-        """An --out that is a file, or a --csv or --json in a missing
-        directory, ends in one error line before any run."""
+        """An --out that is a file, a --csv or --json in a missing
+        directory, or a --csv or --json that names a directory, ends in one
+        error line before any run, closed form or criterion."""
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
+        class NoCriteria:
+            def __iter__(self):
+                raise AssertionError("a criterion ran")
+
         monkeypatch.setattr(harness, "monte_carlo_mse", no_run)
         monkeypatch.setattr(harness, "distribution_study", no_run)
-        monkeypatch.setattr(invariants, "CRITERIA", (
-            invariants.CRITERIA[0]._replace(measure=no_run),))
+        monkeypatch.setattr(analytics, "n_star_fd", no_run)
+        monkeypatch.setattr(invariants, "CRITERIA", NoCriteria())
         blocker = tmp_path / "file"
         blocker.write_text("")
+        (tmp_path / "dir").mkdir()
+        nstar = ["analytic", "--nstar", "--d", "4", "--eta", "0.1"]
         for argv in (["mse-curves", config_file, "--out", str(blocker)],
                      ["dist", config_file, "--out", str(blocker)],
                      ["analytic", "--d", "4", "--eta", "0.1", "--nt", "96",
                       "--csv", "sub/x.csv", "--out", str(tmp_path)],
                      ["verify", "--quick", "--json", "sub/v.json",
                       "--out", str(tmp_path)],
-                     ["verify", "--json", "v.json", "--out", str(blocker)]):
+                     ["verify", "--json", "v.json", "--out", str(blocker)],
+                     nstar + ["--csv", "dir", "--out", str(tmp_path)],
+                     nstar + ["--csv", ".", "--out", str(tmp_path)],
+                     ["verify", "--json", "dir/", "--out", str(tmp_path)],
+                     ["verify", "--quick", "--json", ".",
+                      "--out", str(tmp_path)]):
             capsys.readouterr()
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == "", argv
             assert captured.err.startswith("error: "), argv
             assert captured.err.count("\n") == 1, argv
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
-                                                              "run.cfg"]
-
-    def test_directory_names_exit_2_before_running(self, tmp_path,
-                                                   monkeypatch, capsys):
-        """An analytic --csv or verify --json that names a directory in
-        the out dir ends in one error line before any closed form or
-        criterion runs, and nothing is written."""
-        def no_run(*args, **kwargs):
-            raise AssertionError("a closed form ran")
-
-        class NoCriteria:
-            def __iter__(self):
-                raise AssertionError("a criterion ran")
-
-        monkeypatch.setattr(analytics, "n_star_fd", no_run)
-        monkeypatch.setattr(invariants, "CRITERIA", NoCriteria())
-        (tmp_path / "sub").mkdir()
-        for name in ("sub", ".", "sub/"):
-            for argv in (["analytic", "--nstar", "--d", "4", "--eta", "0.1",
-                          "--csv", name, "--out", str(tmp_path)],
-                         ["verify", "--json", name, "--out", str(tmp_path)],
-                         ["verify", "--quick", "--json", name,
-                          "--out", str(tmp_path)]):
-                capsys.readouterr()
-                assert main(argv) == 2, argv
-                captured = capsys.readouterr()
-                assert captured.out == "", argv
-                assert captured.err.startswith("error: "), argv
-                assert captured.err.count("\n") == 1, argv
-        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
-        assert list((tmp_path / "sub").iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dir", "file", "run.cfg"]
+        assert list((tmp_path / "dir").iterdir()) == []
 
     def test_qubit_cap_exits_2_before_allocating(self, tmp_path, capsys,
                                                  monkeypatch):
