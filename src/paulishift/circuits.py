@@ -1,13 +1,15 @@
 """Exact simulation of layered Pauli-rotation circuits.
 
-A state on n qubits is a plain dense complex ndarray: a 2^n x 2^n density
-matrix, or a 2^n statevector for noiseless circuits; n is read from its
-shape.  The angles are one flat float vector of length 3nL, laid out
-layer-major, then qubit, then slot, so ``theta.reshape(L, n, 3)`` holds each
-qubit's (Z, Y, Z) block angles.  Qubit 1 is the most significant bit of the
-computational-basis index, so tensor products read left to right:
-kron(A_1, A_2, ..., A_n) acts with A_q on qubit q.  All public qubit, layer
-and slot indices are 1-based.
+A state on n qubits is a plain ndarray: a complex 2^n statevector (noiseless)
+or a real Pauli vector of the 4^n values r_P = tr(P rho), indexed by the
+string P as base-4 digits (I, X, Y, Z = 0..3), qubit 1 first; a noisy
+observable O = sum_P o_P P is the Pauli vector o, and tr(O rho) = o . r.
+There a layer is a Kronecker product of 4x4 transfer blocks, a CNOT a signed
+permutation and a Pauli channel diagonal.  The angles are one flat vector of
+3nL floats, layer-major, then qubit, then slot, so ``theta.reshape(L, n, 3)``
+holds each qubit's (Z, Y, Z) angles.  Qubit 1 is the most significant bit
+of a basis index: kron(A_1, ..., A_n) acts with A_q on qubit q.  Qubit,
+layer and slot indices are 1-based.
 """
 from __future__ import annotations
 
@@ -101,6 +103,12 @@ class PauliObservable:
     def matrix(self) -> np.ndarray:
         return _observable_matrix(self.letters)
 
+    def pauli_vector(self) -> np.ndarray:
+        """The coefficients o of O = sum_P o_P P: a single 1."""
+        o = np.zeros(4 ** self.n)
+        o[int(self.letters.translate(str.maketrans("IXYZ", "0123")), 4)] = 1
+        return o
+
 
 @lru_cache(maxsize=128)
 def _observable_matrix(letters: str) -> np.ndarray:
@@ -114,16 +122,14 @@ def cyclic_observable(n: int) -> PauliObservable:
 
 # ── states ───────────────────────────────────────────────────────────────────
 
-def qubit_count(state: np.ndarray) -> int:
-    """n for a 2^n x 2^n density matrix or a 2^n statevector."""
-    return state.shape[0].bit_length() - 1
+def is_pauli(state: np.ndarray) -> bool:
+    return state.ndim == 1 and not np.iscomplexobj(state)
 
 
 def zero_state(n: int) -> np.ndarray:
-    d = 2 ** n
-    state = np.zeros((d, d), dtype=complex)
-    state[0, 0] = 1.0
-    return state
+    """|0...0><0...0| as a Pauli vector: 1 on the strings of I and Z."""
+    q = np.arange(4 ** n)  # I = 00 and Z = 11: digits whose bits agree
+    return (((q ^ (q >> 1)) & ((4 ** n - 1) // 3)) == 0).astype(float)
 
 
 # ── gates ────────────────────────────────────────────────────────────────────
@@ -150,6 +156,40 @@ def _cnot_permutation(n: int, pairs: tuple) -> np.ndarray:
     return g
 
 
+@lru_cache(maxsize=64)
+def _pauli_cnots(n: int, pairs: tuple):
+    """(gather, sign, steps): (C r)[Q] = sign[Q] r[gather[Q]] for C the
+    CNOTs in ``pairs`` in turn, and CNOT k's channel sees pair digit
+    steps[k, Q] = 4 p_c + p_t. On a digit's bits x = b0 ^ b1, z = b1,
+    CNOT(c, t) sets x_t ^= x_c, z_c ^= z_t and flips the sign where
+    x_c z_t (x_t ^ z_c ^ 1) = 1 (Aaronson and Gottesman, 2004)."""
+    q, sign = np.arange(4 ** n), np.ones(4 ** n)
+    steps = np.empty((len(pairs), 4 ** n), dtype=np.uint8)
+    for k in range(len(pairs) - 1, -1, -1):
+        control, target = pairs[k]
+        check_pair(n, control, target)
+        sc, st = 2 * (n - control), 2 * (n - target)
+        pc, pt = (q >> sc) & 3, (q >> st) & 3
+        steps[k] = 4 * pc + pt
+        xc, zc, xt, zt = (pc ^ pc >> 1) & 1, pc >> 1, (pt ^ pt >> 1) & 1, pt >> 1
+        sign *= 1 - 2 * (xc & zt & (xt ^ zc ^ 1))
+        zc ^= zt
+        xt ^= xc
+        q ^= (pc ^ (2 * zc + (xc ^ zc))) << sc | (pt ^ (2 * zt + (xt ^ zt))) << st
+    return q, sign, steps
+
+
+@lru_cache(maxsize=4)
+def _pauli_ring(n: int, pairs: tuple, eigenvalues: tuple | None):
+    """``_pauli_cnots``, each CNOT followed by the channel, if any."""
+    gather, factor, steps = _pauli_cnots(n, pairs)
+    if eigenvalues is not None:
+        factor, lam = factor.copy(), np.array(eigenvalues)
+        for step in steps:
+            factor *= lam[step]
+    return gather, factor
+
+
 def check_pair(n: int, j: int, k: int) -> None:
     """ValueError unless j and k are two distinct qubits of n."""
     if j == k:
@@ -159,26 +199,42 @@ def check_pair(n: int, j: int, k: int) -> None:
             raise ValueError(f"qubit {q} out of range 1..{n}")
 
 
-def apply_cnot(state: np.ndarray, control, target) -> np.ndarray:
-    """CNOT = |0><0| (x) 1 + |1><1| (x) X on a statevector, or by conjugation
-    on a density matrix; tuples of controls and targets apply those CNOTs,
-    first to last, as one basis permutation."""
+def apply_cnot(state: np.ndarray, control, target, adjoint: bool = False,
+               eigenvalues: tuple | None = None) -> np.ndarray:
+    """CNOT = |0><0| (x) 1 + |1><1| (x) X as one gather of a statevector's
+    entries, a matrix's rows and columns, or (signed, C P C = +-P') a Pauli
+    vector's; tuples of controls and targets apply those CNOTs in turn, each
+    followed on a Pauli vector by the Pauli channel with these 16
+    ``eigenvalues``, if given. ``adjoint=True`` applies the adjoint."""
     if np.ndim(control) == 0:
         control, target = (control,), (target,)
-    g = _cnot_permutation(qubit_count(state),
-                          tuple(zip(control, target, strict=True)))
+    pairs = tuple(zip(control, target, strict=True))
+    bits = len(state).bit_length() - 1  # 2n for a Pauli vector, else n
+    if is_pauli(state):
+        gather, factor = _pauli_ring(bits // 2, pairs, eigenvalues)
+        if not adjoint:
+            return factor * state[gather]
+        out = np.empty_like(state)
+        out[gather] = factor * state
+        return out
+    if eigenvalues is not None:
+        raise ValueError("Pauli channels act on real Pauli vectors")
+    g = _cnot_permutation(bits, pairs[::-1] if adjoint else pairs)
     return state[g] if state.ndim == 1 else state[np.ix_(g, g)]
 
 
 def expectation(state: np.ndarray, obs) -> float:
-    """tr(rho O), or <psi|O|psi> for a statevector, for a Pauli observable or
-    a Hermitian matrix O, such as one pulled back by ``evolve(...,
-    adjoint=True)``; the value is real."""
-    matrix = obs.matrix() if isinstance(obs, PauliObservable) else obs
-    if matrix.shape != (len(state),) * 2:
-        raise ValueError(f"observable {matrix.shape}, state {state.shape}")
-    val = complex(np.vdot(state, matrix @ state) if state.ndim == 1
-                  else np.einsum("ij,ji->", state, matrix))
+    """tr(rho O) for a Pauli vector r, <psi|O|psi> for a statevector psi; O
+    is a Pauli observable, or as ``evolve(..., adjoint=True)`` pulls it back
+    a coefficient vector o (tr(rho O) = o . r) or a Hermitian matrix."""
+    pauli = is_pauli(state)
+    if isinstance(obs, PauliObservable):
+        obs = obs.pauli_vector() if pauli else obs.matrix()
+    if obs.shape != (state.shape if pauli else (len(state),) * 2):
+        raise ValueError(f"observable {obs.shape}, state {state.shape}")
+    if pauli:
+        return float(obs @ state)
+    val = complex(np.vdot(state, obs @ state))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
@@ -186,60 +242,78 @@ def expectation(state: np.ndarray, obs) -> float:
 
 # ── circuit evolution ────────────────────────────────────────────────────────
 
-def _layer_unitary(angles: np.ndarray) -> np.ndarray:
-    """Dense unitary for all single-qubit blocks of one layer.
-
-    ``angles`` is the layer's (n, 3) slice of theta. Every block is built at
-    once as Rz(gamma) @ (Ry(beta) @ (Rz(alpha) @ I)), the product order of
-    one rotation at a time, which keeps every seeded value to the bit.
-    """
+def _layer_blocks(angles: np.ndarray) -> np.ndarray:
+    """A layer's (n, 2, 2) blocks from its (n, 3) angles, all at once as
+    Rz(gamma) @ (Ry(beta) @ (Rz(alpha) @ I)): scalar calls' bits exactly."""
     blocks = PAULI["I"]
     for s, axis in enumerate("ZYZ"):
         blocks = rotation_matrix(axis, angles[:, s]) @ blocks
-    # kron(A_1, ..., A_n) folded left to right as broadcast outer products:
-    # each entry is np.kron's one product, without its per-call set-up.
-    u = blocks[0]
-    for block in blocks[1:]:
-        d = 2 * u.shape[0]
-        u = (u[:, None, :, None] * block[None, :, None, :]).reshape(d, d)
-    return u
+    return blocks
 
 
-def rotate(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """U psi for a statevector, U rho U^dagger for a density matrix."""
-    return u @ state if state.ndim == 1 else u @ state @ u.conj().T
+# Row a is sigma_a^T flattened: times the row-major vec of M, tr(sigma_a M).
+_PAULI_ROWS = np.stack([PAULI[c].T.ravel() for c in "IXYZ"])
+_HALF_INVERSE = _PAULI_ROWS.conj().T / 2
+
+
+def _layer_unitary(blocks: np.ndarray, pauli: bool = False):
+    """A layer's blocks as one dense unitary or, with ``pauli=True``, its
+    Pauli transfer map as real Kronecker factors: one 16x16 per qubit pair
+    (1, 2), (3, 4), ..., and a 4x4 for an odd last qubit. Block u's transfer
+    block, 1 (+) SO(3), is R_ab = tr(s_a u s_b u^dagger) / 2 over
+    s = I, X, Y, Z: T (u (x) conj(u)) T^dagger / 2, T the rows above."""
+    if not pauli:  # kron(*blocks) folded as broadcast outer products: each
+        u = blocks[0]  # entry is np.kron's one product, without its set-up
+        for block in blocks[1:]:
+            d = 2 * u.shape[0]
+            u = (u[:, None, :, None] * block[None, :, None, :]).reshape(d, d)
+        return u
+    n, m = len(blocks), len(blocks) // 2
+    uu = (blocks[:, :, None, :, None]
+          * blocks.conj()[:, None, :, None, :]).reshape(n, 4, 4)
+    r = (_PAULI_ROWS @ uu @ _HALF_INVERSE).real
+    pairs = r[0:2 * m:2, :, None, :, None] * r[1:2 * m:2, None, :, None, :]
+    return (*pairs.reshape(m, 16, 16), *r[2 * m:])
+
+
+def rotate(op, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """U psi, or each transfer factor on its digit of a Pauli vector; with
+    ``adjoint=True`` U^dagger O U, or each factor transposed."""
+    if not is_pauli(state):
+        return op.conj().T @ state @ op if adjoint else op @ state
+    x, pre = state, 1
+    for f in op[:-1]:
+        x = np.matmul(f.T if adjoint else f, x.reshape(pre, len(f), -1))
+        pre *= len(f)
+    return (x.reshape(pre, -1) @ (op[-1] if adjoint else op[-1].T)).ravel()
 
 
 def apply_ring(layout: AnsatzLayout, state: np.ndarray, noise=None,
                adjoint: bool = False) -> np.ndarray:
-    """One layer's CNOT ring: one basis permutation noiseless, else one
-    ``apply_after_cnot`` per CNOT; with ``adjoint=True`` its adjoint, pairs
-    reversed (CNOT is its own adjoint)."""
-    ring = layout.cnot_ring[::-1] if adjoint else layout.cnot_ring
-    if noise is None:
-        return apply_cnot(state, *zip(*ring)) if ring else state
-    for control, target in ring:
-        state = noise.apply_after_cnot(state, control, target,
-                                       adjoint=adjoint)
-    return state
+    """One layer's CNOT ring, or its adjoint, in one ``apply_cnot`` (if
+    noiseless) or ``apply_after_cnot`` call."""
+    if not layout.cnot_ring:
+        return state
+    hook = apply_cnot if noise is None else noise.apply_after_cnot
+    return hook(state, *zip(*layout.cnot_ring), adjoint=adjoint)
 
 
 def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
            layers: tuple[int, int] | None = None, state=None,
            adjoint: bool = False, unitary=None) -> np.ndarray:
-    """Advance ``state`` (default |0...0><0...0|) through the 1-based,
+    """Advance ``state`` (default ``zero_state``) through the 1-based,
     inclusive ``layers = (first, last)`` (default all L) of ``theta``, the
     flat vector of 3nL finite angles. Per layer: all single-qubit rotations
-    (noiseless), then ``apply_ring``; the final hook follows layer L, so
-    it joins any nonempty range ending there. An empty range (first =
-    last + 1) returns ``state``. With ``adjoint=True`` the range's map E
-    runs backwards as its adjoint, taking an observable O to E^dagger(O):
-    tr(O E(rho)) = tr(E^dagger(O) rho). A noiseless forward run also takes
-    a statevector. A noise model is any object with hooks
-    ``apply_after_cnot(state, control, target, adjoint=False)``, which
-    applies CNOT(control, target) and the channel after it, and
+    (noiseless), then ``apply_ring``; the final hook follows layer L, so it
+    joins any nonempty range ending there. An empty range (first = last + 1)
+    returns ``state``. ``adjoint=True`` runs the range's map E backwards as
+    its adjoint: tr(O E(rho)) = tr(E^dagger(O) rho). A Pauli vector runs
+    either way under any model, a statevector noiseless and forward, an
+    observable matrix noiseless and adjoint. A noise model has the hooks
+    ``apply_after_cnot(state, control, target, adjoint=False)``, for one
+    CNOT or tuples of them, each followed by its channel, and
     ``apply_final(state, adjoint=False)``; None is noiseless.
-    ``unitary`` builds a layer's unitary from its angles (``_layer_unitary``).
+    ``unitary(angles, pauli)`` builds a layer's ``_layer_unitary``.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (layout.parameter_count,):
@@ -251,23 +325,21 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
     first, last = (1, layout.L) if layers is None else layers
     if not (1 <= first <= last + 1 and last <= layout.L):
         raise ValueError(f"layers {first}..{last} outside 1..{layout.L}")
-    if state is None:
-        state = zero_state(layout.n)
-    elif state.ndim == 1 and (noise is not None or adjoint):
-        raise ValueError("a statevector runs noiseless and forward only")
-    build = _layer_unitary if unitary is None else unitary
+    state = zero_state(layout.n) if state is None else state
+    pauli = is_pauli(state)
+    if not pauli and (noise is not None or adjoint != (state.ndim == 2)):
+        raise ValueError("a statevector runs noiseless and forward only, an "
+                         "observable matrix noiseless and adjoint only")
+    build = unitary or (lambda a, p: _layer_unitary(_layer_blocks(a), p))
     final = noise is not None and first <= last == layout.L
     angles = theta.reshape(layout.L, layout.n, 3)
     if adjoint:
         state = noise.apply_final(state, adjoint=True) if final else state
         for layer in range(last, first - 1, -1):
             state = apply_ring(layout, state, noise, adjoint=True)
-            u = build(angles[layer - 1])
-            state = u.conj().T @ state @ u
+            state = rotate(build(angles[layer - 1], pauli), state, True)
         return state
     for layer in range(first, last + 1):
-        u = build(angles[layer - 1])
-        state = apply_ring(layout, rotate(u, state), noise)
-    if final:
-        state = noise.apply_final(state)
-    return state
+        state = rotate(build(angles[layer - 1], pauli), state)
+        state = apply_ring(layout, state, noise)
+    return noise.apply_final(state) if final else state

@@ -34,16 +34,16 @@ shots, even where NFD and HFD share a step (at zero noise).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
 
 from . import analytics, noise as noise_mod
-from .circuits import (AnsatzLayout, PauliObservable, _layer_unitary,
-                       apply_ring, build_ansatz, cyclic_observable, evolve,
-                       expectation, rotate, shifted, zero_state)
+from .circuits import (AnsatzLayout, PauliObservable, _layer_blocks,
+                       _layer_unitary, apply_ring, build_ansatz,
+                       cyclic_observable, evolve, expectation, rotate,
+                       shifted, zero_state)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -91,8 +91,8 @@ class NoiseSpec:
 
 
 _DEFAULT_TARGETS = (Gradient(), DiagHessian(), OffDiagHessian())
-# One 2^n x 2^n complex state takes 16 * 4^n bytes: 256 MiB at n = 12, and a
-# run holds a few of them at once, against a few GiB of memory.
+# A noisy state's Pauli vector takes 8 * 4^n bytes, 128 MiB at n = 12, and a
+# run holds a few, with its ring's gather and factors, in a few GiB.
 MAX_QUBITS = 12
 # Each worker is a forked process holding its own circuit caches, and the
 # pool starts them all at once: 256 is past the cores of one host, and more
@@ -232,8 +232,8 @@ def _point_weights(spec: EstimatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(weights), np.array([coeff for _, coeff in points])
 
 
-# The layer unitaries a cache holds stay under one n = 12 state: a set's
-# every distinct one up to n = 10, none at n = 12.
+# A cache holds every transfer factor list (16 KiB or less) and the layer
+# unitaries within one n = 12 state: a set's every distinct one up to n = 10.
 _HELD_UNITARY_BYTES = 16 * 4 ** 12
 
 
@@ -248,10 +248,11 @@ class _FunctionCache:
     is cut at the target's lowest (a) and highest (b) layer: between the
     state after layers 1..a-1 and the observable pulled back through the
     final hook, layers L..b+1 and layer b's CNOT ring, a point in one layer
-    costs one layer unitary, one U rho U^dagger (U psi noiseless: clean
-    states are statevectors) and one trace. Values and cut ends are built
-    once, keyed by noiselessness: one cache serves the clean circuit and one
-    channel; so are layer unitaries, within ``_HELD_UNITARY_BYTES``. The
+    costs one layer operator, its rotation and one inner product (clean: a
+    unitary on a statevector; noisy: transfer factors on a Pauli vector).
+    Values and cut ends are built once, keyed by noiselessness: one cache
+    serves the clean circuit and one channel; so are layer operators, from
+    shared 2x2 blocks, within ``_HELD_UNITARY_BYTES``. The
     global channel runs no circuit; it scales every traceless expectation by
     1 - eta, exactly.
     """
@@ -261,7 +262,8 @@ class _FunctionCache:
         self.theta = theta
         self.obs = obs
         self._values: dict[tuple, np.ndarray | float] = {}
-        self._unitaries: dict[bytes, np.ndarray] = {}
+        self._blocks: dict[bytes, np.ndarray] = {}
+        self._unitaries: dict[tuple, np.ndarray | tuple] = {}
 
     def value(self, target: DerivativeTarget, weights: np.ndarray,
               noise) -> np.ndarray:
@@ -306,22 +308,19 @@ class _FunctionCache:
             if i not in segments:
                 segments[i] = evolve(layout, point, noise, (a, b - 1), start,
                                      unitary=self._unitary)
-            u = self._unitary(point.reshape(layout.L, layout.n, 3)[b - 1])
+            u = self._unitary(point.reshape(layout.L, layout.n, 3)[b - 1],
+                              noise is not None)
             grid[idx] = expectation(rotate(u, segments[i]), obs)
         return grid
 
-    def _start(self, noise) -> np.ndarray:
-        """|0...0>, as a statevector when noiseless."""
-        if noise is not None:
-            return zero_state(self.layout.n)
-        return np.eye(1, 2 ** self.layout.n, dtype=complex)[0]
-
     def _forward(self, a: int, noise) -> np.ndarray:
-        return evolve(self.layout, self.theta, noise, (1, a - 1),
-                      self._start(noise), unitary=self._unitary)
+        start = (np.eye(1, 2 ** self.layout.n, dtype=complex)[0]
+                 if noise is None else zero_state(self.layout.n))
+        return evolve(self.layout, self.theta, noise, (1, a - 1), start,
+                      unitary=self._unitary)
 
     def _back(self, b: int, noise) -> np.ndarray:
-        obs = self.obs.matrix()
+        obs = self.obs.matrix() if noise is None else self.obs.pauli_vector()
         if b < self.layout.L:
             obs = evolve(self.layout, self.theta, noise, (b + 1, self.layout.L),
                          obs, adjoint=True, unitary=self._unitary)
@@ -329,14 +328,17 @@ class _FunctionCache:
             obs = noise.apply_final(obs, adjoint=True)
         return apply_ring(self.layout, obs, noise, adjoint=True)
 
-    def _unitary(self, angles: np.ndarray) -> np.ndarray:
+    def _unitary(self, angles: np.ndarray, pauli: bool = False):
         key = angles.tobytes()
-        u = self._unitaries.get(key)
-        if u is None:
-            u = _layer_unitary(angles)
-            if (len(self._unitaries) + 1) * u.nbytes < _HELD_UNITARY_BYTES:
-                self._unitaries[key] = u
-        return u
+        op = self._unitaries.get((pauli, key))
+        if op is None:
+            if key not in self._blocks:
+                self._blocks[key] = _layer_blocks(angles)
+            op = _layer_unitary(self._blocks[key], pauli)
+            if pauli or ((len(self._unitaries) + 1) * op.nbytes
+                         < _HELD_UNITARY_BYTES):
+                self._unitaries[(pauli, key)] = op
+        return op
 
 
 def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,
@@ -486,6 +488,7 @@ def monte_carlo_mse(config: ExperimentConfig,
     if workers == 1:
         per_set = [_run_set(config, s) for s in indices]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, config.parameter_sets // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_set = list(pool.map(partial(_run_set, config), indices,

@@ -3,25 +3,21 @@
 Three channel families are provided: a per-CNOT two-qubit depolarizing
 channel, a per-CNOT general Pauli channel, and a global depolarizing channel
 applied once after the whole circuit.  Both per-CNOT channels are two-qubit
-Pauli channels (depolarizing has all 15 weights eta0/15) and run through one
-kernel: a 16x16 superoperator on the pair's row and column bits.  The global
-channel is a reference model: it mixes toward the maximally mixed state, so
-every traceless observable satisfies f_noisy = (1 - eta) * f_clean exactly
-and the error-term expectation g vanishes identically.  Each per-CNOT hook
-applies its CNOT and channel as one pass: for a Pauli channel S, the map
-S K (K the CNOT's pair permutation).  Every hook takes ``adjoint=True`` for
-its Heisenberg-picture map: the per-CNOT channels apply the transpose K S^T,
-the global one O -> (1 - eta) O + eta tr(O) I/d.
+Pauli channels (depolarizing has all 15 weights eta0/15): diagonal on Pauli
+vectors, so a hook given a whole CNOT ring is one gather and one multiply
+(``circuits.apply_cnot``).  The global channel is a reference model: it
+mixes toward I/d, so every traceless observable has f_noisy = (1 - eta)
+f_clean exactly and g vanishes identically.  Every hook takes
+``adjoint=True`` for its Heisenberg-picture map on Pauli coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .circuits import PAULI, apply_cnot, check_pair, qubit_count
+from .circuits import apply_cnot
 
 # The 15 non-identity two-qubit Pauli labels, in fixed row-major order
 # (first letter acts on the channel's first qubit).
@@ -31,27 +27,11 @@ TWO_QUBIT_PAULI_LABELS = tuple(
 
 # ── channel primitives ───────────────────────────────────────────────────────
 
-def _pair_conjugation(label: str) -> np.ndarray:
-    """P (x) conj(P) for the two-qubit Pauli P; real for every Pauli."""
-    p = np.kron(PAULI[label[0]], PAULI[label[1]])
-    return np.kron(p, p.conj()).real
-
-
-# P rho P on the pair's 4x4 block, as 16x16 maps on its row-major vec.
-_PAIR_CONJUGATIONS = np.stack([_pair_conjugation(label)
-                               for label in TWO_QUBIT_PAULI_LABELS])
-# CNOT from the pair's first qubit to its second: C (x) C on the same vec.
-_CNOT_PAIR = np.kron(*[np.eye(4)[[0, 1, 3, 2]]] * 2)
-
-
-def pauli_channel_superoperator(weights) -> np.ndarray:
-    """The 16x16 superoperator of a two-qubit Pauli channel.
-
-    ``weights`` holds 15 nonnegative rates, ordered as in
-    TWO_QUBIT_PAULI_LABELS; the identity keeps weight 1 - sum(weights).
-    The result acts on the row-major vec of the pair's 4x4 block, index
-    4 * (2 r_j + r_k) + (2 c_j + c_k) for row bits r and column bits c.
-    """
+def pauli_eigenvalues(weights) -> tuple[float, ...]:
+    """The 16 eigenvalues lambda_Q = 1 - 2 sum_P w_P, over the P that
+    anticommute with Q, of the two-qubit Pauli channel whose 15 nonnegative
+    weights are ordered as in TWO_QUBIT_PAULI_LABELS (the identity keeps
+    1 - sum(weights)), at Q = 4 q_1 + q_2 (digits I, X, Y, Z = 0..3)."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (15,):
         raise ValueError(f"need exactly 15 weights, got shape {w.shape}")
@@ -60,49 +40,13 @@ def pauli_channel_superoperator(weights) -> np.ndarray:
     total = float(w.sum())
     if total >= 1.0:
         raise ValueError(f"weights sum to {total}, must be < 1")
-    return ((1.0 - total) * np.eye(16)
-            + np.tensordot(w, _PAIR_CONJUGATIONS, axes=1))
-
-
-@lru_cache(maxsize=512)
-def _pair_axes(n: int, j: int, k: int):
-    """A split shape of rho, the axis order moving (r_j, r_k, c_j, c_k) to
-    the front, and its inverse.
-
-    Row and column indices each split as (before, bit, between, bit, after)
-    around the lower and the higher qubit of the pair.
-    """
-    check_pair(n, j, k)
-    lo, hi = min(j, k), max(j, k)
-    split = (2 ** (lo - 1), 2, 2 ** (hi - lo - 1), 2, 2 ** (n - hi))
-    rj, rk = (1, 3) if j < k else (3, 1)
-    order = (rj, rk, rj + 5, rk + 5, 0, 2, 4, 5, 7, 9)
-    return split + split, order, tuple(np.argsort(order))
-
-
-def apply_pair_superoperator(state: np.ndarray, j: int, k: int,
-                             superop: np.ndarray) -> np.ndarray:
-    """Apply a real 16x16 superoperator to qubits j and k (1-based, any
-    order), indexed as in pauli_channel_superoperator.
-
-    The pair's row and column bits are gathered into a (16, d^2/16) array
-    X, one column per setting of the other qubits, and replaced by
-    superop @ X: O(16 d^2) work instead of d^3 matrix products.
-    """
-    if np.iscomplexobj(superop):
-        raise ValueError("superoperator must be real, as Pauli channels are")
-    split, order, inverse = _pair_axes(qubit_count(state), j, k)
-    x = np.ascontiguousarray(state.reshape(split).transpose(order),
-                             dtype=complex)
-    # A real superoperator maps real and imaginary parts alike, so it acts
-    # on the float view, half the work of a complex product.
-    y = (superop @ x.reshape(16, -1).view(float)).view(complex)
-    return y.reshape(x.shape).transpose(inverse).reshape(state.shape)
-
-
-def _cnot_then_channel(weights) -> np.ndarray:
-    """S K: the CNOT, then the Pauli channel S, on the pair's vec."""
-    return pauli_channel_superoperator(weights) @ _CNOT_PAIR
+    # P and Q anticommute when x_P z_Q ^ z_P x_Q (x = b0 ^ b1, z = b1 of
+    # each digit) has odd parity.
+    p = np.arange(16)
+    x, z = (p ^ p >> 1) & 5, p >> 1 & 5
+    s = (x[:, None] & z) ^ (z[:, None] & x)
+    anti = (s ^ s >> 2) & 1
+    return tuple(1.0 - 2.0 * (anti[:, 1:] @ w))
 
 
 # ── noise models ─────────────────────────────────────────────────────────────
@@ -117,7 +61,7 @@ class NoNoise(_NoFinal):
     """The noiseless model: the bare CNOT."""
 
     def apply_after_cnot(self, state, control, target, adjoint=False):
-        return apply_cnot(state, control, target)
+        return apply_cnot(state, control, target, adjoint)
 
 
 @dataclass(frozen=True)
@@ -125,18 +69,16 @@ class CnotDepolarizing(_NoFinal):
     """Uniform depolarizing channel with rate eta0 after every CNOT."""
 
     eta0: float
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.eta0 < 1.0:
             raise ValueError(f"eta0 must be in [0, 1), got {self.eta0}")
-        object.__setattr__(self, "superop",
-                           _cnot_then_channel((self.eta0 / 15.0,) * 15))
+        object.__setattr__(self, "eigenvalues",
+                           pauli_eigenvalues((self.eta0 / 15.0,) * 15))
 
     def apply_after_cnot(self, state, control, target, adjoint=False):
-        return apply_pair_superoperator(
-            state, control, target,
-            self.superop.T if adjoint else self.superop)
+        return apply_cnot(state, control, target, adjoint, self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -144,17 +86,15 @@ class CnotPauliChannel(_NoFinal):
     """General Pauli channel with fixed weights after every CNOT."""
 
     weights: tuple[float, ...]
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "superop", _cnot_then_channel(w))
+        object.__setattr__(self, "eigenvalues", pauli_eigenvalues(w))
 
     def apply_after_cnot(self, state, control, target, adjoint=False):
-        return apply_pair_superoperator(
-            state, control, target,
-            self.superop.T if adjoint else self.superop)
+        return apply_cnot(state, control, target, adjoint, self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -168,14 +108,13 @@ class GlobalDepolarizing:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
 
     def apply_after_cnot(self, state, control, target, adjoint=False):
-        return apply_cnot(state, control, target)
+        return apply_cnot(state, control, target, adjoint)
 
     def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
-        d = state.shape[0]
-        mixed = np.eye(d, dtype=complex) / d
-        if adjoint:
-            mixed *= np.trace(state)
-        return (1.0 - self.eta) * state + self.eta * mixed
+        """Scale every coefficient but the identity's by 1 - eta."""
+        out = (1.0 - self.eta) * state
+        out[0] = state[0]
+        return out
 
 
 def random_pauli_weights(eta0: float, rng: np.random.Generator) -> tuple[float, ...]:

@@ -1,16 +1,67 @@
 """Dense reference simulator: the oracle the fast kernels are tested against.
 
-Every operator here is an explicit 2^n x 2^n matrix: embedded single-qubit
-factors, CNOT as a sum of projectors, and Pauli channels as their Kraus sums.
-The rotation blocks are built one angle at a time as the Z, Y, Z product of
-scalar ``rotation_matrix`` calls, independent of the batched layer build.
+Every state here is an explicit 2^n x 2^n density matrix and every operator
+an explicit matrix: embedded single-qubit factors, CNOT as a sum of
+projectors, and Pauli channels as their Kraus sums. The rotation blocks are
+built one angle at a time as the Z, Y, Z product of scalar
+``rotation_matrix`` calls, independent of the batched layer build.
+``pauli_vector`` and ``density_matrix`` convert to and from the package's
+Pauli vectors string by string, each string an explicit Kronecker product.
 """
 from functools import reduce
 
 import numpy as np
 
-from paulishift.circuits import PAULI, qubit_count, rotation_matrix, zero_state
+from paulishift.circuits import PAULI, rotation_matrix
 from paulishift.noise import TWO_QUBIT_PAULI_LABELS
+
+
+def qubit_count(matrix):
+    return len(matrix).bit_length() - 1
+
+
+def zero_state(n):
+    """|0...0><0...0| as a density matrix."""
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+# Row a is sigma_a^T flattened: row a times the row-major vec of a 2x2
+# matrix M is tr(sigma_a M). Its inverse is its conjugate transpose / 2.
+_ROWS = np.array([PAULI[c].T.ravel() for c in "IXYZ"])
+
+
+def _per_qubit(tensor, matrix):
+    """Apply ``matrix`` to every axis of an (m,) * n tensor."""
+    for axis in range(tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(matrix, tensor, (1, axis)), 0, axis)
+    return tensor
+
+
+def pauli_vector(rho):
+    """r_P = tr(P rho) over every string P, real for Hermitian rho: rho's
+    row and column bits paired per qubit, then the rows above on each."""
+    n = qubit_count(rho)
+    pairs = rho.reshape((2,) * 2 * n).transpose(
+        [a for q in range(n) for a in (q, n + q)]).reshape((4,) * n)
+    vals = _per_qubit(pairs, _ROWS).ravel()
+    assert np.abs(vals.imag).max() < 1e-12
+    return vals.real
+
+
+def density_matrix(r):
+    """sum_P r_P P / 2^n, the inverse of ``pauli_vector``."""
+    n = (len(r).bit_length() - 1) // 2
+    pairs = _per_qubit(r.reshape((4,) * n), _ROWS.conj().T / 2)
+    return pairs.reshape((2,) * 2 * n).transpose(
+        list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(
+            2 ** n, 2 ** n)
+
+
+def coefficients(obs):
+    """o_P = tr(P O) / 2^n, so O = sum_P o_P P and tr(O rho) = o . r."""
+    return pauli_vector(obs) / len(obs)
 
 
 def check_state(state, atol=1e-10):

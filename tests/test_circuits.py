@@ -1,19 +1,22 @@
-"""Tests for the density-matrix circuit simulator."""
+"""Tests for the circuit simulator: statevectors and Pauli vectors."""
+import itertools
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
-from dense_oracle import (check_state, cnot_matrix, dense_evolve,
-                          dense_statevector, embedded, random_hermitian,
-                          random_mixed_state)
+import dense_oracle
+from dense_oracle import (check_state, cnot_matrix, coefficients,
+                          dense_evolve, dense_layer, dense_statevector,
+                          density_matrix, embedded, pauli_vector,
+                          random_hermitian, random_mixed_state)
 
 from paulishift import circuits
-from paulishift.circuits import (PAULI, PauliObservable, _layer_unitary,
-                                 apply_cnot, apply_ring,
+from paulishift.circuits import (PAULI, PauliObservable, _layer_blocks,
+                                 _layer_unitary, apply_cnot, apply_ring,
                                  build_ansatz, cyclic_observable, evolve,
-                                 expectation, rotation_matrix, shifted,
-                                 zero_state)
+                                 expectation, rotate, rotation_matrix,
+                                 shifted, zero_state)
 from paulishift.harness import sample_parameter_set
 from paulishift.noise import (CnotDepolarizing, CnotPauliChannel,
                               GlobalDepolarizing, random_pauli_weights)
@@ -57,7 +60,7 @@ class TestLayout:
             blocks = {q: rotation_matrix("Z", c) @ rotation_matrix("Y", b)
                       @ rotation_matrix("Z", a)
                       for q, (a, b, c) in enumerate(angles, start=1)}
-            np.testing.assert_allclose(_layer_unitary(angles),
+            np.testing.assert_allclose(_layer_unitary(_layer_blocks(angles)),
                                        embedded(n, blocks), rtol=0,
                                        atol=1e-15)
 
@@ -70,7 +73,7 @@ class TestLayout:
             blocks = PAULI["I"]
             for s, axis in enumerate("ZYZ"):
                 blocks = rotation_matrix(axis, angles[:, s]) @ blocks
-            assert np.array_equal(_layer_unitary(angles),
+            assert np.array_equal(_layer_unitary(_layer_blocks(angles)),
                                   reduce(np.kron, blocks))
 
     def test_cnot_ring_closes(self):
@@ -168,13 +171,21 @@ class TestGates:
 class TestStatesAndObservables:
 
     def test_zero_state_is_valid(self):
+        """The Pauli vector of |0...0><0...0|: 1 on every string of I and
+        Z, which is the oracle's density matrix."""
         state = zero_state(3)
-        check_state(state)
-        assert state.shape == (8, 8)
-        np.testing.assert_allclose(np.trace(state), 1.0)
+        assert state.shape == (64,) and state.dtype == float
+        rho = density_matrix(state)
+        check_state(rho)
+        np.testing.assert_allclose(rho, dense_oracle.zero_state(3), rtol=0,
+                                   atol=1e-15)
+        assert state[0] == 1.0  # tr(rho)
+        for n in range(1, 5):
+            np.testing.assert_array_equal(
+                zero_state(n), pauli_vector(dense_oracle.zero_state(n)))
 
     def test_check_state_rejects_garbage(self):
-        bad = zero_state(1)
+        bad = dense_oracle.zero_state(1)
         bad[0, 1] = 0.5  # not Hermitian
         with pytest.raises(ValueError):
             check_state(bad)
@@ -217,9 +228,12 @@ class TestEvolve:
         rng = np.random.default_rng(11)
         layout = build_ansatz(3, 2)
         state = evolve(layout, sample_parameter_set(layout, rng))
-        check_state(state)
-        purity = np.trace(state @ state).real
+        rho = density_matrix(state)
+        check_state(rho)
+        purity = np.trace(rho @ rho).real
         np.testing.assert_allclose(purity, 1.0, atol=1e-10)
+        # tr(rho^2) = |r|^2 / 2^n in the Pauli basis
+        np.testing.assert_allclose(state @ state / 8, 1.0, atol=1e-12)
 
     def test_expectations_stay_in_range(self):
         rng = np.random.default_rng(13)
@@ -260,11 +274,15 @@ class TestEvolve:
                       state) is state
 
     def test_adjoint_range_pulls_the_observable_back(self):
-        """tr(O E(rho)) = tr(E^dagger(O) rho) over any layer range."""
+        """tr(O E(rho)) = tr(E^dagger(O) rho) over any layer range: on Pauli
+        vectors under every model, and for a noiseless range on a
+        statevector against the pulled-back observable matrix."""
         rng = np.random.default_rng(29)
         layout = build_ansatz(3, 3)
         theta = sample_parameter_set(layout, rng)
         rho = evolve(layout, sample_parameter_set(layout, rng))
+        psi = evolve(layout, sample_parameter_set(layout, rng),
+                     state=_basis_vector(3))
         obs = cyclic_observable(3)
         weights = random_pauli_weights(0.1, rng)
         for channel in (None, GlobalDepolarizing(0.2), CnotDepolarizing(0.1),
@@ -272,9 +290,15 @@ class TestEvolve:
             for first, last in ((1, 3), (2, 3), (1, 2), (2, 2), (4, 3)):
                 forward = evolve(layout, theta, channel, (first, last), rho)
                 back = evolve(layout, theta, channel, (first, last),
-                              obs.matrix(), adjoint=True)
+                              obs.pauli_vector(), adjoint=True)
                 assert abs(expectation(forward, obs)
                            - expectation(rho, back)) < 1e-12
+                if channel is None:
+                    forward = evolve(layout, theta, None, (first, last), psi)
+                    back = evolve(layout, theta, None, (first, last),
+                                  obs.matrix(), adjoint=True)
+                    assert abs(expectation(forward, obs)
+                               - expectation(psi, back)) < 1e-12
 
     def test_layer_range_and_state_checked(self):
         layout = build_ansatz(2, 2)
@@ -350,6 +374,12 @@ class TestNoiselessRing:
         psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         np.testing.assert_allclose(apply_ring(layout, rho),
                                    ring @ rho @ ring.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(apply_ring(layout, pauli_vector(rho)),
+                                   pauli_vector(ring @ rho @ ring.T),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            apply_ring(layout, coefficients(obs), adjoint=True),
+            coefficients(ring.T @ obs @ ring), rtol=0, atol=1e-12)
         np.testing.assert_allclose(apply_ring(layout, obs, adjoint=True),
                                    ring.T @ obs @ ring, rtol=0, atol=1e-12)
         np.testing.assert_allclose(apply_ring(layout, psi), ring @ psi,
@@ -360,15 +390,95 @@ class TestNoiselessRing:
         applied one at a time."""
         layout = build_ansatz(4, 1)
         rho = random_mixed_state(4, 97)
-        one_by_one = rho
-        for c, t in layout.cnot_ring:
-            one_by_one = apply_cnot(one_by_one, c, t)
         calls = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args[1:])
-            return apply_cnot(*args)
+            return apply_cnot(*args, **kwargs)
 
         monkeypatch.setattr(circuits, "apply_cnot", counting)
-        assert np.array_equal(apply_ring(layout, rho), one_by_one)
-        assert calls == [((1, 2, 3, 4), (2, 3, 4, 1))]
+        for state in (rho, pauli_vector(rho)):
+            one_by_one = state
+            for c, t in layout.cnot_ring:
+                one_by_one = apply_cnot(one_by_one, c, t)
+            calls.clear()
+            assert np.array_equal(apply_ring(layout, state), one_by_one)
+            assert calls == [((1, 2, 3, 4), (2, 3, 4, 1))]
+
+
+class TestPauliVectors:
+    """The Pauli-vector kernels against the dense oracle: the layer's
+    transfer factors and the signed CNOT gathers, forward and adjoint."""
+
+    def test_oracle_conversions_are_explicit_traces(self):
+        """pauli_vector is tr(P rho) string by string, density_matrix its
+        inverse, and a Pauli observable's coefficients are one 1."""
+        rho = random_mixed_state(3, 5)
+        r = pauli_vector(rho)
+        for index, letters in enumerate(itertools.product("IXYZ", repeat=3)):
+            p = reduce(np.kron, [PAULI[c] for c in letters])
+            assert abs(r[index] - np.trace(p @ rho).real) < 1e-15
+        np.testing.assert_allclose(density_matrix(r), rho, rtol=0,
+                                   atol=1e-15)
+        obs = PauliObservable("XIZY")
+        np.testing.assert_array_equal(coefficients(obs.matrix()),
+                                      obs.pauli_vector())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_layer_transfer_matches_dense_conjugation(self, n):
+        """n = 1..6, even and odd (a last 4x4 factor): U rho U^dagger
+        forward, U^dagger O U adjoint, and the trace identity."""
+        layout = build_ansatz(n, 1)
+        rng = np.random.default_rng(110 + n)
+        theta = rng.uniform(-7.0, 7.0, size=layout.parameter_count)
+        u = dense_layer(layout, theta, 1)
+        op = _layer_unitary(_layer_blocks(theta.reshape(n, 3)), pauli=True)
+        assert [len(f) for f in op] == [16] * (n // 2) + [4] * (n % 2)
+        rho, obs = random_mixed_state(n, 111 + n), random_hermitian(n, rng)
+        r, o = pauli_vector(rho), coefficients(obs)
+        forward, back = rotate(op, r), rotate(op, o, adjoint=True)
+        np.testing.assert_allclose(forward, pauli_vector(u @ rho @ u.conj().T),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back, coefficients(u.conj().T @ obs @ u),
+                                   rtol=0, atol=1e-12)
+        assert abs(o @ forward - back @ r) < 1e-12
+
+    def test_transfer_blocks_are_one_plus_rotations(self):
+        """Each qubit's 4x4 block keeps the identity and rotates X, Y, Z:
+        1 (+) SO(3), so a factor is orthogonal."""
+        rng = np.random.default_rng(120)
+        op = _layer_unitary(_layer_blocks(rng.uniform(-7, 7, size=(3, 3))),
+                            pauli=True)
+        for f in op:
+            np.testing.assert_allclose(f @ f.T, np.eye(len(f)), atol=1e-14)
+        r3 = op[-1]
+        assert r3[0, 0] == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(r3[0, 1:], 0.0, atol=1e-15)
+        np.testing.assert_allclose(r3[1:, 0], 0.0, atol=1e-15)
+        assert np.linalg.det(r3[1:, 1:]) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cnot_gather_matches_cnot_matrix(self, n):
+        """Every ordered pair up to n = 4, the ring's pairs beyond: the
+        signed gather is C rho C, its adjoint C O C, and a tuple of pairs
+        equals the CNOTs one by one."""
+        rng = np.random.default_rng(130 + n)
+        rho, obs = random_mixed_state(n, 131 + n), random_hermitian(n, rng)
+        r, o = pauli_vector(rho), coefficients(obs)
+        pairs = (list(itertools.permutations(range(1, n + 1), 2)) if n <= 4
+                 else list(build_ansatz(n, 1).cnot_ring))
+        for c, t in pairs:
+            cx = cnot_matrix(n, c, t)
+            np.testing.assert_allclose(apply_cnot(r, c, t),
+                                       pauli_vector(cx @ rho @ cx),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(apply_cnot(o, c, t, adjoint=True),
+                                       coefficients(cx @ obs @ cx),
+                                       rtol=0, atol=1e-12)
+        one_by_one = r
+        for c, t in pairs:
+            one_by_one = apply_cnot(one_by_one, c, t)
+        np.testing.assert_array_equal(apply_cnot(r, *zip(*pairs)), one_by_one)
+        ring = apply_cnot(r, *zip(*pairs))
+        back = apply_cnot(o, *zip(*pairs), adjoint=True)
+        assert abs(o @ ring - back @ r) < 1e-12

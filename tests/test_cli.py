@@ -1,11 +1,15 @@
 """Tests for the command-line interface and file outputs."""
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -558,7 +562,7 @@ class TestMseCurvesCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for workers in (0, -1, harness.MAX_WORKERS + 1):
             capsys.readouterr()
             assert main(["mse-curves", config_file, "--workers",
@@ -585,11 +589,25 @@ class TestMseCurvesCommand:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
         for workers in (3, harness.MAX_WORKERS):
             assert main(["mse-curves", config_file, "--workers",
                          str(workers), "--out", str(tmp_path)]) == 0
         assert sizes == [3, 4]  # the config has four parameter sets
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        """Only a run with more than one worker imports the process pool
+        (and with it multiprocessing), so start-up does not pay for it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; import paulishift.cli; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True,
+            check=True).stdout
+        assert loaded == "False\n"
 
     # sha256 of the CSVs of two small seeded runs: a noiseless PS/NFD/HFD
     # run, where NFD and HFD share one step but draw their own shots, and a

@@ -10,9 +10,9 @@ import pytest
 from paulishift import analytics, circuits, harness, noise
 from paulishift.analytics import (CrossoverNotFound, mse_sps,
                                   n_star_sps_exact)
-from paulishift.circuits import (_layer_unitary, build_ansatz,
-                                 cyclic_observable, evolve, expectation,
-                                 shifted)
+from paulishift.circuits import (_layer_blocks, _layer_unitary,
+                                 build_ansatz, cyclic_observable, evolve,
+                                 expectation, shifted)
 from paulishift.estimators import (DiagHessian, EstimatorSpec, Gradient,
                                    OffDiagHessian, evaluation_points)
 from paulishift.harness import (CrossingEstimate, ExperimentConfig,
@@ -230,31 +230,41 @@ class TestShiftReconstruction:
 
     def test_held_unitaries_stay_under_the_byte_cap(self, monkeypatch):
         """Past the cap a unitary is rebuilt rather than held, with the
-        same values to the bit."""
+        same values to the bit; transfer factors, a few KiB, are always
+        held."""
         layout, obs = build_ansatz(2, 3), cyclic_observable(2)
         theta = sample_parameter_set(layout, np.random.default_rng(5))
         spec = harness._shift_rule(OffDiagHessian(1, 2, 2, 2, 2, 3))
         held = harness._FunctionCache(layout, theta, obs)
-        want = held.mean(spec, noise.CnotDepolarizing(0.05))
+        want = held.mean(spec, None)
         assert len(held._unitaries) == 9 + 2
         monkeypatch.setattr(harness, "_HELD_UNITARY_BYTES", 3 * 16 * 4 ** 2)
         capped = harness._FunctionCache(layout, theta, obs)
-        assert capped.mean(spec, noise.CnotDepolarizing(0.05)) == want
+        assert capped.mean(spec, None) == want
         assert len(capped._unitaries) == 2
+        capped.mean(spec, noise.CnotDepolarizing(0.05))
+        assert len(capped._unitaries) == 2 + 9 + 2
 
     def test_fig5_set_runs_sixteen_circuits(self, monkeypatch):
         """The fig5 set's grids (three points on the shared gradient and
         diagonal angle, nine on the off-diagonal pair, clean and noisy) all
         sit in layer 2: each point is one layer-2 unitary between the state
         after layer 1 and the observable pulled back through layers 5..3 and
-        the layer-2 ring. 13 distinct unitaries, each built once (32 builds
-        before the grid plan), and 10 ring passes (32 before)."""
-        built, rings, calls = [], [], []
+        the layer-2 ring. 13 distinct layers, each one's 2x2 blocks built
+        once and shared by its clean unitary and its noisy transfer factors:
+        26 operator builds (13 unitaries shared by both before the Pauli
+        basis; 32 builds before the grid plan), and 10 ring passes (32
+        before)."""
+        blocks, built, rings, calls = [], [], [], []
         ring = circuits.apply_ring
 
-        def counting_unitary(angles):
-            built.append(angles.tobytes())
-            return _layer_unitary(angles)
+        def counting_blocks(angles):
+            blocks.append(angles.tobytes())
+            return _layer_blocks(angles)
+
+        def counting_unitary(layer_blocks, pauli=False):
+            built.append((pauli, layer_blocks.tobytes()))
+            return _layer_unitary(layer_blocks, pauli)
 
         def counting_ring(*args, **kwargs):
             rings.append(args)
@@ -268,6 +278,7 @@ class TestShiftReconstruction:
 
         monkeypatch.setattr(harness, "evolve", counting_evolve)
         for module in (circuits, harness):
+            monkeypatch.setattr(module, "_layer_blocks", counting_blocks)
             monkeypatch.setattr(module, "_layer_unitary", counting_unitary)
             monkeypatch.setattr(module, "apply_ring", counting_ring)
         config = ExperimentConfig(
@@ -279,8 +290,9 @@ class TestShiftReconstruction:
         # runs a circuit of its own.
         assert len(calls) == 2 + 2
         assert sum(call["adjoint"] for call in calls) == 2
-        assert len(set(built)) == 13
-        assert len(built) == 13
+        assert len(set(blocks)) == len(blocks) == 13
+        assert len(set(built)) == len(built) == 2 * 13
+        assert sum(pauli for pauli, _ in built) == 13
         assert len(rings) == 2 * (1 + 3 + 1) == 10
 
 
@@ -314,7 +326,7 @@ class TestShiftReconstruction:
                         a: harness._GRID[i] for a, i in zip(angles, idx)})
                     state = evolve(layout, point, channel, (2, 2), start,
                                    unitary=cache._unitary)
-                    u = cache._unitary(point.reshape(4, 3, 3)[2])
+                    u = cache._unitary(point.reshape(4, 3, 3)[2], not clean)
                     assert grid[idx] == expectation(
                         circuits.rotate(u, state), back)
 

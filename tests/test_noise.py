@@ -3,20 +3,19 @@ import itertools
 
 import numpy as np
 import pytest
-from dense_oracle import (check_state, cnot_matrix, dense_evolve,
-                          pauli_sum_reference, random_hermitian,
-                          random_mixed_state)
+from dense_oracle import (check_state, cnot_matrix, coefficients,
+                          dense_evolve, density_matrix, pauli_sum_reference,
+                          pauli_vector, random_hermitian, random_mixed_state)
 
-from paulishift.circuits import (apply_cnot, apply_ring, build_ansatz,
+from paulishift.circuits import (PAULI, apply_cnot, apply_ring, build_ansatz,
                                  cyclic_observable, evolve, expectation,
                                  zero_state)
 from paulishift.harness import (ExperimentConfig, NoiseSpec,
                                 distribution_study, sample_parameter_set,
                                 substream)
-from paulishift.noise import (CnotDepolarizing, CnotPauliChannel,
-                              GlobalDepolarizing, NoNoise,
-                              apply_pair_superoperator,
-                              pauli_channel_superoperator,
+from paulishift.noise import (TWO_QUBIT_PAULI_LABELS, CnotDepolarizing,
+                              CnotPauliChannel, GlobalDepolarizing, NoNoise,
+                              pauli_eigenvalues,
                               random_pauli_weights, total_error_rate)
 
 
@@ -26,37 +25,53 @@ def _random_state(n, seed):
     return evolve(layout, sample_parameter_set(layout, rng))
 
 
+def _kraus_after_cnots(rho, pairs, weights):
+    """The dense CNOTs in turn, each followed by the channel's Kraus sum."""
+    n = len(rho).bit_length() - 1
+    for c, t in pairs:
+        cx = cnot_matrix(n, c, t)
+        rho = pauli_sum_reference(cx @ rho @ cx, c, t, weights)
+    return rho
+
+
 class TestTwoQubitChannels:
 
     def test_depolarizing_equals_explicit_pauli_sum(self):
-        """The depolarizing channel must equal the 15-term Kraus sum."""
-        state = _random_state(3, 23)
+        """The depolarizing channel must equal the 15-term Kraus sum: each
+        eigenvalue scales its pair string as the sum does, 1 - 16 eta0/15
+        off the identity."""
         eta0 = 0.07
-        fast = apply_pair_superoperator(
-            state, 1, 3, pauli_channel_superoperator([eta0 / 15.0] * 15))
-        ref = pauli_sum_reference(state, 1, 3, [eta0 / 15.0] * 15)
-        np.testing.assert_allclose(fast, ref, atol=1e-13)
+        lam = pauli_eigenvalues([eta0 / 15.0] * 15)
+        assert CnotDepolarizing(eta0).eigenvalues == lam
+        for q, label in enumerate(("II",) + TWO_QUBIT_PAULI_LABELS):
+            p = np.kron(PAULI[label[0]], PAULI[label[1]])
+            ref = pauli_sum_reference(p, 1, 2, [eta0 / 15.0] * 15)
+            np.testing.assert_allclose(ref, lam[q] * p, rtol=0, atol=1e-15)
+            want = 1.0 if q == 0 else 1.0 - 16.0 * eta0 / 15.0
+            assert lam[q] == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_pauli_channel_matches_reference(self):
         """n = 2..5, every ordered pair (the ring's (n, 1) included), random
         and uniform weights, on generic mixed states."""
         rng = np.random.default_rng(5)
         for n in (2, 3, 4, 5):
-            state = random_mixed_state(n, 29 + n)
+            rho = random_mixed_state(n, 29 + n)
+            state = pauli_vector(rho)
             for weights in (random_pauli_weights(0.12, rng),
                             (0.3 / 15.0,) * 15):
-                superop = pauli_channel_superoperator(weights)
+                channel = CnotPauliChannel(weights)
                 for j, k in itertools.permutations(range(1, n + 1), 2):
-                    out = apply_pair_superoperator(state, j, k, superop)
-                    ref = pauli_sum_reference(state, j, k, weights)
-                    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+                    out = channel.apply_after_cnot(state, j, k)
+                    ref = _kraus_after_cnots(rho, [(j, k)], weights)
+                    np.testing.assert_allclose(out, pauli_vector(ref),
+                                               rtol=0, atol=1e-13)
 
     def test_channels_preserve_valid_states(self):
         state = _random_state(3, 31)
         for out in (CnotDepolarizing(0.3).apply_after_cnot(state, 2, 3),
-                    apply_pair_superoperator(
-                        state, 1, 2, pauli_channel_superoperator([0.02] * 15))):
-            check_state(out)
+                    CnotPauliChannel([0.02] * 15).apply_after_cnot(
+                        state, (1, 2, 3), (2, 3, 1))):
+            check_state(density_matrix(out))
 
     def test_zero_rate_is_identity(self):
         """A zero-rate channel is the identity, so its hook is the CNOT."""
@@ -65,19 +80,22 @@ class TestTwoQubitChannels:
         np.testing.assert_allclose(out, apply_cnot(state, 1, 2))
 
     def test_channel_argument_validation(self):
+        """Bad pairs, states that are not Pauli vectors, and bad weights,
+        each with its message."""
         state = zero_state(2)
-        with pytest.raises(ValueError):
-            apply_pair_superoperator(state, 1, 1, np.eye(16))
-        with pytest.raises(ValueError):
-            apply_pair_superoperator(state, 1, 2, 1j * np.eye(16))
+        with pytest.raises(ValueError, match="must differ"):
+            CnotDepolarizing(0.1).apply_after_cnot(state, 1, 1)
+        psi = np.eye(1, 4, dtype=complex)[0]
+        with pytest.raises(ValueError, match="real Pauli vectors"):
+            CnotDepolarizing(0.1).apply_after_cnot(psi, 1, 2)
         with pytest.raises(ValueError):
             CnotDepolarizing(1.0)
-        with pytest.raises(ValueError):
-            pauli_channel_superoperator([0.1] * 14)
-        with pytest.raises(ValueError):
-            pauli_channel_superoperator([-0.1] + [0.0] * 14)
-        with pytest.raises(ValueError):
-            pauli_channel_superoperator([0.1] * 15)  # sums to 1.5
+        with pytest.raises(ValueError, match="need exactly 15 weights"):
+            CnotPauliChannel([0.1] * 14)
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            CnotPauliChannel([-0.1] + [0.0] * 14)
+        with pytest.raises(ValueError, match="weights sum to 1.5.*< 1"):
+            CnotPauliChannel([0.1] * 15)
 
 
 class TestNoiseModels:
@@ -119,8 +137,8 @@ class TestNoiseModels:
         rng = np.random.default_rng(43)
         theta = sample_parameter_set(layout, rng)
         eta0 = 0.08
-        f_ref = expectation(
-            dense_evolve(layout, theta, (eta0 / 15.0,) * 15), obs)
+        rho = dense_evolve(layout, theta, (eta0 / 15.0,) * 15)
+        f_ref = np.trace(rho @ obs.matrix()).real
         f_dep = expectation(
             evolve(layout, theta, CnotDepolarizing(eta0)), obs)
         f_pauli = expectation(
@@ -128,10 +146,11 @@ class TestNoiseModels:
         np.testing.assert_allclose(f_dep, f_ref, atol=1e-12)
         np.testing.assert_allclose(f_pauli, f_ref, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_evolve_matches_dense_oracle(self, n, L):
-        """Both CNOT channels through evolve equal the dense Kraus circuit."""
+        """Both CNOT channels through evolve equal the dense Kraus circuit,
+        and the pulled-back observable passes the trace identity."""
         layout = build_ansatz(n, L)
         rng = np.random.default_rng(59 + 10 * n + L)
         theta = sample_parameter_set(layout, rng)
@@ -140,7 +159,12 @@ class TestNoiseModels:
                            (CnotPauliChannel(weights), weights)):
             out = evolve(layout, theta, channel)
             ref = dense_evolve(layout, theta, w)
-            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out, pauli_vector(ref), rtol=0,
+                                       atol=1e-12)
+            obs = cyclic_observable(n)
+            back = evolve(layout, theta, channel, state=obs.pauli_vector(),
+                          adjoint=True)
+            assert abs(back @ zero_state(n) - expectation(out, obs)) < 1e-12
 
     def test_model_rate_validation(self):
         with pytest.raises(ValueError):
@@ -152,13 +176,13 @@ class TestNoiseModels:
 
 
 class TestAdjoints:
-    """tr(O E(rho)) = tr(E^dagger(O) rho) for every hook, with O generic."""
+    """tr(O E(rho)) = tr(E^dagger(O) rho) for every hook, with O generic:
+    o . E(r) = E^dagger(o) . r on Pauli vectors."""
 
     @staticmethod
     def _pair(rho, obs, forward, backward):
-        lhs = np.trace(obs @ forward(rho))
-        rhs = np.trace(backward(obs) @ rho)
-        assert abs(lhs - rhs) < 1e-12
+        r, o = pauli_vector(rho), coefficients(obs)
+        assert abs(o @ forward(r) - backward(o) @ r) < 1e-12
 
     def test_every_model_hook(self):
         rng = np.random.default_rng(43)
@@ -168,7 +192,7 @@ class TestAdjoints:
         weights = random_pauli_weights(0.2, rng)
         for model in (NoNoise(), GlobalDepolarizing(0.3),
                       CnotDepolarizing(0.1), CnotPauliChannel(weights)):
-            for j, k in ((1, 2), (3, 1)):
+            for j, k in ((1, 2), (3, 1), ((1, 2, 3), (2, 3, 1))):
                 self._pair(
                     rho, obs,
                     lambda x: model.apply_after_cnot(x, j, k),
@@ -176,35 +200,47 @@ class TestAdjoints:
             self._pair(rho, obs, model.apply_final,
                        lambda x: model.apply_final(x, adjoint=True))
 
-    def test_pair_superoperator_transpose_is_its_adjoint(self):
-        """A random real 16x16 map that is not symmetric, as a non-unital
-        channel's is not. Like every channel it preserves Hermiticity: it
-        commutes with the swap of row and column bits, without which S^T
-        would not be its adjoint."""
+    def test_global_final_hook_matches_dense_mixing(self):
+        """The global channel on a Pauli vector is the dense mix toward
+        I/d, and its adjoint the dense O -> (1 - eta) O + eta tr(O) I/d."""
+        rng = np.random.default_rng(45)
+        rho, obs = random_mixed_state(3, 46), random_hermitian(3, rng)
+        model, eye = GlobalDepolarizing(0.3), np.eye(8) / 8
+        np.testing.assert_allclose(
+            model.apply_final(pauli_vector(rho)),
+            pauli_vector(0.7 * rho + 0.3 * eye), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            model.apply_final(coefficients(obs), adjoint=True),
+            coefficients(0.7 * obs + 0.3 * np.trace(obs) * eye), rtol=0,
+            atol=1e-12)
+
+    def test_ring_scatter_is_its_adjoint(self):
+        """With 16 arbitrary scale factors in place of a channel's
+        eigenvalues, the adjoint hook's scatter is still the transpose of
+        the forward gather and factor."""
         rng = np.random.default_rng(47)
-        swap = np.arange(16).reshape(4, 4).T.ravel()
-        raw = rng.normal(size=(16, 16))
-        superop = 0.5 * (raw + raw[np.ix_(swap, swap)])
-        assert not np.allclose(superop, superop.T)
+        factors = tuple(rng.normal(size=16))
         rho = random_mixed_state(3, 48)
         g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         obs = g + g.conj().T
-        for j, k in ((1, 2), (2, 3), (3, 1)):
+        for j, k in ((1, 2), (2, 3), (3, 1), ((1, 2, 3), (2, 3, 1))):
             self._pair(
                 rho, obs,
-                lambda x: apply_pair_superoperator(x, j, k, superop),
-                lambda x: apply_pair_superoperator(x, j, k, superop.T))
+                lambda x: apply_cnot(x, j, k, False, factors),
+                lambda x: apply_cnot(x, j, k, True, factors))
 
 
 class TestFusedCnotChannels:
-    """A per-CNOT hook is the CNOT and its channel in one superoperator
-    pass, S K, and its adjoint hook K S^T."""
+    """A per-CNOT hook applies the CNOT and then its channel, on one CNOT
+    or a whole ring in one gather and one multiply; its adjoint hook is the
+    transpose."""
 
     @staticmethod
     def _models(rng):
         weights = random_pauli_weights(0.12, rng)
         return ((CnotDepolarizing(0.06), (0.004,) * 15),
                 (CnotPauliChannel(weights), weights),
+                (CnotDepolarizing(0.0), (0.0,) * 15),
                 (NoNoise(), (0.0,) * 15),
                 (GlobalDepolarizing(0.3), (0.0,) * 15))
 
@@ -212,30 +248,39 @@ class TestFusedCnotChannels:
     def test_hook_matches_dense_cnot_then_kraus_sum(self, n):
         rng = np.random.default_rng(61 + n)
         rho, obs = random_mixed_state(n, 62 + n), random_hermitian(n, rng)
+        r = pauli_vector(rho)
         for model, weights in self._models(rng):
             for c, t in itertools.permutations(range(1, n + 1), 2):
-                cx = cnot_matrix(n, c, t)
-                out = model.apply_after_cnot(rho, c, t)
-                ref = pauli_sum_reference(cx @ rho @ cx, c, t, weights)
-                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+                out = model.apply_after_cnot(r, c, t)
+                ref = _kraus_after_cnots(rho, [(c, t)], weights)
+                np.testing.assert_allclose(out, pauli_vector(ref), rtol=0,
+                                           atol=1e-12)
                 TestAdjoints._pair(
                     rho, obs, lambda x: model.apply_after_cnot(x, c, t),
                     lambda x: model.apply_after_cnot(x, c, t, adjoint=True))
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_noisy_ring_and_its_adjoint(self, n):
-        """A whole noisy ring against the dense CNOTs and Kraus sums; its
-        adjoint passes the trace identity."""
+        """A whole noisy ring against the dense CNOTs and Kraus sums, at
+        n = 2 (whose ring runs (1, 2) then (2, 1)) up to n = 6; its adjoint
+        against the dense adjoint and the trace identity. Weights are
+        redrawn per model, and eta0 = 0 is the bare ring."""
         rng = np.random.default_rng(71 + n)
         layout = build_ansatz(n, 1)
         rho, obs = random_mixed_state(n, 72 + n), random_hermitian(n, rng)
-        for model, weights in self._models(rng)[:2]:
-            ref = rho
-            for c, t in layout.cnot_ring:
+        pairs = layout.cnot_ring
+        for model, weights in self._models(rng):
+            ref = _kraus_after_cnots(rho, pairs, weights)
+            np.testing.assert_allclose(
+                apply_ring(layout, pauli_vector(rho), model),
+                pauli_vector(ref), rtol=0, atol=1e-12)
+            back = obs
+            for c, t in pairs[::-1]:
                 cx = cnot_matrix(n, c, t)
-                ref = pauli_sum_reference(cx @ ref @ cx, c, t, weights)
-            np.testing.assert_allclose(apply_ring(layout, rho, model), ref,
-                                       rtol=0, atol=1e-12)
+                back = cx @ pauli_sum_reference(back, c, t, weights) @ cx
+            np.testing.assert_allclose(
+                apply_ring(layout, coefficients(obs), model, adjoint=True),
+                coefficients(back), rtol=0, atol=1e-12)
             TestAdjoints._pair(
                 rho, obs, lambda x: apply_ring(layout, x, model),
                 lambda x: apply_ring(layout, x, model, adjoint=True))
