@@ -244,7 +244,8 @@ def expectation(state: np.ndarray, obs) -> float:
 
 def _layer_blocks(angles: np.ndarray) -> np.ndarray:
     """A layer's (n, 2, 2) blocks from its (n, 3) angles, all at once as
-    Rz(gamma) @ (Ry(beta) @ (Rz(alpha) @ I)): scalar calls' bits exactly."""
+    Rz(gamma) @ (Ry(beta) @ (Rz(alpha) @ I)), the product order of one
+    rotation at a time, which keeps every seeded value to the bit."""
     blocks = PAULI["I"]
     for s, axis in enumerate("ZYZ"):
         blocks = rotation_matrix(axis, angles[:, s]) @ blocks
@@ -252,8 +253,9 @@ def _layer_blocks(angles: np.ndarray) -> np.ndarray:
 
 
 # Row a is sigma_a^T flattened: times the row-major vec of M, tr(sigma_a M).
+# Its inverse is its conjugate transpose over 2.
 _PAULI_ROWS = np.stack([PAULI[c].T.ravel() for c in "IXYZ"])
-_HALF_INVERSE = _PAULI_ROWS.conj().T / 2
+_PAULI_ROWS_INVERSE = _PAULI_ROWS.conj().T / 2
 
 
 def _layer_unitary(blocks: np.ndarray, pauli: bool = False):
@@ -262,8 +264,10 @@ def _layer_unitary(blocks: np.ndarray, pauli: bool = False):
     (1, 2), (3, 4), ..., and a 4x4 for an odd last qubit. Block u's transfer
     block, 1 (+) SO(3), is R_ab = tr(s_a u s_b u^dagger) / 2 over
     s = I, X, Y, Z: T (u (x) conj(u)) T^dagger / 2, T the rows above."""
-    if not pauli:  # kron(*blocks) folded as broadcast outer products: each
-        u = blocks[0]  # entry is np.kron's one product, without its set-up
+    if not pauli:
+        # kron(A_1, ..., A_n) folded left to right as broadcast outer
+        # products: each entry is np.kron's one product, without its set-up.
+        u = blocks[0]
         for block in blocks[1:]:
             d = 2 * u.shape[0]
             u = (u[:, None, :, None] * block[None, :, None, :]).reshape(d, d)
@@ -271,7 +275,7 @@ def _layer_unitary(blocks: np.ndarray, pauli: bool = False):
     n, m = len(blocks), len(blocks) // 2
     uu = (blocks[:, :, None, :, None]
           * blocks.conj()[:, None, :, None, :]).reshape(n, 4, 4)
-    r = (_PAULI_ROWS @ uu @ _HALF_INVERSE).real
+    r = (_PAULI_ROWS @ uu @ _PAULI_ROWS_INVERSE).real
     pairs = r[0:2 * m:2, :, None, :, None] * r[1:2 * m:2, None, :, None, :]
     return (*pairs.reshape(m, 16, 16), *r[2 * m:])
 
