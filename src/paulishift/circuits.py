@@ -1,20 +1,20 @@
 """Exact simulation of layered Pauli-rotation circuits.
 
-A state on n qubits is a plain ndarray: a complex 2^n statevector (noiseless)
-or a real Pauli vector of the 4^n values r_P = tr(P rho), indexed by the
-string P as base-4 digits (I, X, Y, Z = 0..3), qubit 1 first; a noisy
-observable O = sum_P o_P P is the Pauli vector o, and tr(O rho) = o . r.
-There a layer is a Kronecker product of 4x4 transfer blocks, a CNOT a signed
-permutation and a Pauli channel diagonal.  The angles are one flat vector of
-3nL floats, layer-major, then qubit, then slot, so ``theta.reshape(L, n, 3)``
-holds each qubit's (Z, Y, Z) angles.  Qubit 1 is the most significant bit
-of a basis index: kron(A_1, ..., A_n) acts with A_q on qubit q.  Qubit,
-layer and slot indices are 1-based.
+A state on n qubits, clean or noisy, is a real Pauli vector: the 4^n values
+r_P = tr(P rho), indexed by the string P as base-4 digits (I, X, Y, Z =
+0..3), qubit 1 first; an observable O = sum_P o_P P is the Pauli vector o,
+and tr(O rho) = o . r.  A layer is a Kronecker product of 4x4 transfer
+blocks, a CNOT a signed permutation and a Pauli channel diagonal, so a clean
+circuit is the noisy one with the identity channel.  The angles are one
+flat vector of 3nL floats, layer-major, then qubit, then slot, so
+``theta.reshape(L, n, 3)`` holds each qubit's (Z, Y, Z) angles.  Qubit 1 is
+the most significant bit of a basis index: kron(A_1, ..., A_n) acts with
+A_q on qubit q.  Qubit, layer and slot indices are 1-based.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -100,19 +100,11 @@ class PauliObservable:
     def n(self) -> int:
         return len(self.letters)
 
-    def matrix(self) -> np.ndarray:
-        return _observable_matrix(self.letters)
-
     def pauli_vector(self) -> np.ndarray:
         """The coefficients o of O = sum_P o_P P: a single 1."""
         o = np.zeros(4 ** self.n)
         o[int(self.letters.translate(str.maketrans("IXYZ", "0123")), 4)] = 1
         return o
-
-
-@lru_cache(maxsize=128)
-def _observable_matrix(letters: str) -> np.ndarray:
-    return reduce(np.kron, (PAULI[c] for c in letters))
 
 
 def cyclic_observable(n: int) -> PauliObservable:
@@ -121,10 +113,6 @@ def cyclic_observable(n: int) -> PauliObservable:
 
 
 # ── states ───────────────────────────────────────────────────────────────────
-
-def is_pauli(state: np.ndarray) -> bool:
-    return state.ndim == 1 and not np.iscomplexobj(state)
-
 
 def zero_state(n: int) -> np.ndarray:
     """|0...0><0...0| as a Pauli vector: 1 on the strings of I and Z."""
@@ -143,17 +131,6 @@ def rotation_matrix(axis: str, angle) -> np.ndarray:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     half = 0.5 * np.asarray(angle)[..., None, None]
     return np.cos(half) * PAULI["I"] - 1.0j * np.sin(half) * PAULI[axis]
-
-
-@lru_cache(maxsize=512)
-def _cnot_permutation(n: int, pairs: tuple) -> np.ndarray:
-    """Gather index g with (C psi)[i] = psi[g[i]], for C the CNOTs in
-    ``pairs`` applied first to last."""
-    g = np.arange(2 ** n)
-    for control, target in reversed(pairs):
-        check_pair(n, control, target)
-        g ^= ((g >> (n - control)) & 1) << (n - target)
-    return g
 
 
 @lru_cache(maxsize=64)
@@ -201,43 +178,30 @@ def check_pair(n: int, j: int, k: int) -> None:
 
 def apply_cnot(state: np.ndarray, control, target, adjoint: bool = False,
                eigenvalues: tuple | None = None) -> np.ndarray:
-    """CNOT = |0><0| (x) 1 + |1><1| (x) X as one gather of a statevector's
-    entries, a matrix's rows and columns, or (signed, C P C = +-P') a Pauli
-    vector's; tuples of controls and targets apply those CNOTs in turn, each
-    followed on a Pauli vector by the Pauli channel with these 16
+    """CNOT = |0><0| (x) 1 + |1><1| (x) X on a Pauli vector as one signed
+    gather (C P C = +-P'); tuples of controls and targets apply those CNOTs
+    in turn, each followed by the Pauli channel with these 16
     ``eigenvalues``, if given. ``adjoint=True`` applies the adjoint."""
     if np.ndim(control) == 0:
         control, target = (control,), (target,)
     pairs = tuple(zip(control, target, strict=True))
-    bits = len(state).bit_length() - 1  # 2n for a Pauli vector, else n
-    if is_pauli(state):
-        gather, factor = _pauli_ring(bits // 2, pairs, eigenvalues)
-        if not adjoint:
-            return factor * state[gather]
-        out = np.empty_like(state)
-        out[gather] = factor * state
-        return out
-    if eigenvalues is not None:
-        raise ValueError("Pauli channels act on real Pauli vectors")
-    g = _cnot_permutation(bits, pairs[::-1] if adjoint else pairs)
-    return state[g] if state.ndim == 1 else state[np.ix_(g, g)]
+    gather, factor = _pauli_ring(len(state).bit_length() // 2, pairs,
+                                 eigenvalues)
+    if not adjoint:
+        return factor * state[gather]
+    out = np.empty_like(state)
+    out[gather] = factor * state
+    return out
 
 
 def expectation(state: np.ndarray, obs) -> float:
-    """tr(rho O) for a Pauli vector r, <psi|O|psi> for a statevector psi; O
-    is a Pauli observable, or as ``evolve(..., adjoint=True)`` pulls it back
-    a coefficient vector o (tr(rho O) = o . r) or a Hermitian matrix."""
-    pauli = is_pauli(state)
+    """tr(rho O) = o . r for the Pauli vector r; O is a Pauli observable or,
+    as ``evolve(..., adjoint=True)`` pulls it back, its coefficients o."""
     if isinstance(obs, PauliObservable):
-        obs = obs.pauli_vector() if pauli else obs.matrix()
-    if obs.shape != (state.shape if pauli else (len(state),) * 2):
+        obs = obs.pauli_vector()
+    if obs.shape != state.shape:
         raise ValueError(f"observable {obs.shape}, state {state.shape}")
-    if pauli:
-        return float(obs @ state)
-    val = complex(np.vdot(state, obs @ state))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
+    return float(obs @ state)
 
 
 # ── circuit evolution ────────────────────────────────────────────────────────
@@ -258,20 +222,12 @@ _PAULI_ROWS = np.stack([PAULI[c].T.ravel() for c in "IXYZ"])
 _PAULI_ROWS_INVERSE = _PAULI_ROWS.conj().T / 2
 
 
-def _layer_unitary(blocks: np.ndarray, pauli: bool = False):
-    """A layer's blocks as one dense unitary or, with ``pauli=True``, its
-    Pauli transfer map as real Kronecker factors: one 16x16 per qubit pair
-    (1, 2), (3, 4), ..., and a 4x4 for an odd last qubit. Block u's transfer
-    block, 1 (+) SO(3), is R_ab = tr(s_a u s_b u^dagger) / 2 over
-    s = I, X, Y, Z: T (u (x) conj(u)) T^dagger / 2, T the rows above."""
-    if not pauli:
-        # kron(A_1, ..., A_n) folded left to right as broadcast outer
-        # products: each entry is np.kron's one product, without its set-up.
-        u = blocks[0]
-        for block in blocks[1:]:
-            d = 2 * u.shape[0]
-            u = (u[:, None, :, None] * block[None, :, None, :]).reshape(d, d)
-        return u
+def _layer_unitary(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A layer's blocks as its Pauli transfer map in real Kronecker factors:
+    one 16x16 per qubit pair (1, 2), (3, 4), ..., and a 4x4 for an odd last
+    qubit. Block u's transfer block, 1 (+) SO(3), is
+    R_ab = tr(s_a u s_b u^dagger) / 2 over s = I, X, Y, Z:
+    T (u (x) conj(u)) T^dagger / 2, T the rows above."""
     n, m = len(blocks), len(blocks) // 2
     uu = (blocks[:, :, None, :, None]
           * blocks.conj()[:, None, :, None, :]).reshape(n, 4, 4)
@@ -281,10 +237,8 @@ def _layer_unitary(blocks: np.ndarray, pauli: bool = False):
 
 
 def rotate(op, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """U psi, or each transfer factor on its digit of a Pauli vector; with
-    ``adjoint=True`` U^dagger O U, or each factor transposed."""
-    if not is_pauli(state):
-        return op.conj().T @ state @ op if adjoint else op @ state
+    """Each transfer factor of ``op`` on its digit of a Pauli vector, or
+    with ``adjoint=True`` each factor transposed."""
     x, pre = state, 1
     for f in op[:-1]:
         x = np.matmul(f.T if adjoint else f, x.reshape(pre, len(f), -1))
@@ -310,14 +264,13 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
     flat vector of 3nL finite angles. Per layer: all single-qubit rotations
     (noiseless), then ``apply_ring``; the final hook follows layer L, so it
     joins any nonempty range ending there. An empty range (first = last + 1)
-    returns ``state``. ``adjoint=True`` runs the range's map E backwards as
-    its adjoint: tr(O E(rho)) = tr(E^dagger(O) rho). A Pauli vector runs
-    either way under any model, a statevector noiseless and forward, an
-    observable matrix noiseless and adjoint. A noise model has the hooks
-    ``apply_after_cnot(state, control, target, adjoint=False)``, for one
-    CNOT or tuples of them, each followed by its channel, and
-    ``apply_final(state, adjoint=False)``; None is noiseless.
-    ``unitary(angles, pauli)`` builds a layer's ``_layer_unitary``.
+    returns ``state``. ``state`` is a real Pauli vector of shape (4^n,),
+    else ValueError. ``adjoint=True`` runs the range's map E backwards on
+    observable coefficients: tr(O E(rho)) = tr(E^dagger(O) rho). A noise
+    model has the hooks ``apply_after_cnot(state, control, target,
+    adjoint=False)``, for one CNOT or tuples of them, each followed by its
+    channel, and ``apply_final(state, adjoint=False)``; None is noiseless.
+    ``unitary(angles)`` builds a layer's ``_layer_unitary``.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (layout.parameter_count,):
@@ -330,20 +283,20 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
     if not (1 <= first <= last + 1 and last <= layout.L):
         raise ValueError(f"layers {first}..{last} outside 1..{layout.L}")
     state = zero_state(layout.n) if state is None else state
-    pauli = is_pauli(state)
-    if not pauli and (noise is not None or adjoint != (state.ndim == 2)):
-        raise ValueError("a statevector runs noiseless and forward only, an "
-                         "observable matrix noiseless and adjoint only")
-    build = unitary or (lambda a, p: _layer_unitary(_layer_blocks(a), p))
+    if np.iscomplexobj(state) or np.shape(state) != (4 ** layout.n,):
+        raise ValueError(f"state must be a real Pauli vector of shape "
+                         f"({4 ** layout.n},), got {np.shape(state)} "
+                         f"{np.asarray(state).dtype}")
+    build = unitary or (lambda angles: _layer_unitary(_layer_blocks(angles)))
     final = noise is not None and first <= last == layout.L
     angles = theta.reshape(layout.L, layout.n, 3)
     if adjoint:
         state = noise.apply_final(state, adjoint=True) if final else state
         for layer in range(last, first - 1, -1):
             state = apply_ring(layout, state, noise, adjoint=True)
-            state = rotate(build(angles[layer - 1], pauli), state, True)
+            state = rotate(build(angles[layer - 1]), state, True)
         return state
     for layer in range(first, last + 1):
-        state = rotate(build(angles[layer - 1], pauli), state)
+        state = rotate(build(angles[layer - 1]), state)
         state = apply_ring(layout, state, noise)
     return noise.apply_final(state) if final else state

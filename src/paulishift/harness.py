@@ -3,7 +3,8 @@
 Responsibilities: draw Haar-random parameter sets, run finite-shot estimator
 experiments for the five schemes (PS, NSPS, HSPS, NFD, HFD) over a copy-number
 grid, locate empirical crossings between scheme MSE curves, and study the
-clean and noise-mixed function distributions.
+clean and noise-mixed function distributions. Every circuit, clean or
+noisy, runs on the real Pauli vectors of ``circuits``.
 
 Reproducibility contract: every random draw comes from a named substream of
 ``SeedSequence(master_seed, spawn_key=...)``. Spawn keys are
@@ -43,7 +44,7 @@ from . import analytics, noise as noise_mod
 from .circuits import (AnsatzLayout, PauliObservable, _layer_blocks,
                        _layer_unitary, apply_ring, build_ansatz,
                        cyclic_observable, evolve, expectation, rotate,
-                       shifted, zero_state)
+                       shifted)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -91,8 +92,8 @@ class NoiseSpec:
 
 
 _DEFAULT_TARGETS = (Gradient(), DiagHessian(), OffDiagHessian())
-# A noisy state's Pauli vector takes 8 * 4^n bytes, 128 MiB at n = 12, and a
-# run holds a few, with its ring's gather and factors, in a few GiB.
+# A Pauli vector takes 8 * 4^n bytes, 128 MiB at n = 12, and a run holds a
+# few, with its ring's gather and factors, in a few GiB.
 MAX_QUBITS = 12
 # Each worker is a forked process holding its own circuit caches, and the
 # pool starts them all at once: 256 is past the cores of one host, and more
@@ -117,7 +118,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n > MAX_QUBITS:
             raise ValueError(f"n = {self.n} is above the cap of {MAX_QUBITS} "
-                             f"qubits (16 * 4^n bytes per state)")
+                             f"qubits (8 * 4^n bytes per state)")
         if not self.nt_grid:
             raise ValueError("nt_grid must not be empty")
         for nt in self.nt_grid:
@@ -232,11 +233,6 @@ def _point_weights(spec: EstimatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(weights), np.array([coeff for _, coeff in points])
 
 
-# A cache holds every transfer factor list (16 KiB or less) and the layer
-# unitaries within one n = 12 state: a set's every distinct one up to n = 10.
-_HELD_UNITARY_BYTES = 16 * 4 ** 12
-
-
 class _FunctionCache:
     """Exact expectations at shifted parameter points of one parameter set.
 
@@ -248,13 +244,12 @@ class _FunctionCache:
     is cut at the target's lowest (a) and highest (b) layer: between the
     state after layers 1..a-1 and the observable pulled back through the
     final hook, layers L..b+1 and layer b's CNOT ring, a point in one layer
-    costs one layer operator, its rotation and one inner product (clean: a
-    unitary on a statevector; noisy: transfer factors on a Pauli vector).
+    costs its transfer factors on a Pauli vector and one inner product.
     Values and cut ends are built once, keyed by noiselessness: one cache
-    serves the clean circuit and one channel; so are layer operators, from
-    shared 2x2 blocks, within ``_HELD_UNITARY_BYTES``. The
-    global channel runs no circuit; it scales every traceless expectation by
-    1 - eta, exactly.
+    serves the clean circuit and one channel. Each distinct layer's
+    transfer factors are built once and shared by both. The global channel
+    runs no circuit; it scales every traceless expectation by 1 - eta,
+    exactly.
     """
 
     def __init__(self, layout, theta, obs):
@@ -262,8 +257,7 @@ class _FunctionCache:
         self.theta = theta
         self.obs = obs
         self._values: dict[tuple, np.ndarray | float] = {}
-        self._blocks: dict[bytes, np.ndarray] = {}
-        self._unitaries: dict[tuple, np.ndarray | tuple] = {}
+        self._unitaries: dict[bytes, tuple] = {}
 
     def value(self, target: DerivativeTarget, weights: np.ndarray,
               noise) -> np.ndarray:
@@ -308,19 +302,16 @@ class _FunctionCache:
             if i not in segments:
                 segments[i] = evolve(layout, point, noise, (a, b - 1), start,
                                      unitary=self._unitary)
-            u = self._unitary(point.reshape(layout.L, layout.n, 3)[b - 1],
-                              noise is not None)
+            u = self._unitary(point.reshape(layout.L, layout.n, 3)[b - 1])
             grid[idx] = expectation(rotate(u, segments[i]), obs)
         return grid
 
     def _forward(self, a: int, noise) -> np.ndarray:
-        start = (np.eye(1, 2 ** self.layout.n, dtype=complex)[0]
-                 if noise is None else zero_state(self.layout.n))
-        return evolve(self.layout, self.theta, noise, (1, a - 1), start,
+        return evolve(self.layout, self.theta, noise, (1, a - 1),
                       unitary=self._unitary)
 
     def _back(self, b: int, noise) -> np.ndarray:
-        obs = self.obs.matrix() if noise is None else self.obs.pauli_vector()
+        obs = self.obs.pauli_vector()
         if b < self.layout.L:
             obs = evolve(self.layout, self.theta, noise, (b + 1, self.layout.L),
                          obs, adjoint=True, unitary=self._unitary)
@@ -328,17 +319,11 @@ class _FunctionCache:
             obs = noise.apply_final(obs, adjoint=True)
         return apply_ring(self.layout, obs, noise, adjoint=True)
 
-    def _unitary(self, angles: np.ndarray, pauli: bool = False):
+    def _unitary(self, angles: np.ndarray) -> tuple:
         key = angles.tobytes()
-        op = self._unitaries.get((pauli, key))
-        if op is None:
-            if key not in self._blocks:
-                self._blocks[key] = _layer_blocks(angles)
-            op = _layer_unitary(self._blocks[key], pauli)
-            if pauli or ((len(self._unitaries) + 1) * op.nbytes
-                         < _HELD_UNITARY_BYTES):
-                self._unitaries[(pauli, key)] = op
-        return op
+        if key not in self._unitaries:
+            self._unitaries[key] = _layer_unitary(_layer_blocks(angles))
+        return self._unitaries[key]
 
 
 def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,

@@ -2,12 +2,13 @@
 
 Three channel families are provided: a per-CNOT two-qubit depolarizing
 channel, a per-CNOT general Pauli channel, and a global depolarizing channel
-applied once after the whole circuit.  Both per-CNOT channels are two-qubit
-Pauli channels (depolarizing has all 15 weights eta0/15): diagonal on Pauli
-vectors, so a hook given a whole CNOT ring is one gather and one multiply
-(``circuits.apply_cnot``).  The global channel is a reference model: it
-mixes toward I/d, so every traceless observable has f_noisy = (1 - eta)
-f_clean exactly and g vanishes identically.  Every hook takes
+applied once after the whole circuit.  Every state, clean or noisy, is a
+real Pauli vector, on which a CNOT ring is one signed gather.  Both per-CNOT
+channels are two-qubit Pauli channels (depolarizing has all 15 weights
+eta0/15): diagonal there, so a hook given a whole ring is one gather and one
+multiply (``circuits.apply_cnot``).  The global channel is a reference
+model: it mixes toward I/d, so every traceless observable has f_noisy =
+(1 - eta) f_clean exactly and g vanishes identically.  Every hook takes
 ``adjoint=True`` for its Heisenberg-picture map on Pauli coefficients.
 """
 from __future__ import annotations

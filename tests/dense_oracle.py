@@ -108,6 +108,11 @@ def pauli_sum_reference(state, j, k, weights):
     return out
 
 
+def observable_matrix(obs):
+    """A Pauli observable as its explicit 2^n x 2^n Kronecker product."""
+    return reduce(np.kron, [PAULI[c] for c in obs.letters])
+
+
 def cnot_matrix(n, control, target):
     """CNOT as the sum of projectors on the control, |0><0| + |1><1| X."""
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])

@@ -1,4 +1,4 @@
-"""Tests for the circuit simulator: statevectors and Pauli vectors."""
+"""Tests for the circuit simulator on Pauli vectors, clean and noisy."""
 import itertools
 import math
 from functools import reduce
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import dense_oracle
 from dense_oracle import (check_state, cnot_matrix, coefficients,
-                          dense_evolve, dense_layer, dense_statevector,
-                          density_matrix, embedded, pauli_vector,
-                          random_hermitian, random_mixed_state)
+                          dense_layer, dense_statevector, density_matrix,
+                          observable_matrix, pauli_vector, random_hermitian,
+                          random_mixed_state)
 
 from paulishift import circuits
 from paulishift.circuits import (PAULI, PauliObservable, _layer_blocks,
@@ -57,24 +57,25 @@ class TestLayout:
         rng = np.random.default_rng(3)
         for n in (1, 2, 3):
             angles = rng.uniform(-4.0, 4.0, size=(n, 3))
-            blocks = {q: rotation_matrix("Z", c) @ rotation_matrix("Y", b)
-                      @ rotation_matrix("Z", a)
-                      for q, (a, b, c) in enumerate(angles, start=1)}
-            np.testing.assert_allclose(_layer_unitary(_layer_blocks(angles)),
-                                       embedded(n, blocks), rtol=0,
+            blocks = [rotation_matrix("Z", c) @ rotation_matrix("Y", b)
+                      @ rotation_matrix("Z", a) for a, b, c in angles]
+            np.testing.assert_allclose(_layer_blocks(angles), blocks, rtol=0,
                                        atol=1e-15)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kron_fold_is_bit_identical(self, n):
-        """The broadcast fold equals reduce(np.kron, blocks) to the bit."""
+        """A qubit pair's 16x16 transfer factor, a broadcast outer product,
+        equals np.kron of the two qubits' own 4x4 blocks to the bit; an odd
+        last qubit keeps its block."""
         rng = np.random.default_rng(70 + n)
         for _ in range(5):
-            angles = rng.uniform(-4.0, 4.0, size=(n, 3))
-            blocks = PAULI["I"]
-            for s, axis in enumerate("ZYZ"):
-                blocks = rotation_matrix(axis, angles[:, s]) @ blocks
-            assert np.array_equal(_layer_unitary(_layer_blocks(angles)),
-                                  reduce(np.kron, blocks))
+            blocks = _layer_blocks(rng.uniform(-4.0, 4.0, size=(n, 3)))
+            single = [_layer_unitary(blocks[q:q + 1])[0] for q in range(n)]
+            pairs = [np.kron(*single[q:q + 2]) for q in range(0, n - 1, 2)]
+            op = _layer_unitary(blocks)
+            assert len(op) == len(pairs) + n % 2
+            for factor, want in zip(op, pairs + single[n - n % 2:]):
+                assert np.array_equal(factor, want)
 
     def test_cnot_ring_closes(self):
         assert build_ansatz(4, 1).cnot_ring == ((1, 2), (2, 3), (3, 4), (4, 1))
@@ -146,14 +147,14 @@ class TestGates:
         """CNOT(1->2) maps |10> to |11> and leaves |01> alone."""
 
         def basis_state(index):
-            state = np.zeros((4, 4), dtype=complex)
-            state[index, index] = 1.0
-            return state
+            rho = np.zeros((4, 4))
+            rho[index, index] = 1.0
+            return pauli_vector(rho)
 
-        flipped = apply_cnot(basis_state(0b10), 1, 2)
+        flipped = density_matrix(apply_cnot(basis_state(0b10), 1, 2))
         np.testing.assert_allclose(abs(flipped[3, 3]), 1.0, atol=1e-12)
 
-        same = apply_cnot(basis_state(0b01), 1, 2)
+        same = density_matrix(apply_cnot(basis_state(0b01), 1, 2))
         np.testing.assert_allclose(abs(same[1, 1]), 1.0, atol=1e-12)
 
     def test_cnot_is_an_involution(self):
@@ -204,7 +205,7 @@ class TestStatesAndObservables:
 
     def test_observable_matrix_squares_to_identity(self):
         obs = cyclic_observable(3)
-        m = obs.matrix()
+        m = observable_matrix(obs)
         np.testing.assert_allclose(m @ m, np.eye(8), atol=1e-14)
         np.testing.assert_allclose(np.trace(m), 0.0, atol=1e-14)
 
@@ -274,15 +275,12 @@ class TestEvolve:
                       state) is state
 
     def test_adjoint_range_pulls_the_observable_back(self):
-        """tr(O E(rho)) = tr(E^dagger(O) rho) over any layer range: on Pauli
-        vectors under every model, and for a noiseless range on a
-        statevector against the pulled-back observable matrix."""
+        """tr(O E(rho)) = tr(E^dagger(O) rho) over any layer range under
+        every model."""
         rng = np.random.default_rng(29)
         layout = build_ansatz(3, 3)
         theta = sample_parameter_set(layout, rng)
         rho = evolve(layout, sample_parameter_set(layout, rng))
-        psi = evolve(layout, sample_parameter_set(layout, rng),
-                     state=_basis_vector(3))
         obs = cyclic_observable(3)
         weights = random_pauli_weights(0.1, rng)
         for channel in (None, GlobalDepolarizing(0.2), CnotDepolarizing(0.1),
@@ -293,12 +291,6 @@ class TestEvolve:
                               obs.pauli_vector(), adjoint=True)
                 assert abs(expectation(forward, obs)
                            - expectation(rho, back)) < 1e-12
-                if channel is None:
-                    forward = evolve(layout, theta, None, (first, last), psi)
-                    back = evolve(layout, theta, None, (first, last),
-                                  obs.matrix(), adjoint=True)
-                    assert abs(expectation(forward, obs)
-                               - expectation(psi, back)) < 1e-12
 
     def test_layer_range_and_state_checked(self):
         layout = build_ansatz(2, 2)
@@ -318,14 +310,9 @@ class TestEvolve:
             evolve(layout, np.zeros((4, 3)))
 
 
-def _basis_vector(n):
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
 class TestStatevectors:
-    """Noiseless circuits on statevectors against the dense oracle."""
+    """Noiseless circuits on Pauli vectors against the dense statevector
+    oracle; no other kind of state runs."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("L", [1, 2, 3])
@@ -333,35 +320,35 @@ class TestStatevectors:
         layout = build_ansatz(n, L)
         rng = np.random.default_rng(80 + 10 * n + L)
         theta = sample_parameter_set(layout, rng)
-        psi = evolve(layout, theta, state=_basis_vector(n))
-        np.testing.assert_allclose(psi, dense_statevector(layout, theta),
+        r = evolve(layout, theta)
+        psi = dense_statevector(layout, theta)
+        np.testing.assert_allclose(r, pauli_vector(np.outer(psi, psi.conj())),
                                    rtol=0, atol=1e-12)
-        rho = dense_evolve(layout, theta, (0.0,) * 15)
-        np.testing.assert_allclose(np.outer(psi, psi.conj()), rho, rtol=0,
-                                   atol=1e-12)
         matrix = random_hermitian(n, rng)
-        for obs, m in ((cyclic_observable(n), cyclic_observable(n).matrix()),
-                       (matrix, matrix)):
-            assert abs(expectation(psi, obs)
-                       - np.trace(rho @ m).real) < 1e-12
-        head = evolve(layout, theta, None, (1, 1), _basis_vector(n))
+        obs = cyclic_observable(n)
+        for o, m in ((obs, observable_matrix(obs)),
+                     (coefficients(matrix), matrix)):
+            assert abs(expectation(r, o) - np.vdot(psi, m @ psi).real) < 1e-12
+        head = evolve(layout, theta, None, (1, 1))
         np.testing.assert_allclose(evolve(layout, theta, None, (2, L), head),
-                                   psi, rtol=0, atol=1e-14)
+                                   r, rtol=0, atol=1e-14)
 
-    def test_statevectors_run_noiseless_and_forward_only(self):
-        layout = build_ansatz(2, 1)
+    def test_evolve_takes_only_real_pauli_vectors(self):
+        """A complex statevector, a complex vector of length 4^n and a
+        density matrix each raise, forward and adjoint, rather than run as
+        a Pauli vector of fewer qubits."""
+        layout = build_ansatz(4, 1)
         theta = np.zeros(layout.parameter_count)
-        with pytest.raises(ValueError):
-            evolve(layout, theta, CnotDepolarizing(0.1),
-                   state=_basis_vector(2))
-        with pytest.raises(ValueError):
-            evolve(layout, theta, state=_basis_vector(2), adjoint=True)
-        with pytest.raises(ValueError):
-            expectation(_basis_vector(3), cyclic_observable(2))
+        psi = np.eye(1, 2 ** 4, dtype=complex)[0]
+        for state in (psi, zero_state(4).astype(complex),
+                      dense_oracle.zero_state(4)):
+            for adjoint in (False, True):
+                with pytest.raises(ValueError, match="real Pauli vector"):
+                    evolve(layout, theta, state=state, adjoint=adjoint)
 
 
 class TestNoiselessRing:
-    """A layer's noiseless CNOT ring is one basis permutation."""
+    """A layer's noiseless CNOT ring is one signed gather."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_ring_matches_dense_cnots(self, n):
@@ -371,25 +358,18 @@ class TestNoiselessRing:
             ring = cnot_matrix(n, c, t) @ ring
         rng = np.random.default_rng(90 + n)
         rho, obs = random_mixed_state(n, 91 + n), random_hermitian(n, rng)
-        psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-        np.testing.assert_allclose(apply_ring(layout, rho),
-                                   ring @ rho @ ring.T, rtol=0, atol=1e-12)
         np.testing.assert_allclose(apply_ring(layout, pauli_vector(rho)),
                                    pauli_vector(ring @ rho @ ring.T),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             apply_ring(layout, coefficients(obs), adjoint=True),
             coefficients(ring.T @ obs @ ring), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(apply_ring(layout, obs, adjoint=True),
-                                   ring.T @ obs @ ring, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(apply_ring(layout, psi), ring @ psi,
-                                   rtol=0, atol=1e-12)
 
     def test_one_gather_per_ring(self, monkeypatch):
         """The whole ring is one apply_cnot call, bit for bit the CNOTs
         applied one at a time."""
         layout = build_ansatz(4, 1)
-        rho = random_mixed_state(4, 97)
+        state = pauli_vector(random_mixed_state(4, 97))
         calls = []
 
         def counting(*args, **kwargs):
@@ -397,13 +377,12 @@ class TestNoiselessRing:
             return apply_cnot(*args, **kwargs)
 
         monkeypatch.setattr(circuits, "apply_cnot", counting)
-        for state in (rho, pauli_vector(rho)):
-            one_by_one = state
-            for c, t in layout.cnot_ring:
-                one_by_one = apply_cnot(one_by_one, c, t)
-            calls.clear()
-            assert np.array_equal(apply_ring(layout, state), one_by_one)
-            assert calls == [((1, 2, 3, 4), (2, 3, 4, 1))]
+        one_by_one = state
+        for c, t in layout.cnot_ring:
+            one_by_one = apply_cnot(one_by_one, c, t)
+        calls.clear()
+        assert np.array_equal(apply_ring(layout, state), one_by_one)
+        assert calls == [((1, 2, 3, 4), (2, 3, 4, 1))]
 
 
 class TestPauliVectors:
@@ -421,7 +400,7 @@ class TestPauliVectors:
         np.testing.assert_allclose(density_matrix(r), rho, rtol=0,
                                    atol=1e-15)
         obs = PauliObservable("XIZY")
-        np.testing.assert_array_equal(coefficients(obs.matrix()),
+        np.testing.assert_array_equal(coefficients(observable_matrix(obs)),
                                       obs.pauli_vector())
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -432,7 +411,7 @@ class TestPauliVectors:
         rng = np.random.default_rng(110 + n)
         theta = rng.uniform(-7.0, 7.0, size=layout.parameter_count)
         u = dense_layer(layout, theta, 1)
-        op = _layer_unitary(_layer_blocks(theta.reshape(n, 3)), pauli=True)
+        op = _layer_unitary(_layer_blocks(theta.reshape(n, 3)))
         assert [len(f) for f in op] == [16] * (n // 2) + [4] * (n % 2)
         rho, obs = random_mixed_state(n, 111 + n), random_hermitian(n, rng)
         r, o = pauli_vector(rho), coefficients(obs)
@@ -447,8 +426,7 @@ class TestPauliVectors:
         """Each qubit's 4x4 block keeps the identity and rotates X, Y, Z:
         1 (+) SO(3), so a factor is orthogonal."""
         rng = np.random.default_rng(120)
-        op = _layer_unitary(_layer_blocks(rng.uniform(-7, 7, size=(3, 3))),
-                            pauli=True)
+        op = _layer_unitary(_layer_blocks(rng.uniform(-7, 7, size=(3, 3))))
         for f in op:
             np.testing.assert_allclose(f @ f.T, np.eye(len(f)), atol=1e-14)
         r3 = op[-1]

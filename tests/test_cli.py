@@ -508,9 +508,10 @@ class TestMseCurvesCommand:
             finally:
                 tracemalloc.stop()
             assert code == 2
-            assert peak < 2 ** 20  # one state at the cap + 1 is 1 GiB
+            assert peak < 2 ** 20  # one state at the cap + 1 is 512 MiB
             err = capsys.readouterr().err
             assert err.startswith(f"config error: config: n = {n} is above")
+            assert "(8 * 4^n bytes per state)" in err
             assert err.count("\n") == 1
 
     def test_oversized_ranges_exit_2_before_building(self, tmp_path, capsys):
@@ -628,7 +629,7 @@ parameter_sets = 3
 experiments_per_set = 5
 master_seed = 101
 schemes = ps,nfd,hfd
-""", "ae234e6958616006dc0e40c25a1be43cbd9963c3a0ab0d289fc714c58615498c"),
+""", "17eacb6def7a2198bb031e7ec219fd91eb9e4be5c555476407e58490443499b6"),
         "pauli": ("""\
 [circuit]
 n = 3
@@ -645,7 +646,7 @@ experiments_per_set = 5
 master_seed = 103
 schemes = hfd,ps,nfd,hsps
 targets = offdiag,gradient,diag
-""", "430670283c9e0b675213c97bed607631f6769443decf060266d74fa10b8c6fe3"),
+""", "e102eaa3266876182a033dde373c4c993269a6019e23faafde11ef4126d3fb9f"),
     }
 
     @pytest.mark.parametrize("stem", sorted(GOLDEN))

@@ -21,7 +21,7 @@ from paulishift.harness import (CrossingEstimate, ExperimentConfig,
                                 monte_carlo_mse, sample_parameter_set,
                                 substream)
 from paulishift.invariants import Moments, moment_deviations
-from dense_oracle import dense_evolve
+from dense_oracle import dense_evolve, observable_matrix
 
 
 def tiny_config(**overrides):
@@ -228,33 +228,16 @@ class TestShiftReconstruction:
             cache.value(Gradient(*p), _weights(Gradient(*p), {p: math.nan}),
                         None)
 
-    def test_held_unitaries_stay_under_the_byte_cap(self, monkeypatch):
-        """Past the cap a unitary is rebuilt rather than held, with the
-        same values to the bit; transfer factors, a few KiB, are always
-        held."""
-        layout, obs = build_ansatz(2, 3), cyclic_observable(2)
-        theta = sample_parameter_set(layout, np.random.default_rng(5))
-        spec = harness._shift_rule(OffDiagHessian(1, 2, 2, 2, 2, 3))
-        held = harness._FunctionCache(layout, theta, obs)
-        want = held.mean(spec, None)
-        assert len(held._unitaries) == 9 + 2
-        monkeypatch.setattr(harness, "_HELD_UNITARY_BYTES", 3 * 16 * 4 ** 2)
-        capped = harness._FunctionCache(layout, theta, obs)
-        assert capped.mean(spec, None) == want
-        assert len(capped._unitaries) == 2
-        capped.mean(spec, noise.CnotDepolarizing(0.05))
-        assert len(capped._unitaries) == 2 + 9 + 2
-
     def test_fig5_set_runs_sixteen_circuits(self, monkeypatch):
         """The fig5 set's grids (three points on the shared gradient and
         diagonal angle, nine on the off-diagonal pair, clean and noisy) all
-        sit in layer 2: each point is one layer-2 unitary between the state
+        sit in layer 2: each point is one layer-2 operator between the state
         after layer 1 and the observable pulled back through layers 5..3 and
-        the layer-2 ring. 13 distinct layers, each one's 2x2 blocks built
-        once and shared by its clean unitary and its noisy transfer factors:
-        26 operator builds (13 unitaries shared by both before the Pauli
-        basis; 32 builds before the grid plan), and 10 ring passes (32
-        before)."""
+        the layer-2 ring. 13 distinct layers, each one's transfer factors
+        built once and shared by the clean and noisy values: 13 operator
+        builds (26 while the clean value ran on statevectors, 13 unitaries
+        and 13 factor sets; 32 builds before the grid plan), and 10 ring
+        passes (32 before)."""
         blocks, built, rings, calls = [], [], [], []
         ring = circuits.apply_ring
 
@@ -262,9 +245,9 @@ class TestShiftReconstruction:
             blocks.append(angles.tobytes())
             return _layer_blocks(angles)
 
-        def counting_unitary(layer_blocks, pauli=False):
-            built.append((pauli, layer_blocks.tobytes()))
-            return _layer_unitary(layer_blocks, pauli)
+        def counting_unitary(layer_blocks):
+            built.append(layer_blocks.tobytes())
+            return _layer_unitary(layer_blocks)
 
         def counting_ring(*args, **kwargs):
             rings.append(args)
@@ -291,8 +274,7 @@ class TestShiftReconstruction:
         assert len(calls) == 2 + 2
         assert sum(call["adjoint"] for call in calls) == 2
         assert len(set(blocks)) == len(blocks) == 13
-        assert len(set(built)) == len(built) == 2 * 13
-        assert sum(pauli for pauli, _ in built) == 13
+        assert len(set(built)) == len(built) == 13
         assert len(rings) == 2 * (1 + 3 + 1) == 10
 
 
@@ -326,7 +308,7 @@ class TestShiftReconstruction:
                         a: harness._GRID[i] for a, i in zip(angles, idx)})
                     state = evolve(layout, point, channel, (2, 2), start,
                                    unitary=cache._unitary)
-                    u = cache._unitary(point.reshape(4, 3, 3)[2], not clean)
+                    u = cache._unitary(point.reshape(4, 3, 3)[2])
                     assert grid[idx] == expectation(
                         circuits.rotate(u, state), back)
 
@@ -369,7 +351,7 @@ class TestPlanAgainstOracle:
                     rho = dense_evolve(layout, shifted(layout, theta, shifts),
                                        kraus)
                     rho = (1 - eta) * rho + eta * np.eye(len(rho)) / len(rho)
-                    seen[key] = np.trace(rho @ obs.matrix()).real
+                    seen[key] = np.trace(rho @ observable_matrix(obs)).real
                 return seen[key]
 
             for target in targets:
