@@ -3,10 +3,11 @@
 A state on n qubits, clean or noisy, is a real Pauli vector: the 4^n values
 r_P = tr(P rho), indexed by the string P as base-4 digits (I, X, Y, Z =
 0..3), qubit 1 first; an observable O = sum_P o_P P is the Pauli vector o,
-and tr(O rho) = o . r.  A layer is a Kronecker product of 4x4 transfer
-blocks, a CNOT a signed permutation and a Pauli channel diagonal, so a clean
-circuit is the noisy one with the identity channel.  The angles are one
-flat vector of 3nL floats, layer-major, then qubit, then slot, so
+and tr(O rho) = o . r.  A layer is a Kronecker product of real 4x4 transfer
+blocks written from the cosines and sines of its angles, a CNOT a signed
+permutation and a Pauli channel diagonal, so every array is real and a
+clean circuit is the noisy one with the identity channel.  The angles are
+one flat vector of 3nL floats, layer-major, then qubit, then slot, so
 ``theta.reshape(L, n, 3)`` holds each qubit's (Z, Y, Z) angles.  Qubit 1 is
 the most significant bit of a basis index: kron(A_1, ..., A_n) acts with
 A_q on qubit q.  Qubit, layer and slot indices are 1-based.
@@ -18,15 +19,6 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-
-AXES = ("X", "Y", "Z")
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 # ── layout and parameters ────────────────────────────────────────────────────
@@ -100,11 +92,14 @@ class PauliObservable:
     def n(self) -> int:
         return len(self.letters)
 
+    @property
+    def index(self) -> int:
+        """The position of the string in a Pauli vector: its base-4 digits."""
+        return int(self.letters.translate(str.maketrans("IXYZ", "0123")), 4)
+
     def pauli_vector(self) -> np.ndarray:
         """The coefficients o of O = sum_P o_P P: a single 1."""
-        o = np.zeros(4 ** self.n)
-        o[int(self.letters.translate(str.maketrans("IXYZ", "0123")), 4)] = 1
-        return o
+        return np.eye(1, 4 ** self.n, self.index)[0]
 
 
 def cyclic_observable(n: int) -> PauliObservable:
@@ -120,18 +115,19 @@ def zero_state(n: int) -> np.ndarray:
     return (((q ^ (q >> 1)) & ((4 ** n - 1) // 3)) == 0).astype(float)
 
 
+def check_vector(state, n: int | None = None) -> int:
+    """The qubit count of ``state``, a real Pauli vector of shape (4^n,)
+    (for this n, if given), else ValueError."""
+    shape = np.shape(state)
+    if n is None and len(shape) == 1:
+        n = (shape[0].bit_length() - 1) // 2
+    if n is None or shape != (4 ** n,) or not np.isrealobj(state):
+        raise ValueError(f"state must be a real Pauli vector of shape (4^n,)"
+                         f", got {shape} {np.asarray(state).dtype}")
+    return n
+
+
 # ── gates ────────────────────────────────────────────────────────────────────
-
-def rotation_matrix(axis: str, angle) -> np.ndarray:
-    """The 2x2 rotation exp(-i * angle * P / 2) about Pauli axis P.
-
-    An array of angles gives a stack of rotations, shape angle.shape + (2, 2).
-    """
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    half = 0.5 * np.asarray(angle)[..., None, None]
-    return np.cos(half) * PAULI["I"] - 1.0j * np.sin(half) * PAULI[axis]
-
 
 @lru_cache(maxsize=64)
 def _pauli_cnots(n: int, pairs: tuple):
@@ -181,12 +177,12 @@ def apply_cnot(state: np.ndarray, control, target, adjoint: bool = False,
     """CNOT = |0><0| (x) 1 + |1><1| (x) X on a Pauli vector as one signed
     gather (C P C = +-P'); tuples of controls and targets apply those CNOTs
     in turn, each followed by the Pauli channel with these 16
-    ``eigenvalues``, if given. ``adjoint=True`` applies the adjoint."""
+    ``eigenvalues``, if given. ``adjoint=True`` applies the adjoint.
+    ``state`` is a real Pauli vector, else ValueError."""
     if np.ndim(control) == 0:
         control, target = (control,), (target,)
     pairs = tuple(zip(control, target, strict=True))
-    gather, factor = _pauli_ring(len(state).bit_length() // 2, pairs,
-                                 eigenvalues)
+    gather, factor = _pauli_ring(check_vector(state), pairs, eigenvalues)
     if not adjoint:
         return factor * state[gather]
     out = np.empty_like(state)
@@ -195,10 +191,12 @@ def apply_cnot(state: np.ndarray, control, target, adjoint: bool = False,
 
 
 def expectation(state: np.ndarray, obs) -> float:
-    """tr(rho O) = o . r for the Pauli vector r; O is a Pauli observable or,
-    as ``evolve(..., adjoint=True)`` pulls it back, its coefficients o."""
+    """tr(rho O) = o . r for the Pauli vector r: r at the string of a Pauli
+    observable O (ValueError unless r has its n), or o . r for the
+    coefficients o of O, as ``evolve(..., adjoint=True)`` pulls it back."""
     if isinstance(obs, PauliObservable):
-        obs = obs.pauli_vector()
+        check_vector(state, obs.n)
+        return float(state[obs.index])
     if obs.shape != state.shape:
         raise ValueError(f"observable {obs.shape}, state {state.shape}")
     return float(obs @ state)
@@ -206,34 +204,31 @@ def expectation(state: np.ndarray, obs) -> float:
 
 # ── circuit evolution ────────────────────────────────────────────────────────
 
-def _layer_blocks(angles: np.ndarray) -> np.ndarray:
-    """A layer's (n, 2, 2) blocks from its (n, 3) angles, all at once as
-    Rz(gamma) @ (Ry(beta) @ (Rz(alpha) @ I)), the product order of one
-    rotation at a time, which keeps every seeded value to the bit."""
-    blocks = PAULI["I"]
-    for s, axis in enumerate("ZYZ"):
-        blocks = rotation_matrix(axis, angles[:, s]) @ blocks
-    return blocks
-
-
-# Row a is sigma_a^T flattened: times the row-major vec of M, tr(sigma_a M).
-# Its inverse is its conjugate transpose over 2.
-_PAULI_ROWS = np.stack([PAULI[c].T.ravel() for c in "IXYZ"])
-_PAULI_ROWS_INVERSE = _PAULI_ROWS.conj().T / 2
-
-
-def _layer_unitary(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A layer's blocks as its Pauli transfer map in real Kronecker factors:
-    one 16x16 per qubit pair (1, 2), (3, 4), ..., and a 4x4 for an odd last
-    qubit. Block u's transfer block, 1 (+) SO(3), is
-    R_ab = tr(s_a u s_b u^dagger) / 2 over s = I, X, Y, Z:
-    T (u (x) conj(u)) T^dagger / 2, T the rows above."""
-    n, m = len(blocks), len(blocks) // 2
-    uu = (blocks[:, :, None, :, None]
-          * blocks.conj()[:, None, :, None, :]).reshape(n, 4, 4)
-    r = (_PAULI_ROWS @ uu @ _PAULI_ROWS_INVERSE).real
-    pairs = r[0:2 * m:2, :, None, :, None] * r[1:2 * m:2, None, :, None, :]
-    return (*pairs.reshape(m, 16, 16), *r[2 * m:])
+def _layer_unitary(angles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A layer's Pauli transfer map from its (n, 3) ZYZ angles in real
+    Kronecker factors: a 16x16 per qubit pair (1, 2), (3, 4), ..., and a 4x4
+    for an odd last qubit. Qubit q's block is 1 (+) R, R_ab = tr(s_a u s_b
+    u^dagger) / 2 of u = Rz(gamma) Ry(beta) Rz(alpha), the SO(3) rotation
+    Rz Ry Rz written from the angles' cosines and sines. Angles (..., n, 3)
+    give factors (..., 16, 16), each layer's bits those of its own call."""
+    angles = np.ascontiguousarray(angles, dtype=float)
+    n, m = angles.shape[-2], angles.shape[-2] // 2
+    trig = np.concatenate((np.cos(angles), np.sin(angles)), axis=-1)
+    cb, sb = trig[..., 1:2], trig[..., 4:5]
+    a, g = trig[..., 0::3], trig[..., 2::3]  # (cos, sin) of alpha, gamma
+    a_row = a * (1.0, -1.0)  # Rz(alpha)'s first row; its second is a[::-1]
+    r = np.zeros(angles.shape[:-1] + (4, 4))
+    r[..., 0, 0] = 1.0
+    # On X, Y: Rz(gamma) diag(cos beta, 1) Rz(alpha), column times row.
+    r[..., 1:3, 1:3] = ((cb * g)[..., :, None] * a_row[..., None, :]
+                        + (g[..., ::-1] * (-1.0, 1.0))[..., :, None]
+                        * a[..., None, ::-1])
+    r[..., 1:3, 3], r[..., 3, 1:3] = sb * g, -sb * a_row  # Z's column, row
+    r[..., 3, 3] = cb[..., 0]
+    pairs = (r[..., 0:2 * m:2, :, None, :, None] * r[..., 1:2 * m:2, None, :,
+             None, :]).reshape(angles.shape[:-2] + (m, 16, 16))
+    return (*(pairs[..., k, :, :] for k in range(m)),
+            *(r[..., q, :, :] for q in range(2 * m, n)))
 
 
 def rotate(op, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -283,11 +278,8 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
     if not (1 <= first <= last + 1 and last <= layout.L):
         raise ValueError(f"layers {first}..{last} outside 1..{layout.L}")
     state = zero_state(layout.n) if state is None else state
-    if np.iscomplexobj(state) or np.shape(state) != (4 ** layout.n,):
-        raise ValueError(f"state must be a real Pauli vector of shape "
-                         f"({4 ** layout.n},), got {np.shape(state)} "
-                         f"{np.asarray(state).dtype}")
-    build = unitary or (lambda angles: _layer_unitary(_layer_blocks(angles)))
+    check_vector(state, layout.n)
+    build = unitary or _layer_unitary
     final = noise is not None and first <= last == layout.L
     angles = theta.reshape(layout.L, layout.n, 3)
     if adjoint:

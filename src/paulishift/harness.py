@@ -41,10 +41,9 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 
 from . import analytics, noise as noise_mod
-from .circuits import (AnsatzLayout, PauliObservable, _layer_blocks,
-                       _layer_unitary, apply_ring, build_ansatz,
-                       cyclic_observable, evolve, expectation, rotate,
-                       shifted)
+from .circuits import (AnsatzLayout, PauliObservable, _layer_unitary,
+                       apply_ring, build_ansatz, cyclic_observable, evolve,
+                       expectation, rotate, shifted)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -179,15 +178,13 @@ def sample_parameter_set(layout: AnsatzLayout,
 
     Per block, three uniforms (u0, u1, u2) become alpha = 2 pi u0,
     beta = arccos(1 - 2 u1), gamma = 2 pi u2; the arccos map gives beta the
-    sin(beta)/2 density the Haar measure requires. Blocks are drawn layer by
-    layer, qubit by qubit, into the flat vector of 3nL angles.
+    sin(beta)/2 density the Haar measure requires. One draw fills the 3nL
+    angles block by block; ``math.acos`` keeps beta's bits across CPUs.
     """
-    theta = np.empty(layout.parameter_count)
-    for block in theta.reshape(layout.L * layout.n, 3):
-        u = rng.random(3)
-        block[:] = (2.0 * math.pi * u[0], math.acos(1.0 - 2.0 * u[1]),
-                    2.0 * math.pi * u[2])
-    return theta
+    u = rng.random((layout.L * layout.n, 3))
+    theta = 2.0 * math.pi * u
+    theta[:, 1] = [math.acos(x) for x in (1.0 - 2.0 * u[:, 1]).tolist()]
+    return theta.ravel()
 
 
 # ── exact values ─────────────────────────────────────────────────────────────
@@ -247,17 +244,17 @@ class _FunctionCache:
     costs its transfer factors on a Pauli vector and one inner product.
     Values and cut ends are built once, keyed by noiselessness: one cache
     serves the clean circuit and one channel. Each distinct layer's
-    transfer factors are built once and shared by both. The global channel
-    runs no circuit; it scales every traceless expectation by 1 - eta,
-    exactly.
+    transfer factors are built once and shared by both: the L unshifted
+    layers in one ``_layer_unitary`` call, a grid's new shifted layers in
+    one more. The global channel runs no circuit; it scales every traceless
+    expectation by 1 - eta, exactly.
     """
 
     def __init__(self, layout, theta, obs):
-        self.layout = layout
-        self.theta = theta
-        self.obs = obs
+        self.layout, self.theta, self.obs = layout, theta, obs
         self._values: dict[tuple, np.ndarray | float] = {}
         self._unitaries: dict[bytes, tuple] = {}
+        self._build(theta.reshape(layout.L, layout.n, 3))
 
     def value(self, target: DerivativeTarget, weights: np.ndarray,
               noise) -> np.ndarray:
@@ -294,15 +291,17 @@ class _FunctionCache:
         start = self._memo(("forward", a), noise, self._forward)
         obs = self._memo(("back", b), noise, self._back)
         grid = np.empty((3,) * len(angles))
+        points = {idx: shifted(layout, self.theta, {
+            angle: _GRID[i] for angle, i in zip(angles, idx)}).reshape(
+                layout.L, layout.n, 3) for idx in np.ndindex(grid.shape)}
+        self._build([p[k - 1] for p in points.values() for k in (a, b)])
         segments = {None: start}  # layers a..b-1 see only the layer-a shift
-        for idx in np.ndindex(grid.shape):
-            point = shifted(layout, self.theta,
-                            {angle: _GRID[i] for angle, i in zip(angles, idx)})
+        for idx, point in points.items():
             i = idx[layers.index(a)] if a < b else None
             if i not in segments:
-                segments[i] = evolve(layout, point, noise, (a, b - 1), start,
-                                     unitary=self._unitary)
-            u = self._unitary(point.reshape(layout.L, layout.n, 3)[b - 1])
+                segments[i] = evolve(layout, point.ravel(), noise, (a, b - 1),
+                                     start, unitary=self._unitary)
+            u = self._unitary(point[b - 1])
             grid[idx] = expectation(rotate(u, segments[i]), obs)
         return grid
 
@@ -319,11 +318,17 @@ class _FunctionCache:
             obs = noise.apply_final(obs, adjoint=True)
         return apply_ring(self.layout, obs, noise, adjoint=True)
 
+    def _build(self, layers) -> None:
+        """Each (n, 3) layer's transfer factors not yet built, in one call."""
+        new = {angles.tobytes(): angles for angles in layers
+               if angles.tobytes() not in self._unitaries}
+        if new:
+            factors = _layer_unitary(np.array(list(new.values())))
+            for k, key in enumerate(new):
+                self._unitaries[key] = tuple(f[k] for f in factors)
+
     def _unitary(self, angles: np.ndarray) -> tuple:
-        key = angles.tobytes()
-        if key not in self._unitaries:
-            self._unitaries[key] = _layer_unitary(_layer_blocks(angles))
-        return self._unitaries[key]
+        return self._unitaries[angles.tobytes()]  # built with the set or grid
 
 
 def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,
@@ -588,10 +593,8 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
         theta = sample_parameter_set(
             layout, substream(config.master_seed, _STREAM_PARAMS, s))
         cache = _FunctionCache(layout, theta, obs)
-        f = cache.exact(None)
-        f_noisy = cache.exact(channel)
-        f_vals[s] = f
-        g_vals[s] = (f_noisy - (1.0 - eta) * f) / eta
+        f_vals[s] = f = cache.exact(None)
+        g_vals[s] = (cache.exact(channel) - (1.0 - eta) * f) / eta
     var_f = float(np.var(f_vals))
     var_g = float(np.var(g_vals))
     r_var = var_f / var_g if var_g > 1e-15 else None

@@ -9,7 +9,8 @@ eta0/15): diagonal there, so a hook given a whole ring is one gather and one
 multiply (``circuits.apply_cnot``).  The global channel is a reference
 model: it mixes toward I/d, so every traceless observable has f_noisy =
 (1 - eta) f_clean exactly and g vanishes identically.  Every hook takes
-``adjoint=True`` for its Heisenberg-picture map on Pauli coefficients.
+``adjoint=True`` for its Heisenberg-picture map on Pauli coefficients, and
+raises ValueError unless its state is a real Pauli vector of shape (4^n,).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import apply_cnot
+from .circuits import apply_cnot, check_vector
 
 # The 15 non-identity two-qubit Pauli labels, in fixed row-major order
 # (first letter acts on the channel's first qubit).
@@ -54,6 +55,7 @@ def pauli_eigenvalues(weights) -> tuple[float, ...]:
 
 class _NoFinal:
     def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
+        check_vector(state)
         return state
 
 
@@ -113,6 +115,7 @@ class GlobalDepolarizing:
 
     def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
         """Scale every coefficient but the identity's by 1 - eta."""
+        check_vector(state)
         out = (1.0 - self.eta) * state
         out[0] = state[0]
         return out

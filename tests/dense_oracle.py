@@ -3,8 +3,9 @@
 Every state here is an explicit 2^n x 2^n density matrix and every operator
 an explicit matrix: embedded single-qubit factors, CNOT as a sum of
 projectors, and Pauli channels as their Kraus sums. The rotation blocks are
-built one angle at a time as the Z, Y, Z product of scalar
-``rotation_matrix`` calls, independent of the batched layer build.
+built one angle at a time as the Z, Y, Z product of complex 2x2
+``rotation_matrix`` calls, independent of the package's real transfer
+blocks, which it writes from the angles' cosines and sines.
 ``pauli_vector`` and ``density_matrix`` convert to and from the package's
 Pauli vectors string by string, each string an explicit Kronecker product.
 """
@@ -12,8 +13,25 @@ from functools import reduce
 
 import numpy as np
 
-from paulishift.circuits import PAULI, rotation_matrix
 from paulishift.noise import TWO_QUBIT_PAULI_LABELS
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def rotation_matrix(axis, angle):
+    """The 2x2 rotation exp(-i * angle * P / 2) about Pauli axis P.
+
+    An array of angles gives a stack of rotations, shape angle.shape + (2, 2).
+    """
+    if axis not in "XYZ":
+        raise ValueError(f"axis must be one of X, Y, Z, got {axis!r}")
+    half = 0.5 * np.asarray(angle)[..., None, None]
+    return np.cos(half) * PAULI["I"] - 1.0j * np.sin(half) * PAULI[axis]
 
 
 def qubit_count(matrix):
@@ -120,15 +138,26 @@ def cnot_matrix(n, control, target):
             + embedded(n, {control: p1, target: PAULI["X"]}))
 
 
+def zyz_block(alpha, beta, gamma):
+    """Rz(gamma) Ry(beta) Rz(alpha), one scalar rotation at a time."""
+    u = np.eye(2)
+    for axis, angle in zip("ZYZ", (alpha, beta, gamma)):
+        u = rotation_matrix(axis, angle) @ u
+    return u
+
+
+def transfer_block(u):
+    """R_ab = tr(s_a u s_b u^dagger) / 2 over s = I, X, Y, Z, entry by entry."""
+    s = [PAULI[c] for c in "IXYZ"]
+    return np.array([[np.trace(a @ u @ b @ u.conj().T).real / 2 for b in s]
+                     for a in s])
+
+
 def dense_layer(layout, theta, layer):
     """The layer's rotation blocks as one embedded dense unitary."""
-    blocks = {}
-    for q in range(1, layout.n + 1):
-        u = np.eye(2)
-        for s, axis in zip((1, 2, 3), "ZYZ"):
-            angle = theta[layout.flat_index(layer, q, s)]
-            u = rotation_matrix(axis, angle) @ u
-        blocks[q] = u
+    blocks = {q: zyz_block(*(theta[layout.flat_index(layer, q, s)]
+                             for s in (1, 2, 3)))
+              for q in range(1, layout.n + 1)}
     return embedded(layout.n, blocks)
 
 

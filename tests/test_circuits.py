@@ -1,22 +1,24 @@
 """Tests for the circuit simulator on Pauli vectors, clean and noisy."""
 import itertools
 import math
+import re
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 import dense_oracle
-from dense_oracle import (check_state, cnot_matrix, coefficients,
+from dense_oracle import (PAULI, check_state, cnot_matrix, coefficients,
                           dense_layer, dense_statevector, density_matrix,
                           observable_matrix, pauli_vector, random_hermitian,
-                          random_mixed_state)
+                          random_mixed_state, rotation_matrix, transfer_block,
+                          zyz_block)
 
 from paulishift import circuits
-from paulishift.circuits import (PAULI, PauliObservable, _layer_blocks,
-                                 _layer_unitary, apply_cnot, apply_ring,
-                                 build_ansatz, cyclic_observable, evolve,
-                                 expectation, rotate, rotation_matrix,
-                                 shifted, zero_state)
+from paulishift.circuits import (PauliObservable, _layer_unitary, apply_cnot,
+                                 apply_ring, build_ansatz, cyclic_observable,
+                                 evolve, expectation, rotate, shifted,
+                                 zero_state)
 from paulishift.harness import sample_parameter_set
 from paulishift.noise import (CnotDepolarizing, CnotPauliChannel,
                               GlobalDepolarizing, random_pauli_weights)
@@ -52,15 +54,40 @@ class TestLayout:
             layout.flat_index(0, 1, 1)
 
     def test_default_blocks_are_zyz(self):
-        """Each qubit's block is Rz(slot 3) Ry(slot 2) Rz(slot 1), so slot 2
-        carries the Y-encoded Euler angle on every qubit."""
+        """Each qubit's real transfer block is that of Rz(slot 3) Ry(slot 2)
+        Rz(slot 1), so slot 2 carries the Y-encoded Euler angle on every
+        qubit: against R_ab = tr(s_a u s_b u^dagger) / 2 of the oracle's
+        complex rotations, at n = 1..8 with angles outside [0, 2 pi). A
+        pair's 16x16 factor holds its first qubit's block at rows and
+        columns 0, 4, 8, 12 and its second's at 0..3, exactly, as the other
+        block's 1 (+) R keeps a 1 in its corner."""
         rng = np.random.default_rng(3)
-        for n in (1, 2, 3):
-            angles = rng.uniform(-4.0, 4.0, size=(n, 3))
-            blocks = [rotation_matrix("Z", c) @ rotation_matrix("Y", b)
-                      @ rotation_matrix("Z", a) for a, b, c in angles]
-            np.testing.assert_allclose(_layer_blocks(angles), blocks, rtol=0,
-                                       atol=1e-15)
+        for n in range(1, 9):
+            for _ in range(5):
+                angles = rng.uniform(-7.0, 7.0, size=(n, 3))
+                op = _layer_unitary(angles)
+                blocks = [b for f in op
+                          for b in ((f[::4, ::4], f[:4, :4]) if len(f) == 16
+                                    else (f,))]
+                assert len(blocks) == n
+                for block, (a, b, c) in zip(blocks, angles):
+                    np.testing.assert_allclose(
+                        block, transfer_block(zyz_block(a, b, c)), rtol=0,
+                        atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_layers_match_single_calls(self, n):
+        """(L, n, 3) angles give every layer's factors, stacked, bit for
+        bit those of L calls on (n, 3)."""
+        rng = np.random.default_rng(60 + n)
+        for layers in (1, 2, 5, 13):
+            angles = rng.uniform(-7.0, 7.0, size=(layers, n, 3))
+            stacked = _layer_unitary(angles)
+            for layer in range(layers):
+                single = _layer_unitary(angles[layer])
+                assert len(stacked) == len(single)
+                for factor, want in zip(stacked, single):
+                    assert np.array_equal(factor[layer], want)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kron_fold_is_bit_identical(self, n):
@@ -69,10 +96,10 @@ class TestLayout:
         last qubit keeps its block."""
         rng = np.random.default_rng(70 + n)
         for _ in range(5):
-            blocks = _layer_blocks(rng.uniform(-4.0, 4.0, size=(n, 3)))
-            single = [_layer_unitary(blocks[q:q + 1])[0] for q in range(n)]
+            angles = rng.uniform(-4.0, 4.0, size=(n, 3))
+            single = [_layer_unitary(angles[q:q + 1])[0] for q in range(n)]
             pairs = [np.kron(*single[q:q + 2]) for q in range(0, n - 1, 2)]
-            op = _layer_unitary(blocks)
+            op = _layer_unitary(angles)
             assert len(op) == len(pairs) + n % 2
             for factor, want in zip(op, pairs + single[n - n % 2:]):
                 assert np.array_equal(factor, want)
@@ -109,6 +136,8 @@ class TestAngleVector:
 
 
 class TestGates:
+    """The oracle's complex rotations, which the real transfer blocks are
+    checked against, then the CNOT gathers."""
 
     def test_rotations_are_unitary(self):
         for axis in "XYZ":
@@ -168,6 +197,17 @@ class TestGates:
         with pytest.raises(ValueError):
             apply_cnot(zero_state(2), 1, 1)
 
+    def test_cnot_takes_only_real_pauli_vectors(self):
+        """A density matrix, complex or real, a complex vector and a length
+        that is no power of 4 each raise, forward and adjoint, rather than
+        run as a Pauli vector."""
+        rho = dense_oracle.zero_state(4)
+        for state in (rho, rho.real, zero_state(2).astype(complex),
+                      np.ones(8)):
+            for adjoint in (False, True):
+                with pytest.raises(ValueError, match="real Pauli vector"):
+                    apply_cnot(state, 1, 2, adjoint)
+
 
 class TestStatesAndObservables:
 
@@ -212,6 +252,22 @@ class TestStatesAndObservables:
     def test_expectation_dimension_mismatch(self):
         with pytest.raises(ValueError):
             expectation(zero_state(2), cyclic_observable(3))
+
+    def test_expectation_reads_the_observable_entry(self):
+        """A Pauli observable's expectation is the state's entry at its
+        base-4 index, bit for bit the inner product with its one-hot
+        coefficients; a complex state or a matrix raises."""
+        layout = build_ansatz(3, 2)
+        r = evolve(layout, sample_parameter_set(layout,
+                                                np.random.default_rng(23)))
+        assert PauliObservable("XYZ").index == 16 + 2 * 4 + 3
+        for letters in ("XYZ", "IIZ", "YII", "ZXI"):
+            obs = PauliObservable(letters)
+            assert expectation(r, obs) == float(obs.pauli_vector() @ r)
+            assert expectation(r, obs) == r[obs.index]
+        for state in (r.astype(complex), r.reshape(8, 8)):
+            with pytest.raises(ValueError, match="real Pauli vector"):
+                expectation(state, cyclic_observable(3))
 
 
 class TestEvolve:
@@ -411,7 +467,7 @@ class TestPauliVectors:
         rng = np.random.default_rng(110 + n)
         theta = rng.uniform(-7.0, 7.0, size=layout.parameter_count)
         u = dense_layer(layout, theta, 1)
-        op = _layer_unitary(_layer_blocks(theta.reshape(n, 3)))
+        op = _layer_unitary(theta.reshape(n, 3))
         assert [len(f) for f in op] == [16] * (n // 2) + [4] * (n % 2)
         rho, obs = random_mixed_state(n, 111 + n), random_hermitian(n, rng)
         r, o = pauli_vector(rho), coefficients(obs)
@@ -426,7 +482,7 @@ class TestPauliVectors:
         """Each qubit's 4x4 block keeps the identity and rotates X, Y, Z:
         1 (+) SO(3), so a factor is orthogonal."""
         rng = np.random.default_rng(120)
-        op = _layer_unitary(_layer_blocks(rng.uniform(-7, 7, size=(3, 3))))
+        op = _layer_unitary(rng.uniform(-7, 7, size=(3, 3)))
         for f in op:
             np.testing.assert_allclose(f @ f.T, np.eye(len(f)), atol=1e-14)
         r3 = op[-1]
@@ -460,3 +516,17 @@ class TestPauliVectors:
         ring = apply_cnot(r, *zip(*pairs))
         back = apply_cnot(o, *zip(*pairs), adjoint=True)
         assert abs(o @ ring - back @ r) < 1e-12
+
+
+class TestSource:
+
+    def test_src_holds_no_complex_arithmetic(self):
+        """Every state, operator and transfer block of the package is real:
+        no source file mentions a complex dtype or the imaginary unit."""
+        files = sorted(Path(circuits.__file__).parent.glob("*.py"))
+        assert len(files) >= 8
+        hits = [f"{path.name}:{number}: {line.strip()}" for path in files
+                for number, line in enumerate(
+                    path.read_text().splitlines(), 1)
+                if re.search("complex|1j", line, re.IGNORECASE)]
+        assert hits == []

@@ -629,7 +629,7 @@ parameter_sets = 3
 experiments_per_set = 5
 master_seed = 101
 schemes = ps,nfd,hfd
-""", "17eacb6def7a2198bb031e7ec219fd91eb9e4be5c555476407e58490443499b6"),
+""", "0a29dc576b7b13ee54d07e4765bb3ed3d6419fb6e0f31153b7e7202693f23464"),
         "pauli": ("""\
 [circuit]
 n = 3
@@ -646,7 +646,7 @@ experiments_per_set = 5
 master_seed = 103
 schemes = hfd,ps,nfd,hsps
 targets = offdiag,gradient,diag
-""", "e102eaa3266876182a033dde373c4c993269a6019e23faafde11ef4126d3fb9f"),
+""", "4a259d632c9bba6378901bb0d07cb0166d2f1bdfec99f13b362a45eeafca1410"),
     }
 
     @pytest.mark.parametrize("stem", sorted(GOLDEN))

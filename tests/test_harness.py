@@ -10,9 +10,9 @@ import pytest
 from paulishift import analytics, circuits, harness, noise
 from paulishift.analytics import (CrossoverNotFound, mse_sps,
                                   n_star_sps_exact)
-from paulishift.circuits import (_layer_blocks, _layer_unitary,
-                                 build_ansatz, cyclic_observable, evolve,
-                                 expectation, shifted)
+from paulishift.circuits import (_layer_unitary, build_ansatz,
+                                 cyclic_observable, evolve, expectation,
+                                 shifted)
 from paulishift.estimators import (DiagHessian, EstimatorSpec, Gradient,
                                    OffDiagHessian, evaluation_points)
 from paulishift.harness import (CrossingEstimate, ExperimentConfig,
@@ -69,6 +69,22 @@ class TestParameterSampling:
             for _ in range(4000)])
         np.testing.assert_allclose(cos_beta.mean(), 0.0, atol=0.05)
         np.testing.assert_allclose(cos_beta.var(), 1.0 / 3.0, atol=0.03)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_draw_matches_the_per_block_loop(self, n):
+        """One draw of all 3nL uniforms gives, bit for bit, the angles of
+        three uniforms per block drawn block by block, each block's beta
+        from ``math.acos``."""
+        layout = build_ansatz(n, 3)
+        for seed in (0, 1, 20260822, 2 ** 31 - 1):
+            rng = substream(seed, 0, n)
+            want = []
+            for _ in range(layout.L * n):
+                u = rng.random(3)
+                want += [2.0 * math.pi * u[0], math.acos(1.0 - 2.0 * u[1]),
+                         2.0 * math.pi * u[2]]
+            got = sample_parameter_set(layout, substream(seed, 0, n))
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestConfigValidation:
@@ -234,20 +250,19 @@ class TestShiftReconstruction:
         sit in layer 2: each point is one layer-2 operator between the state
         after layer 1 and the observable pulled back through layers 5..3 and
         the layer-2 ring. 13 distinct layers, each one's transfer factors
-        built once and shared by the clean and noisy values: 13 operator
-        builds (26 while the clean value ran on statevectors, 13 unitaries
-        and 13 factor sets; 32 builds before the grid plan), and 10 ring
+        built once and shared by the clean and noisy values, in 3
+        ``_layer_unitary`` calls: the 5 unshifted layers when the cache is
+        made, then the gradient grid's 2 shifted layers (the diagonal
+        shares them) and the off-diagonal grid's 6 new ones. Before, each
+        layer was its own call: 13 calls of one layer (26 builds while the
+        clean value ran on statevectors, 32 before the grid plan). 10 ring
         passes (32 before)."""
-        blocks, built, rings, calls = [], [], [], []
+        built, rings, calls = [], [], []
         ring = circuits.apply_ring
 
-        def counting_blocks(angles):
-            blocks.append(angles.tobytes())
-            return _layer_blocks(angles)
-
-        def counting_unitary(layer_blocks):
-            built.append(layer_blocks.tobytes())
-            return _layer_unitary(layer_blocks)
+        def counting_unitary(angles):
+            built.append([a.tobytes() for a in np.reshape(angles, (-1, 4, 3))])
+            return _layer_unitary(angles)
 
         def counting_ring(*args, **kwargs):
             rings.append(args)
@@ -261,7 +276,6 @@ class TestShiftReconstruction:
 
         monkeypatch.setattr(harness, "evolve", counting_evolve)
         for module in (circuits, harness):
-            monkeypatch.setattr(module, "_layer_blocks", counting_blocks)
             monkeypatch.setattr(module, "_layer_unitary", counting_unitary)
             monkeypatch.setattr(module, "apply_ring", counting_ring)
         config = ExperimentConfig(
@@ -273,8 +287,9 @@ class TestShiftReconstruction:
         # runs a circuit of its own.
         assert len(calls) == 2 + 2
         assert sum(call["adjoint"] for call in calls) == 2
-        assert len(set(blocks)) == len(blocks) == 13
-        assert len(set(built)) == len(built) == 13
+        assert [len(layers) for layers in built] == [5, 2, 6]
+        layers = [key for call in built for key in call]
+        assert len(set(layers)) == len(layers) == 13
         assert len(rings) == 2 * (1 + 3 + 1) == 10
 
 

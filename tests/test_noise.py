@@ -1,14 +1,15 @@
 """Tests for the noise channels and error-rate arithmetic."""
 import itertools
 
+import dense_oracle
 import numpy as np
 import pytest
-from dense_oracle import (check_state, cnot_matrix, coefficients,
+from dense_oracle import (PAULI, check_state, cnot_matrix, coefficients,
                           dense_evolve, density_matrix, observable_matrix,
                           pauli_sum_reference, pauli_vector, random_hermitian,
                           random_mixed_state)
 
-from paulishift.circuits import (PAULI, apply_cnot, apply_ring, build_ansatz,
+from paulishift.circuits import (apply_cnot, apply_ring, build_ansatz,
                                  cyclic_observable, evolve, expectation,
                                  zero_state)
 from paulishift.harness import (ExperimentConfig, NoiseSpec,
@@ -225,6 +226,39 @@ class TestAdjoints:
                 rho, obs,
                 lambda x: apply_cnot(x, j, k, False, factors),
                 lambda x: apply_cnot(x, j, k, True, factors))
+
+
+class TestHooksCheckTheirState:
+    """Every hook raises ValueError, forward and adjoint, on a state that is
+    not a real Pauli vector of shape (4^n,): a density matrix, complex or
+    real, which would otherwise run as garbage, a complex vector, and
+    lengths that are no power of 4."""
+
+    MODELS = {"none": NoNoise(), "cnot_depolarizing": CnotDepolarizing(0.1),
+              "cnot_pauli": CnotPauliChannel((0.01,) * 15),
+              "global": GlobalDepolarizing(0.3)}
+
+    @staticmethod
+    def _bad_states():
+        rho = dense_oracle.zero_state(4)
+        return (rho, rho.real, zero_state(2).astype(complex), np.ones(8),
+                np.ones(2), np.ones(0))
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_after_cnot_hook(self, model):
+        hook = self.MODELS[model].apply_after_cnot
+        for state in self._bad_states():
+            for adjoint in (False, True):
+                with pytest.raises(ValueError, match="real Pauli vector"):
+                    hook(state, 1, 2, adjoint=adjoint)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_final_hook(self, model):
+        hook = self.MODELS[model].apply_final
+        for state in self._bad_states():
+            for adjoint in (False, True):
+                with pytest.raises(ValueError, match="real Pauli vector"):
+                    hook(state, adjoint=adjoint)
 
 
 class TestFusedCnotChannels:
