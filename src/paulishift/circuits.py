@@ -10,7 +10,9 @@ clean circuit is the noisy one with the identity channel.  The angles are
 one flat vector of 3nL floats, layer-major, then qubit, then slot, so
 ``theta.reshape(L, n, 3)`` holds each qubit's (Z, Y, Z) angles.  Qubit 1 is
 the most significant bit of a basis index: kron(A_1, ..., A_n) acts with
-A_q on qubit q.  Qubit, layer and slot indices are 1-based.
+A_q on qubit q.  Qubit, layer and slot indices are 1-based.  Many
+parameter sets run at once on a leading set axis: angles (B, 3nL) and
+states (B, 4^n), each row's bits those of its own single-set call.
 """
 from __future__ import annotations
 
@@ -50,10 +52,11 @@ class AnsatzLayout:
 
 def shifted(layout: AnsatzLayout, theta: np.ndarray,
             shifts: Mapping[tuple[int, int, int], float]) -> np.ndarray:
-    """Return a copy of theta with ``shifts[(qubit, layer, slot)]`` added."""
+    """Return a copy of theta, (..., 3nL), with ``shifts[(qubit, layer,
+    slot)]`` added to that angle of every set."""
     out = np.array(theta, dtype=float)
     for (qubit, layer, slot), delta in shifts.items():
-        out[layout.flat_index(layer, qubit, slot)] += delta
+        out[..., layout.flat_index(layer, qubit, slot)] += delta
     return out
 
 
@@ -109,19 +112,26 @@ def cyclic_observable(n: int) -> PauliObservable:
 
 # ── states ───────────────────────────────────────────────────────────────────
 
+@lru_cache(maxsize=4)
 def zero_state(n: int) -> np.ndarray:
-    """|0...0><0...0| as a Pauli vector: 1 on the strings of I and Z."""
+    """|0...0><0...0| as a Pauli vector: 1 on the strings of I and Z.
+    Built once per n and read-only."""
     q = np.arange(4 ** n)  # I = 00 and Z = 11: digits whose bits agree
-    return (((q ^ (q >> 1)) & ((4 ** n - 1) // 3)) == 0).astype(float)
+    state = (((q ^ (q >> 1)) & ((4 ** n - 1) // 3)) == 0).astype(float)
+    state.flags.writeable = False
+    return state
 
 
-def check_vector(state, n: int | None = None) -> int:
-    """The qubit count of ``state``, a real Pauli vector of shape (4^n,)
-    (for this n, if given), else ValueError."""
+def check_vector(state, n: int | None = None, sets: tuple = ()) -> int:
+    """The qubit count of ``state``, a real Pauli vector of shape (4^n,) or
+    a stack of shape ``sets`` + (4^n,) (for this n, if given), else
+    ValueError. A real density matrix has the shape of a stack, so a stack
+    must name its leading set axes."""
     shape = np.shape(state)
-    if n is None and len(shape) == 1:
-        n = (shape[0].bit_length() - 1) // 2
-    if n is None or shape != (4 ** n,) or not np.isrealobj(state):
+    if n is None and len(shape) in (1, len(sets) + 1):
+        n = (shape[-1].bit_length() - 1) // 2
+    if (n is None or shape[-1:] != (4 ** n,) or shape[:-1] not in ((), sets)
+            or not np.isrealobj(state)):
         raise ValueError(f"state must be a real Pauli vector of shape (4^n,)"
                          f", got {shape} {np.asarray(state).dtype}")
     return n
@@ -131,11 +141,12 @@ def check_vector(state, n: int | None = None) -> int:
 
 @lru_cache(maxsize=64)
 def _pauli_cnots(n: int, pairs: tuple):
-    """(gather, sign, steps): (C r)[Q] = sign[Q] r[gather[Q]] for C the
-    CNOTs in ``pairs`` in turn, and CNOT k's channel sees pair digit
-    steps[k, Q] = 4 p_c + p_t. On a digit's bits x = b0 ^ b1, z = b1,
-    CNOT(c, t) sets x_t ^= x_c, z_c ^= z_t and flips the sign where
-    x_c z_t (x_t ^ z_c ^ 1) = 1 (Aaronson and Gottesman, 2004)."""
+    """(gather, inverse, sign, steps): (C r)[Q] = sign[Q] r[gather[Q]] for
+    C the CNOTs in ``pairs`` in turn, ``inverse`` the inverse permutation,
+    and CNOT k's channel sees pair digit steps[k, Q] = 4 p_c + p_t. On a
+    digit's bits x = b0 ^ b1, z = b1, CNOT(c, t) sets x_t ^= x_c,
+    z_c ^= z_t and flips the sign where x_c z_t (x_t ^ z_c ^ 1) = 1
+    (Aaronson and Gottesman, 2004)."""
     q, sign = np.arange(4 ** n), np.ones(4 ** n)
     steps = np.empty((len(pairs), 4 ** n), dtype=np.uint8)
     for k in range(len(pairs) - 1, -1, -1):
@@ -149,18 +160,31 @@ def _pauli_cnots(n: int, pairs: tuple):
         zc ^= zt
         xt ^= xc
         q ^= (pc ^ (2 * zc + (xc ^ zc))) << sc | (pt ^ (2 * zt + (xt ^ zt))) << st
-    return q, sign, steps
+    return q, np.argsort(q), sign, steps
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _pauli_ring(n: int, pairs: tuple, eigenvalues: tuple | None):
-    """``_pauli_cnots``, each CNOT followed by the channel, if any."""
-    gather, factor, steps = _pauli_cnots(n, pairs)
+    """(gather, inverse, factor) of ``_pauli_cnots``, each CNOT followed by
+    the channel with these 16 eigenvalues, if any: (B, 16) of them, one
+    channel per set, give factors (B, 4^n). Two are kept, a run's clean
+    ring and its channel's, so a batch's factors go with the batch."""
+    gather, inverse, factor, steps = _pauli_cnots(n, pairs)
     if eigenvalues is not None:
-        factor, lam = factor.copy(), np.array(eigenvalues)
+        lam = np.array(eigenvalues)
+        factor = np.broadcast_to(factor, lam.shape[:-1] + factor.shape).copy()
         for step in steps:
-            factor *= lam[step]
-    return gather, factor
+            factor *= lam.take(step, axis=-1)
+    return gather, inverse, factor
+
+
+def _apply_ring(state: np.ndarray, ring, adjoint: bool) -> np.ndarray:
+    """A ``_pauli_ring`` on the last axis of ``state``: a signed gather,
+    whose adjoint gathers the scaled state with the inverse permutation."""
+    gather, inverse, factor = ring
+    if adjoint:
+        return (factor * state).take(inverse, axis=-1)
+    return factor * state.take(gather, axis=-1)
 
 
 def check_pair(n: int, j: int, k: int) -> None:
@@ -173,21 +197,19 @@ def check_pair(n: int, j: int, k: int) -> None:
 
 
 def apply_cnot(state: np.ndarray, control, target, adjoint: bool = False,
-               eigenvalues: tuple | None = None) -> np.ndarray:
+               eigenvalues: tuple | None = None, sets: tuple = ()
+               ) -> np.ndarray:
     """CNOT = |0><0| (x) 1 + |1><1| (x) X on a Pauli vector as one signed
     gather (C P C = +-P'); tuples of controls and targets apply those CNOTs
     in turn, each followed by the Pauli channel with these 16
-    ``eigenvalues``, if given. ``adjoint=True`` applies the adjoint.
-    ``state`` is a real Pauli vector, else ValueError."""
+    ``eigenvalues``, if given ((B, 16) of them, one channel per set, give a
+    stack (B, 4^n)). ``adjoint=True`` applies the adjoint. ``state`` is a
+    real Pauli vector or a stack ``sets`` + (4^n,), else ValueError."""
     if np.ndim(control) == 0:
         control, target = (control,), (target,)
     pairs = tuple(zip(control, target, strict=True))
-    gather, factor = _pauli_ring(check_vector(state), pairs, eigenvalues)
-    if not adjoint:
-        return factor * state[gather]
-    out = np.empty_like(state)
-    out[gather] = factor * state
-    return out
+    return _apply_ring(state, _pauli_ring(check_vector(state, sets=sets),
+                                          pairs, eigenvalues), adjoint)
 
 
 def expectation(state: np.ndarray, obs) -> float:
@@ -233,22 +255,38 @@ def _layer_unitary(angles: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def rotate(op, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Each transfer factor of ``op`` on its digit of a Pauli vector, or
-    with ``adjoint=True`` each factor transposed."""
+    with ``adjoint=True`` each factor transposed. Factors (..., k, k) and
+    states (..., 4^n) broadcast over their leading set axes."""
     x, pre = state, 1
     for f in op[:-1]:
-        x = np.matmul(f.T if adjoint else f, x.reshape(pre, len(f), -1))
-        pre *= len(f)
-    return (x.reshape(pre, -1) @ (op[-1] if adjoint else op[-1].T)).ravel()
+        k = f.shape[-1]
+        f = f.swapaxes(-1, -2) if adjoint else f
+        x = np.matmul(f[..., None, :, :],
+                      x.reshape(x.shape[:-1] + (pre, k, -1)))
+        x, pre = x.reshape(x.shape[:-3] + (-1,)), pre * k
+    x = x.reshape(x.shape[:-1] + (pre, -1)) @ (
+        op[-1] if adjoint else op[-1].swapaxes(-1, -2))
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def depolarize(state: np.ndarray, scale: float) -> np.ndarray:
+    """Every coefficient but the identity's, on the last axis, times
+    ``scale``: the global depolarizing mix, which is its own adjoint."""
+    out = scale * state
+    out[..., 0] = state[..., 0]
+    return out
 
 
 def apply_ring(layout: AnsatzLayout, state: np.ndarray, noise=None,
                adjoint: bool = False) -> np.ndarray:
-    """One layer's CNOT ring, or its adjoint, in one ``apply_cnot`` (if
-    noiseless) or ``apply_after_cnot`` call."""
+    """One layer's CNOT ring, or its adjoint, on a Pauli vector or a stack
+    (..., 4^n) in one ``apply_cnot`` call, each CNOT followed by the noise
+    model's channel (see ``evolve``)."""
     if not layout.cnot_ring:
         return state
-    hook = apply_cnot if noise is None else noise.apply_after_cnot
-    return hook(state, *zip(*layout.cnot_ring), adjoint=adjoint)
+    return apply_cnot(state, *zip(*layout.cnot_ring), adjoint=adjoint,
+                      eigenvalues=None if noise is None else noise.eigenvalues,
+                      sets=np.shape(state)[:-1])
 
 
 def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
@@ -256,39 +294,45 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
            adjoint: bool = False, unitary=None) -> np.ndarray:
     """Advance ``state`` (default ``zero_state``) through the 1-based,
     inclusive ``layers = (first, last)`` (default all L) of ``theta``, the
-    flat vector of 3nL finite angles. Per layer: all single-qubit rotations
-    (noiseless), then ``apply_ring``; the final hook follows layer L, so it
-    joins any nonempty range ending there. An empty range (first = last + 1)
-    returns ``state``. ``state`` is a real Pauli vector of shape (4^n,),
-    else ValueError. ``adjoint=True`` runs the range's map E backwards on
-    observable coefficients: tr(O E(rho)) = tr(E^dagger(O) rho). A noise
-    model has the hooks ``apply_after_cnot(state, control, target,
-    adjoint=False)``, for one CNOT or tuples of them, each followed by its
-    channel, and ``apply_final(state, adjoint=False)``; None is noiseless.
-    ``unitary(angles)`` builds a layer's ``_layer_unitary``.
+    flat vector of 3nL finite angles or a stack (B, 3nL) of sets. Per layer:
+    all single-qubit rotations (noiseless), then the CNOT ring; the final
+    mix follows layer L, so it joins any nonempty range ending there. An
+    empty range (first = last + 1) returns ``state``. ``state`` is a real
+    Pauli vector of shape (4^n,), shared by every set, or one per set of
+    shape (B, 4^n), else ValueError. ``adjoint=True`` runs the range's map E
+    backwards on observable coefficients: tr(O E(rho)) = tr(E^dagger(O)
+    rho). A noise model has ``eigenvalues``, the 16 of the two-qubit Pauli
+    channel after every CNOT ((B, 16), one channel per set; None for the
+    bare CNOT), and ``final_scale``, the ``depolarize`` factor after layer
+    L; None is noiseless. ``unitary(angles)`` builds a layer's
+    ``_layer_unitary``.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (layout.parameter_count,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != layout.parameter_count:
         raise ValueError(
             f"theta has shape {theta.shape}, layout needs a flat vector of "
-            f"{layout.parameter_count}")
+            f"{layout.parameter_count} or a stack of them")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta entries must be finite")
     first, last = (1, layout.L) if layers is None else layers
     if not (1 <= first <= last + 1 and last <= layout.L):
         raise ValueError(f"layers {first}..{last} outside 1..{layout.L}")
     state = zero_state(layout.n) if state is None else state
-    check_vector(state, layout.n)
+    check_vector(state, layout.n, theta.shape[:-1])
     build = unitary or _layer_unitary
+    lam = None if noise is None else noise.eigenvalues
+    ring = (_pauli_ring(layout.n, layout.cnot_ring, lam)
+            if layout.cnot_ring and first <= last else None)
     final = noise is not None and first <= last == layout.L
-    angles = theta.reshape(layout.L, layout.n, 3)
+    scale = noise.final_scale if final else 1.0
+    angles = theta.reshape(theta.shape[:-1] + (layout.L, layout.n, 3))
     if adjoint:
-        state = noise.apply_final(state, adjoint=True) if final else state
+        state = depolarize(state, scale) if scale != 1.0 else state
         for layer in range(last, first - 1, -1):
-            state = apply_ring(layout, state, noise, adjoint=True)
-            state = rotate(build(angles[layer - 1]), state, True)
+            state = _apply_ring(state, ring, True) if ring else state
+            state = rotate(build(angles[..., layer - 1, :, :]), state, True)
         return state
     for layer in range(first, last + 1):
-        state = rotate(build(angles[layer - 1]), state)
-        state = apply_ring(layout, state, noise)
-    return noise.apply_final(state) if final else state
+        state = rotate(build(angles[..., layer - 1, :, :]), state)
+        state = _apply_ring(state, ring, False) if ring else state
+    return depolarize(state, scale) if scale != 1.0 else state

@@ -20,7 +20,9 @@ Reproducibility contract: every random draw comes from a named substream of
   experiments per evaluation point, in evaluation-point order.
 
 Each parameter set is therefore fully independent of every other, and results
-are reduced in set order, so outputs are bit-identical for any worker count.
+are reduced in set order, so outputs are bit-identical for any worker count
+and any batch size: sets run in batches on a leading array axis, and every
+batched operation gives each set the bits of its own single-set call.
 No code comes from a position in the config's lists, so a row depends only on
 its own (seed, set, target, budget, scheme): dropping or reordering other
 schemes or targets leaves its bytes unchanged.
@@ -37,13 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analytics, noise as noise_mod
 from .circuits import (AnsatzLayout, PauliObservable, _layer_unitary,
                        apply_ring, build_ansatz, cyclic_observable, evolve,
-                       expectation, rotate, shifted)
+                       rotate, shifted)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -58,9 +61,26 @@ _DRAW_GROUPS = {"sps": 0, "nfd": 1, "hfd": 2}
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator for the named substream of the master seed."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
+    """Generator for the named substream of the master seed: that of
+    ``SeedSequence(master_seed, spawn_key=key)``, seeded from the words it
+    assembles (the seed's, padded to 4, then each key element's), which
+    numpy takes as one array five times faster than it coerces the key."""
+    words = _words(master_seed)
+    words += [0] * (4 - len(words)) + [w for k in key for w in _words(k)]
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def _words(n: int) -> list[int]:
+    """A nonnegative int's 32-bit words, least significant first, as
+    ``SeedSequence`` splits it."""
+    if n < 0:
+        raise ValueError(f"seed and key entries must be >= 0, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
 
 
 # ── configuration ────────────────────────────────────────────────────────────
@@ -231,44 +251,48 @@ def _point_weights(spec: EstimatorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _FunctionCache:
-    """Exact expectations at shifted parameter points of one parameter set.
+    """Exact expectations at shifted parameter points of a batch of sets.
 
-    Every gate is exp(-i theta P / 2) and no channel depends on theta, so f,
-    clean or noisy, is a + b cos s + c sin s along each angle. Shifted
-    values come only from the grid {-pi/2, 0, +pi/2}^k over a target's
-    k <= 2 angles, one array that ``value`` contracts with the grid weights
-    of any points; ``exact`` is f at theta from the full circuit. The grid
-    is cut at the target's lowest (a) and highest (b) layer: between the
-    state after layers 1..a-1 and the observable pulled back through the
-    final hook, layers L..b+1 and layer b's CNOT ring, a point in one layer
-    costs its transfer factors on a Pauli vector and one inner product.
-    Values and cut ends are built once, keyed by noiselessness: one cache
-    serves the clean circuit and one channel. Each distinct layer's
-    transfer factors are built once and shared by both: the L unshifted
-    layers in one ``_layer_unitary`` call, a grid's new shifted layers in
-    one more. The global channel runs no circuit; it scales every traceless
-    expectation by 1 - eta, exactly.
+    ``theta`` is one set's 3nL angles or a stack (B, 3nL), and every value
+    carries its leading set axis. Every gate is exp(-i theta P / 2) and no
+    channel depends on theta, so f, clean or noisy, is a + b cos s + c sin s
+    along each angle. Shifted values come only from the grid {-pi/2, 0,
+    +pi/2}^k over a target's k <= 2 angles, one array per set that
+    ``value`` contracts with the grid weights of any points; ``exact`` is f
+    at theta from the full circuit. The grid is cut at the target's lowest
+    (a) and highest (b) layer: between the state after layers 1..a-1 and
+    the observable pulled back through the final mix, layers L..b+1 and
+    layer b's CNOT ring, a point in one layer costs its transfer factors
+    on a Pauli vector and one inner product. Values and cut ends are built
+    once, keyed by noiselessness: one cache serves the clean circuit and one
+    noise model (one channel per set when its eigenvalues are (B, 16)). Each
+    distinct layer's transfer factors are built once and shared by both:
+    the L unshifted layers of every set in one ``_layer_unitary`` call, a
+    grid's new shifted layers in one more. The global channel runs no
+    circuit; it scales every traceless expectation by 1 - eta, exactly.
     """
 
     def __init__(self, layout, theta, obs):
         self.layout, self.theta, self.obs = layout, theta, obs
-        self._values: dict[tuple, np.ndarray | float] = {}
+        self._values: dict[tuple, np.ndarray] = {}
         self._unitaries: dict[bytes, tuple] = {}
-        self._build(theta.reshape(layout.L, layout.n, 3))
+        angles = theta.reshape(theta.shape[:-1] + (layout.L, layout.n, 3))
+        self._build([angles[..., k, :, :] for k in range(layout.L)])
 
     def value(self, target: DerivativeTarget, weights: np.ndarray,
               noise) -> np.ndarray:
         """f at each point whose grid weights over the target's angles are
-        a row of ``weights``, as from ``_point_weights``."""
+        a row of ``weights``, as from ``_point_weights``; (..., points)."""
         grid = self._memo(("grid", _angles(target)), noise, self._grid)
-        return weights.reshape(len(weights), -1) @ grid.ravel()
+        flat = grid.reshape(self.theta.shape[:-1] + (-1, 1))
+        return np.matmul(weights.reshape(len(weights), -1), flat)[..., 0]
 
-    def mean(self, spec: EstimatorSpec, noise) -> float:
+    def mean(self, spec: EstimatorSpec, noise) -> np.ndarray:
         """Infinite-shot mean of the estimator: exact f at each point."""
         weights, coeffs = _point_weights(spec)
-        return float(coeffs @ self.value(spec.target, weights, noise))
+        return _inner(self.value(spec.target, weights, noise), coeffs)
 
-    def exact(self, noise) -> float:
+    def exact(self, noise) -> np.ndarray:
         """f at theta from the full circuit, no grid involved."""
         return self._memo(("full", self.layout.L + 1), noise, self._full)
 
@@ -281,28 +305,31 @@ class _FunctionCache:
             self._values[stored] = run(key[1], noise)
         return self._values[stored]
 
-    def _full(self, end: int, noise) -> float:
-        return expectation(self._forward(end, noise), self.obs)
+    def _full(self, end: int, noise) -> np.ndarray:
+        return self._forward(end, noise)[..., self.obs.index]
 
     def _grid(self, angles, noise) -> np.ndarray:
-        layout = self.layout
+        layout, sets = self.layout, self.theta.shape[:-1]
         layers = [layer for _, layer, _ in angles]
         a, b = min(layers), max(layers)
         start = self._memo(("forward", a), noise, self._forward)
         obs = self._memo(("back", b), noise, self._back)
-        grid = np.empty((3,) * len(angles))
+        grid = np.empty(sets + (3,) * len(angles))
         points = {idx: shifted(layout, self.theta, {
             angle: _GRID[i] for angle, i in zip(angles, idx)}).reshape(
-                layout.L, layout.n, 3) for idx in np.ndindex(grid.shape)}
-        self._build([p[k - 1] for p in points.values() for k in (a, b)])
+                sets + (layout.L, layout.n, 3))
+            for idx in np.ndindex(grid.shape[len(sets):])}
+        self._build([p[..., k - 1, :, :] for p in points.values()
+                     for k in (a, b)])
         segments = {None: start}  # layers a..b-1 see only the layer-a shift
         for idx, point in points.items():
             i = idx[layers.index(a)] if a < b else None
             if i not in segments:
-                segments[i] = evolve(layout, point.ravel(), noise, (a, b - 1),
-                                     start, unitary=self._unitary)
-            u = self._unitary(point[b - 1])
-            grid[idx] = expectation(rotate(u, segments[i]), obs)
+                segments[i] = evolve(layout, point.reshape(sets + (-1,)),
+                                     noise, (a, b - 1), start,
+                                     unitary=self._unitary)
+            u = self._unitary(point[..., b - 1, :, :])
+            grid[(...,) + idx] = _inner(rotate(u, segments[i]), obs)
         return grid
 
     def _forward(self, a: int, noise) -> np.ndarray:
@@ -314,12 +341,13 @@ class _FunctionCache:
         if b < self.layout.L:
             obs = evolve(self.layout, self.theta, noise, (b + 1, self.layout.L),
                          obs, adjoint=True, unitary=self._unitary)
-        elif noise is not None:  # an empty range skips the final hook
+        elif noise is not None:  # an empty range skips the final mix
             obs = noise.apply_final(obs, adjoint=True)
         return apply_ring(self.layout, obs, noise, adjoint=True)
 
     def _build(self, layers) -> None:
-        """Each (n, 3) layer's transfer factors not yet built, in one call."""
+        """Each layer's transfer factors not yet built, in one call: a
+        layer is (n, 3) angles, or (B, n, 3) for a batch."""
         new = {angles.tobytes(): angles for angles in layers
                if angles.tobytes() not in self._unitaries}
         if new:
@@ -331,10 +359,16 @@ class _FunctionCache:
         return self._unitaries[angles.tobytes()]  # built with the set or grid
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis, set by set: per set the bits of the 1-D
+    product, whatever the number of sets."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def estimator_mean(spec: EstimatorSpec, layout: AnsatzLayout,
                    theta: np.ndarray, noise, obs: PauliObservable) -> float:
     """Infinite-shot mean of the estimator: exact f at each evaluation point."""
-    return _FunctionCache(layout, theta, obs).mean(spec, noise)
+    return float(_FunctionCache(layout, theta, obs).mean(spec, noise))
 
 
 def exact_derivative(target: DerivativeTarget, layout: AnsatzLayout,
@@ -373,19 +407,27 @@ def _scheme_spec(scheme: str, target: DerivativeTarget, d: int, nt: int,
                          **{"lam" if family == "sps" else "epsilon": value})
 
 
-def _binomial_estimates(f: float, shots: int, rng: np.random.Generator,
-                        size: int) -> np.ndarray:
-    """Vector of finite-shot estimates of a +/-1 observable with mean f.
+def _binomial_estimates(f, shots: int, rng, size: int) -> np.ndarray:
+    """Finite-shot estimates of +/-1 observables with means f, shape f's +
+    (size,): f is one mean, a draw group's points, or (B, points) of them
+    with ``rng`` one generator per set of a batch. Each point is drawn by
+    its own ``rng.binomial`` call, in point order.
 
-    Heads come with probability (1 + f)/2; f may leave [-1, 1] by rounding.
+    Heads come with probability (1 + f)/2; f may leave [-1, 1] by rounding,
+    and a mean further out, or not finite, is an error.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
-    if abs(f) > 1.0 + 1e-10:
-        raise ValueError(f"expectation {f} is outside [-1, 1]")
-    f = min(1.0, max(-1.0, f))
-    draws = rng.binomial(shots, (1.0 + f) / 2.0, size=size)
-    return (2.0 * draws - shots) / shots
+    f = np.asarray(f, dtype=float)
+    outside = ~(np.abs(f) <= 1.0 + 1e-10)
+    if outside.any():
+        raise ValueError(f"expectation {f[outside][0]} is outside [-1, 1]")
+    heads = (1.0 + np.clip(f, -1.0, 1.0)) / 2.0
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    draws = np.array([[g.binomial(shots, p, size=size) for p in row]
+                      for g, row in zip(rngs, heads.reshape(len(rngs), -1)
+                                        .tolist())])
+    return ((2.0 * draws - shots) / shots).reshape(f.shape + (size,))
 
 
 def _shots_key(layout: AnsatzLayout, target: DerivativeTarget
@@ -402,60 +444,122 @@ def _shots_key(layout: AnsatzLayout, target: DerivativeTarget
     return analytics.TARGET_KINDS.index(kind), flat[0], flat[-1]
 
 
+class _TargetPlan(NamedTuple):
+    """One target's draws. Draw group g, ``groups[g]`` = (budget, group
+    code, shots), draws rows g P .. g P + P - 1 of ``weights`` (grid weights
+    of the points, P the target's point count) and sums them with
+    ``coeffs[g]``; the MSE cell of scheme ``scheme[c]`` at budget index
+    ``budget[c]`` scales group ``group[c]``'s sum by ``scale[c]``."""
+
+    target: DerivativeTarget
+    key: tuple[int, int, int]
+    rule: EstimatorSpec  # the shift rule, whose clean mean is the truth
+    weights: np.ndarray
+    groups: list[tuple[int, int, int]]
+    coeffs: np.ndarray
+    group: np.ndarray
+    scale: np.ndarray
+    scheme: np.ndarray
+    budget: np.ndarray
+
+
 @lru_cache(maxsize=16)
-def _plan(config: ExperimentConfig) -> list[tuple]:
-    """Per target of the config: the target, its shot key, its shift rule,
-    the grid weights of every point drawn at any budget, and the draw
-    groups (budget index, budget, group code, rows of those weights,
-    coefficients, scheme indices, scales of shape (schemes, 1)). Scaled-shift
-    schemes share one draw at the lambda = 1 points; FD schemes draw by
-    name (NFD = HFD at zero noise)."""
+def _plan(config: ExperimentConfig) -> list[_TargetPlan]:
+    """Every target's draw groups and MSE cells. Scaled-shift schemes share
+    one draw at the lambda = 1 points; FD schemes draw by name (NFD = HFD
+    at zero noise)."""
     d, eta = 2 ** config.n, config.eta_total()
     plan = []
     for target in config.targets:
         key = _shots_key(config.layout(), target)
-        rule, rows, groups = _shift_rule(target), [], []
+        rule, shots = _shift_rule(target), point_count(target)
+        rows, groups, coeffs, cells = [], [], [], []
         for nt_idx, nt in enumerate(config.nt_grid):
             specs = [_scheme_spec(s, target, d, nt, eta)
                      for s in config.schemes]
             sps = [i for i, spec in enumerate(specs) if spec.scheme == "sps"]
-            draws = [(config.schemes[i], spec, [i], [[1.0]])
+            draws = [(config.schemes[i], spec, [(i, 1.0)])
                      for i, spec in enumerate(specs) if spec.scheme == "fd"]
             if sps:
-                draws.append(("sps", rule, sps, [[specs[i].lam] for i in sps]))
-            for group, drawn, s_idx, scales in draws:
-                weights, coeffs = _point_weights(drawn)
-                groups.append((nt_idx, nt, _DRAW_GROUPS[group],
-                               range(len(rows), len(rows) + len(weights)),
-                               coeffs.tolist(), s_idx, np.array(scales)))
+                draws.append(("sps", rule, [(i, specs[i].lam) for i in sps]))
+            for group, drawn, scaled in draws:
+                weights, c = _point_weights(drawn)
+                cells += [(len(groups), lam, i, nt_idx) for i, lam in scaled]
+                groups.append((nt, _DRAW_GROUPS[group], nt // shots))
                 rows.extend(weights)
-        plan.append((target, key, rule, np.array(rows), groups))
+                coeffs.append(c)
+        plan.append(_TargetPlan(target, key, rule, np.array(rows), groups,
+                                np.array(coeffs),
+                                *map(np.array, zip(*cells))))
     return plan
 
 
-def _run_set(config: ExperimentConfig, set_index: int) -> np.ndarray:
-    """Per-set mean squared errors, indexed (target, scheme, grid point)."""
-    layout = config.layout()
-    n_exp = config.experiments_per_set
-    theta = sample_parameter_set(
-        layout, substream(config.master_seed, _STREAM_PARAMS, set_index))
-    channel = config.noise_for_set(set_index)
-    cache = _FunctionCache(layout, theta, config.observable())
+# Sets per batch, measured in process (BENCH_batched_sets.json): a batch's
+# stack of Pauli vectors stays within 256 KiB (128 sets at n = 4, 8 at
+# n = 6, one from n = 8), where larger stacks ran a set no faster and
+# each live stack adds to peak memory; at most 128 sets share one batch's
+# layer factors, and its shot estimates of one target stay within 16 MiB.
+_MAX_BATCH = 128
+_BATCH_STATE_BYTES = 2 ** 18
+_BATCH_DRAW_BYTES = 2 ** 24
 
-    out = np.empty((len(config.targets), len(config.schemes),
+
+def _batch_size(n: int, draws: int = 0) -> int:
+    """Parameter sets per batch at n qubits, ``draws`` shot estimates each."""
+    return max(1, min(_MAX_BATCH, _BATCH_STATE_BYTES // (8 * 4 ** n),
+                      _BATCH_DRAW_BYTES // (8 * max(draws, 1))))
+
+
+def _batches(count: int, size: int):
+    """Sets 0..count-1 in consecutive batches of ``size``, lazily."""
+    return (range(i, min(i + size, count)) for i in range(0, count, size))
+
+
+def _draw_batch(config: ExperimentConfig, sets: range):
+    """The batch's angles (B, 3nL), each set's from its own (0, s)
+    substream; each set's channel; and the model the batch's circuits run
+    under, one channel per set when the weights are redrawn."""
+    layout = config.layout()
+    theta = np.array([sample_parameter_set(
+        layout, substream(config.master_seed, _STREAM_PARAMS, s))
+        for s in sets])
+    if config.noise.redraw_weights:
+        channels = [config.noise_for_set(s) for s in sets]
+        return theta, channels, noise_mod.CnotPauliChannel(
+            tuple(c.weights for c in channels))
+    channel = config.noise_for_set(sets[0])
+    return theta, [channel] * len(sets), channel
+
+
+def _run_set(config: ExperimentConfig, sets: range) -> np.ndarray:
+    """Mean squared errors of a batch of parameter sets, indexed (set,
+    target, scheme, grid point). Each set draws its shots per draw group,
+    in set order, from its own keyed substreams; each group's points are
+    summed for the whole batch at once, and its MSE cells take four array
+    calls per target, so a set's values do not depend on its batch."""
+    n_exp = config.experiments_per_set
+    theta, _, channel = _draw_batch(config, sets)
+    cache = _FunctionCache(config.layout(), theta, config.observable())
+    out = np.empty((len(sets), len(config.targets), len(config.schemes),
                     len(config.nt_grid)))
-    for t_idx, (target, key, rule, weights, groups) in enumerate(
-            _plan(config)):
-        true_value = cache.mean(rule, None)
-        f = cache.value(target, weights, channel).tolist()
-        for nt_idx, nt, code, rows, coeffs, s_idx, scales in groups:
-            shots = nt // point_count(target)
-            rng = substream(config.master_seed, _STREAM_SHOTS, set_index,
-                            *key, nt, code)
-            draws = sum(coeff * _binomial_estimates(f[row], shots, rng, n_exp)
-                        for row, coeff in zip(rows, coeffs))
-            err = scales * draws - true_value
-            out[t_idx, s_idx, nt_idx] = (err * err).sum(axis=1) / n_exp
+    for t_idx, plan in enumerate(_plan(config)):
+        p = point_count(plan.target)
+        true_value = cache.mean(plan.rule, None)[:, None, None]
+        f = cache.value(plan.target, plan.weights, channel)
+        draws = np.empty((len(sets), len(plan.groups), n_exp))
+        for g, (nt, code, shots) in enumerate(plan.groups):
+            est = _binomial_estimates(
+                f[:, g * p:g * p + p], shots,
+                [substream(config.master_seed, _STREAM_SHOTS, s, *plan.key,
+                           nt, code) for s in sets], n_exp)
+            draws[:, g] = plan.coeffs[g, 0] * est[:, 0]
+            for k in range(1, p):  # in point order, as a sum over the points
+                draws[:, g] += plan.coeffs[g, k] * est[:, k]
+        err = draws[:, plan.group]  # in place: scale * draw - truth, squared
+        err *= plan.scale[:, None]
+        err -= true_value
+        err *= err
+        out[:, t_idx, plan.scheme, plan.budget] = err.sum(-1) / n_exp
     return out
 
 
@@ -465,25 +569,31 @@ def monte_carlo_mse(config: ExperimentConfig,
 
     Squared errors are measured against the exact noiseless derivative,
     averaged over experiments within each parameter set and then over sets;
-    stderr is the standard error of the per-set means. Results are identical
-    for any worker count; no more processes start than there are sets.
-    Raises ValueError before any simulation if ``workers`` is outside
+    stderr is the standard error of the per-set means. Sets run in batches
+    (``_run_set``); results are identical for any worker count and batch
+    size, and no more processes start than there are batches. Raises
+    ValueError before any simulation if ``workers`` is outside
     [1, MAX_WORKERS] or a target's angle lies outside the circuit.
     """
     if workers is not None and not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers = {workers} is outside [1, {MAX_WORKERS}]")
-    _plan(config)  # checks every target's angles before any simulation
-    indices = range(config.parameter_sets)
-    workers = min(workers or 1, config.parameter_sets)
+    plan = _plan(config)  # checks every target's angles before any simulation
+    workers = workers or 1
+    draws = max(len(p.weights) for p in plan) * config.experiments_per_set
+    size = min(_batch_size(config.n, draws),
+               max(1, config.parameter_sets // workers))
+    batches = _batches(config.parameter_sets, size)
+    count = -(-config.parameter_sets // size)
+    workers = min(workers, count)
     if workers == 1:
-        per_set = [_run_set(config, s) for s in indices]
+        per_batch = [_run_set(config, sets) for sets in batches]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, config.parameter_sets // (workers * 4))
+        chunk = max(1, count // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_set = list(pool.map(partial(_run_set, config), indices,
-                                    chunksize=chunk))
-    stacked = np.stack(per_set)  # (set, target, scheme, nt)
+            per_batch = list(pool.map(partial(_run_set, config), batches,
+                                      chunksize=chunk))
+    stacked = np.concatenate(per_batch)  # (set, target, scheme, nt)
     means = stacked.mean(axis=0)
     if config.parameter_sets > 1:
         errs = stacked.std(axis=0, ddof=1) / math.sqrt(config.parameter_sets)
@@ -584,20 +694,19 @@ def distribution_study(config: ExperimentConfig) -> DistributionSummary:
     if eta <= 1e-12:
         raise ValueError(
             "distribution study needs noise with a nonzero total rate")
-    layout = config.layout()
-    obs = config.observable()
+    layout, obs = config.layout(), config.observable()
     f_vals = np.empty(config.parameter_sets)
     g_vals = np.empty(config.parameter_sets)
-    channels = tuple(map(config.noise_for_set, range(config.parameter_sets)))
-    for s, channel in enumerate(channels):
-        theta = sample_parameter_set(
-            layout, substream(config.master_seed, _STREAM_PARAMS, s))
+    channels = []
+    for sets in _batches(config.parameter_sets, _batch_size(config.n)):
+        theta, drawn, channel = _draw_batch(config, sets)
         cache = _FunctionCache(layout, theta, obs)
-        f_vals[s] = f = cache.exact(None)
-        g_vals[s] = (cache.exact(channel) - (1.0 - eta) * f) / eta
+        f_vals[sets] = f = cache.exact(None)
+        g_vals[sets] = (cache.exact(channel) - (1.0 - eta) * f) / eta
+        channels += drawn
     var_f = float(np.var(f_vals))
     var_g = float(np.var(g_vals))
     r_var = var_f / var_g if var_g > 1e-15 else None
     return DistributionSummary(f_samples=f_vals, g_samples=g_vals,
                                var_f=var_f, var_g=var_g, r_var=r_var,
-                               eta_total=eta, channels=channels)
+                               eta_total=eta, channels=tuple(channels))

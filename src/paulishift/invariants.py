@@ -244,12 +244,13 @@ def moment_deviations(rng: np.random.Generator, size: Moments
                else OffDiagHessian(layer=4, qubit2=1, layer2=3))
         rules = [harness._shift_rule(t)
                  for t in (Gradient(layer=4), DiagHessian(layer=4), off)]
+        theta = np.array([harness.sample_parameter_set(layout, rng)
+                          for _ in range(size.samples)])
         f, grad, diag, cross = values = np.empty((4, size.samples))
-        for i in range(size.samples):
-            cache = harness._FunctionCache(
-                layout, harness.sample_parameter_set(layout, rng), obs)
-            values[:, i] = [cache.exact(None)] + [cache.mean(rule, None)
-                                                  for rule in rules]
+        for sets in harness._batches(size.samples, harness._batch_size(n)):
+            cache = harness._FunctionCache(layout, theta[sets], obs)
+            values[:, sets] = [cache.exact(None)] + [cache.mean(rule, None)
+                                                     for rule in rules]
         m = analytics.two_design_moments(n)
         for out, label, x, expect in (
                 (function, "<f>", f, m.mean_f),

@@ -11,6 +11,8 @@ model: it mixes toward I/d, so every traceless observable has f_noisy =
 (1 - eta) f_clean exactly and g vanishes identically.  Every hook takes
 ``adjoint=True`` for its Heisenberg-picture map on Pauli coefficients, and
 raises ValueError unless its state is a real Pauli vector of shape (4^n,).
+``circuits.evolve`` reads each model's ``eigenvalues`` and
+``final_scale`` instead, so it runs a whole stack of sets at once.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import apply_cnot, check_vector
+from .circuits import apply_cnot, check_vector, depolarize
 
 # The 15 non-identity two-qubit Pauli labels, in fixed row-major order
 # (first letter acts on the channel's first qubit).
@@ -29,31 +31,42 @@ TWO_QUBIT_PAULI_LABELS = tuple(
 
 # ── channel primitives ───────────────────────────────────────────────────────
 
-def pauli_eigenvalues(weights) -> tuple[float, ...]:
-    """The 16 eigenvalues lambda_Q = 1 - 2 sum_P w_P, over the P that
-    anticommute with Q, of the two-qubit Pauli channel whose 15 nonnegative
-    weights are ordered as in TWO_QUBIT_PAULI_LABELS (the identity keeps
-    1 - sum(weights)), at Q = 4 q_1 + q_2 (digits I, X, Y, Z = 0..3)."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (15,):
-        raise ValueError(f"need exactly 15 weights, got shape {w.shape}")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    total = float(w.sum())
-    if total >= 1.0:
-        raise ValueError(f"weights sum to {total}, must be < 1")
-    # P and Q anticommute when x_P z_Q ^ z_P x_Q (x = b0 ^ b1, z = b1 of
-    # each digit) has odd parity.
+def _anticommuting() -> np.ndarray:
+    """1.0 where two-qubit Pauli Q (row) anticommutes with the
+    non-identity P (column P - 1): where x_P z_Q ^ z_P x_Q (x = b0 ^ b1,
+    z = b1 of each digit) has odd parity."""
     p = np.arange(16)
     x, z = (p ^ p >> 1) & 5, p >> 1 & 5
     s = (x[:, None] & z) ^ (z[:, None] & x)
-    anti = (s ^ s >> 2) & 1
-    return tuple(1.0 - 2.0 * (anti[:, 1:] @ w))
+    return ((s ^ s >> 2) & 1)[:, 1:].astype(float)
+
+
+_ANTICOMMUTING = _anticommuting()
+
+
+def pauli_eigenvalues(weights) -> tuple:
+    """The 16 eigenvalues lambda_Q = 1 - 2 sum_P w_P, over the P that
+    anticommute with Q, of the two-qubit Pauli channel whose 15 nonnegative
+    weights are ordered as in TWO_QUBIT_PAULI_LABELS (the identity keeps
+    1 - sum(weights)), at Q = 4 q_1 + q_2 (digits I, X, Y, Z = 0..3).
+    Weights (B, 15) give one such tuple per channel."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != 15:
+        raise ValueError(f"need exactly 15 weights, got shape {w.shape}")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be nonnegative")
+    total = float(w.sum(axis=-1).max())
+    if total >= 1.0:
+        raise ValueError(f"weights sum to {total}, must be < 1")
+    lam = 1.0 - 2.0 * np.matmul(_ANTICOMMUTING, w[..., None])[..., 0]
+    return tuple(lam) if w.ndim == 1 else tuple(map(tuple, lam))
 
 
 # ── noise models ─────────────────────────────────────────────────────────────
 
 class _NoFinal:
+    final_scale = 1.0
+
     def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
         check_vector(state)
         return state
@@ -62,6 +75,8 @@ class _NoFinal:
 @dataclass(frozen=True)
 class NoNoise(_NoFinal):
     """The noiseless model: the bare CNOT."""
+
+    eigenvalues = None
 
     def apply_after_cnot(self, state, control, target, adjoint=False):
         return apply_cnot(state, control, target, adjoint)
@@ -86,14 +101,16 @@ class CnotDepolarizing(_NoFinal):
 
 @dataclass(frozen=True)
 class CnotPauliChannel(_NoFinal):
-    """General Pauli channel with fixed weights after every CNOT."""
+    """General Pauli channel with fixed weights after every CNOT; weights
+    (B, 15) make one channel per set of a batch."""
 
-    weights: tuple[float, ...]
+    weights: tuple
     eigenvalues: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        object.__setattr__(self, "weights", w)
+        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", tuple(
+            w.tolist() if w.ndim == 1 else map(tuple, w.tolist())))
         object.__setattr__(self, "eigenvalues", pauli_eigenvalues(w))
 
     def apply_after_cnot(self, state, control, target, adjoint=False):
@@ -105,10 +122,15 @@ class GlobalDepolarizing:
     """Mix toward the maximally mixed state once, after the full circuit."""
 
     eta: float
+    eigenvalues = None
 
     def __post_init__(self):
         if not 0.0 <= self.eta < 1.0:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
+
+    @property
+    def final_scale(self) -> float:
+        return 1.0 - self.eta
 
     def apply_after_cnot(self, state, control, target, adjoint=False):
         return apply_cnot(state, control, target, adjoint)
@@ -116,9 +138,7 @@ class GlobalDepolarizing:
     def apply_final(self, state: np.ndarray, adjoint=False) -> np.ndarray:
         """Scale every coefficient but the identity's by 1 - eta."""
         check_vector(state)
-        out = (1.0 - self.eta) * state
-        out[0] = state[0]
-        return out
+        return depolarize(state, self.final_scale)
 
 
 def random_pauli_weights(eta0: float, rng: np.random.Generator) -> tuple[float, ...]:

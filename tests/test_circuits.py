@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import dense_oracle
 from dense_oracle import (PAULI, check_state, cnot_matrix, coefficients,
-                          dense_layer, dense_statevector, density_matrix,
+                          dense_evolve, dense_layer, dense_statevector,
+                          density_matrix,
                           observable_matrix, pauli_vector, random_hermitian,
                           random_mixed_state, rotation_matrix, transfer_block,
                           zyz_block)
@@ -516,6 +517,91 @@ class TestPauliVectors:
         ring = apply_cnot(r, *zip(*pairs))
         back = apply_cnot(o, *zip(*pairs), adjoint=True)
         assert abs(o @ ring - back @ r) < 1e-12
+
+
+class TestSetAxis:
+    """Kernels on a leading set axis: each row's bits are those of its own
+    single-set call, and each row is that set's circuit."""
+
+    @staticmethod
+    def _models(rng, sets):
+        """(batch model, per-set models, per-set dense Kraus weights and
+        global rate) for each noise kind, redrawn Pauli channels included."""
+        pauli = [random_pauli_weights(0.1, rng) for _ in range(sets)]
+        depol = CnotDepolarizing(0.05)
+        return [(None, [None] * sets, [((0.0,) * 15, 0.0)] * sets),
+                (GlobalDepolarizing(0.3), [GlobalDepolarizing(0.3)] * sets,
+                 [((0.0,) * 15, 0.3)] * sets),
+                (depol, [depol] * sets, [((0.05 / 15,) * 15, 0.0)] * sets),
+                (CnotPauliChannel(pauli), [CnotPauliChannel(w) for w in pauli],
+                 [(w, 0.0) for w in pauli])]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stacks_match_single_calls_and_the_oracle(self, n):
+        """rotate, apply_cnot (one channel per set) and evolve, forward and
+        adjoint, on three sets at once: bit for bit each set's own call,
+        and each set's dense circuit to 1e-12."""
+        rng = np.random.default_rng(140 + n)
+        sets, layout = 3, build_ansatz(n, 2)
+        theta = rng.uniform(-7.0, 7.0, size=(sets, layout.parameter_count))
+        states = np.array([pauli_vector(random_mixed_state(n, 141 + n + b))
+                           for b in range(sets)])
+        op = _layer_unitary(theta[:, :3 * n].reshape(sets, n, 3))
+        for adjoint in (False, True):
+            stacked = rotate(op, states, adjoint)
+            for b in range(sets):
+                single = rotate(tuple(f[b] for f in op), states[b], adjoint)
+                assert np.array_equal(stacked[b], single)
+        obs = cyclic_observable(n)
+        for model, singles, dense in self._models(rng, sets):
+            lam = None if model is None else model.eigenvalues
+            if n > 1 and lam is not None:
+                ring = list(zip(*layout.cnot_ring))
+                for adjoint in (False, True):
+                    shared = np.broadcast_to(  # one row per set if redrawn
+                        apply_cnot(states[0], *ring, adjoint, lam),
+                        states.shape)
+                    stack = apply_cnot(states, *ring, adjoint, lam,
+                                       sets=(sets,))
+                    for b, one in enumerate(singles):
+                        assert np.array_equal(shared[b], apply_cnot(
+                            states[0], *ring, adjoint, one.eigenvalues))
+                        assert np.array_equal(stack[b], apply_cnot(
+                            states[b], *ring, adjoint, one.eigenvalues))
+            forward = evolve(layout, theta, model)
+            back = evolve(layout, theta, model, state=obs.pauli_vector(),
+                          adjoint=True)
+            middle = evolve(layout, theta, model, (2, 2), states)
+            for b, (one, (weights, eta)) in enumerate(zip(singles, dense)):
+                assert np.array_equal(forward[b], evolve(layout, theta[b],
+                                                         one))
+                assert np.array_equal(back[b], evolve(
+                    layout, theta[b], one, state=obs.pauli_vector(),
+                    adjoint=True))
+                assert np.array_equal(middle[b], evolve(
+                    layout, theta[b], one, (2, 2), states[b]))
+                rho = dense_evolve(layout, theta[b], weights)
+                rho = (1 - eta) * rho + eta * np.eye(len(rho)) / len(rho)
+                np.testing.assert_allclose(forward[b], pauli_vector(rho),
+                                           rtol=0, atol=1e-12)
+                assert abs(back[b] @ zero_state(n)
+                           - expectation(forward[b], obs)) < 1e-12
+
+    def test_a_stack_names_its_sets(self):
+        """A stack must match theta's sets, and apply_cnot takes one only
+        with its set axes named, since a real density matrix (here of four
+        qubits) has the shape of sixteen two-qubit vectors."""
+        layout = build_ansatz(2, 1)
+        theta = np.zeros((3, layout.parameter_count))
+        for state in (np.ones((2, 16)), np.ones((3, 4)), np.ones((1, 3, 16))):
+            with pytest.raises(ValueError, match="real Pauli vector"):
+                evolve(layout, theta, state=state)
+        with pytest.raises(ValueError, match="real Pauli vector"):
+            evolve(layout, theta[0], state=np.ones((3, 16)))
+        rho = dense_oracle.zero_state(4).real
+        with pytest.raises(ValueError, match="real Pauli vector"):
+            apply_cnot(rho, 1, 2)
+        assert apply_cnot(rho, 1, 2, sets=(16,)).shape == (16, 16)
 
 
 class TestSource:

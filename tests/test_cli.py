@@ -380,6 +380,31 @@ class TestMseCurvesCommand:
         assert ((out1 / "run_mse.csv").read_bytes()
                 == (out2 / "run_mse.csv").read_bytes())
 
+    def test_batch_size_does_not_change_bytes(self, tmp_path, monkeypatch,
+                                              capsys):
+        """Sets run in batches of 1, 7 or 64, on one worker or two, with
+        redrawn Pauli channels, every scheme and every target: one CSV."""
+        path = tmp_path / "batch.cfg"
+        path.write_text(GOOD_CONFIG
+                        .replace("n = 2", "n = 3")
+                        .replace("kind = global_depolarizing",
+                                 "kind = cnot_pauli\nredraw_weights = true")
+                        .replace("rate = 0.3", "rate = 0.1")
+                        .replace("parameter_sets = 4", "parameter_sets = 20")
+                        .replace("schemes = ps,nsps", "schemes = "
+                                 + ",".join(analytics.SCHEMES))
+                        .replace("targets = gradient",
+                                 "targets = gradient,diag,offdiag"))
+        payloads = set()
+        for size in (1, 7, 64):
+            monkeypatch.setattr(harness, "_batch_size", lambda *a: size)
+            for workers in ("1", "2"):
+                out = tmp_path / f"b{size}w{workers}"
+                assert main(["mse-curves", str(path), "--workers", workers,
+                             "--out", str(out)]) == 0
+                payloads.add((out / "batch_mse.csv").read_bytes())
+        assert len(payloads) == 1
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[circuit]\nn = 2\n")

@@ -224,6 +224,29 @@ class TestSampling:
         with pytest.raises(ValueError):
             _binomial_estimates(1.0 + 1e-9, 8, rng, 4)
 
+    def test_non_finite_expectation_is_rejected(self):
+        """NaN and infinities raise rather than clip to a probability: NaN
+        once drew every shot as tails."""
+        rng = np.random.default_rng(0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="outside"):
+                _binomial_estimates(bad, 100, rng, 5)
+            with pytest.raises(ValueError, match="outside"):
+                _binomial_estimates([0.5, bad, 0.1], 100, rng, 5)
+
+    def test_batch_draws_each_set_from_its_own_generator(self):
+        """(sets, points) means with one generator per set give, bit for
+        bit, one call per point in point order on each set's generator."""
+        f = np.array([[0.3, -0.2, 1.0 + 1e-12], [-1.0, 0.0, 0.7]])
+        got = _binomial_estimates(f, 50, [np.random.default_rng(s)
+                                          for s in (1, 2)], 6)
+        assert got.shape == (2, 3, 6)
+        for s, row in zip((1, 2), f):
+            rng = np.random.default_rng(s)
+            for k, mean in enumerate(row):
+                want = _binomial_estimates(float(mean), 50, rng, 6)
+                assert np.array_equal(got[s - 1, k], want)
+
     def test_estimate_is_unbiased(self):
         """Sampled shift-rule combinations average to the infinite-shot mean."""
         layout, obs, theta = _setup(seed=137)

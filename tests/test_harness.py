@@ -39,6 +39,23 @@ class TestSubstreams:
         b = substream(123, 2, 7).random(5)
         np.testing.assert_array_equal(a, b)
 
+    def test_streams_are_those_of_the_spawn_keys(self):
+        """Each substream draws what SeedSequence(seed, spawn_key=key)
+        draws, for seeds and key entries of one to five 32-bit words."""
+        big = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 + 5,
+               2 ** 130 + 7)
+        for seed in big:
+            for key in ((0,), (2, 7), (2, 3, 0, 40, 40, 960000, 1),
+                        tuple(big)):
+                want = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(seed, spawn_key=key)))
+                got = substream(seed, *key)
+                assert np.array_equal(got.binomial(1000, 0.3, 8),
+                                      want.binomial(1000, 0.3, 8))
+                assert got.random() == want.random()
+        with pytest.raises(ValueError):
+            substream(-1, 2)
+
     def test_distinct_keys_decorrelate(self):
         a = substream(123, 2, 7).random(5)
         b = substream(123, 2, 8).random(5)
@@ -207,8 +224,9 @@ class TestShiftReconstruction:
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_matches_direct_evolve(self, seed):
         """``exact`` is f at theta from the full circuit under every noise
-        kind. It memoizes one float per noiselessness, never a state, and
-        the global channel scales the clean value."""
+        kind. It memoizes one value per noiselessness (shape () for one
+        set), never a state, and the global channel scales the clean
+        value."""
         rng = np.random.default_rng(100 + seed)
         n, L = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         layout, obs = build_ansatz(n, L), cyclic_observable(n)
@@ -220,7 +238,7 @@ class TestShiftReconstruction:
             cache = harness._FunctionCache(layout, theta, obs)
             direct = expectation(evolve(layout, theta, channel), obs)
             assert abs(cache.exact(channel) - direct) < 1e-12
-            assert [type(v) for v in cache._values.values()] == [float]
+            assert [np.shape(v) for v in cache._values.values()] == [()]
         assert cache.exact(global_) == (1.0 - 0.3) * cache.exact(None)
 
     def test_grid_and_zero_shifts_run_one_circuit(self):
@@ -253,20 +271,21 @@ class TestShiftReconstruction:
         built once and shared by the clean and noisy values, in 3
         ``_layer_unitary`` calls: the 5 unshifted layers when the cache is
         made, then the gradient grid's 2 shifted layers (the diagonal
-        shares them) and the off-diagonal grid's 6 new ones. Before, each
-        layer was its own call: 13 calls of one layer (26 builds while the
-        clean value ran on statevectors, 32 before the grid plan). 10 ring
-        passes (32 before)."""
+        shares them) and the off-diagonal grid's 6 new ones. 10 ring
+        passes, each one gather (32 before the grid plan). A batch of three
+        sets makes these same 4 ``evolve`` calls, 3 builds and 10 ring
+        passes, each on all three sets at once: before sets ran in batches,
+        three sets made 12 calls, 9 builds and 30 ring passes."""
         built, rings, calls = [], [], []
-        ring = circuits.apply_ring
+        ring = circuits._apply_ring
 
         def counting_unitary(angles):
-            built.append([a.tobytes() for a in np.reshape(angles, (-1, 4, 3))])
+            built.append(np.shape(angles)[:-2])
             return _layer_unitary(angles)
 
-        def counting_ring(*args, **kwargs):
-            rings.append(args)
-            return ring(*args, **kwargs)
+        def counting_ring(state, *args):
+            rings.append(np.shape(state)[:-1])
+            return ring(state, *args)
 
         def counting_evolve(*args, **kwargs):
             bound = inspect.signature(evolve).bind(*args, **kwargs)
@@ -275,23 +294,27 @@ class TestShiftReconstruction:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(harness, "evolve", counting_evolve)
+        monkeypatch.setattr(circuits, "_apply_ring", counting_ring)
         for module in (circuits, harness):
             monkeypatch.setattr(module, "_layer_unitary", counting_unitary)
-            monkeypatch.setattr(module, "apply_ring", counting_ring)
         config = ExperimentConfig(
             n=4, L=5, noise=NoiseSpec("cnot_depolarizing", 0.05),
-            nt_grid=(96, 960, 9600, 96000, 960000), parameter_sets=1,
+            nt_grid=(96, 960, 9600, 96000, 960000), parameter_sets=3,
             experiments_per_set=2, master_seed=31)
-        harness._run_set(config, 0)
-        # Per noise: layer 1 forward and layers 5..3 pulled back; no point
-        # runs a circuit of its own.
-        assert len(calls) == 2 + 2
-        assert sum(call["adjoint"] for call in calls) == 2
-        assert [len(layers) for layers in built] == [5, 2, 6]
-        layers = [key for call in built for key in call]
-        assert len(set(layers)) == len(layers) == 13
-        assert len(rings) == 2 * (1 + 3 + 1) == 10
-
+        for sets in (range(1), range(3)):
+            built.clear(), rings.clear(), calls.clear()
+            harness._run_set(config, sets)
+            # Per noise: layer 1 forward and layers 5..3 pulled back; no
+            # point runs a circuit of its own.
+            assert len(calls) == 2 + 2
+            assert sum(call["adjoint"] for call in calls) == 2
+            assert all(np.shape(call["theta"])[:-1] == (len(sets),)
+                       for call in calls)
+            assert built == [(5, len(sets)), (2, len(sets)), (6, len(sets))]
+            assert len(rings) == 2 * (1 + 3 + 1) == 10
+            # the layer-5 ring acts on the observable all sets share
+            assert rings.count(()) == 2
+            assert rings.count((len(sets),)) == 8
 
     def test_cross_layer_grid_runs_one_segment_per_first_angle_shift(
             self, monkeypatch):
@@ -530,6 +553,34 @@ class TestDistributionStudy:
         config = tiny_config(noise=NoiseSpec())
         with pytest.raises(ValueError):
             distribution_study(config)
+
+    def test_redrawn_channels_in_one_batch_stay_per_set(self, monkeypatch):
+        """A batch of redrawn Pauli channels runs each set under its own
+        channel: f and g of every set equal, bit for bit, those of a cache
+        of that set alone under the channel drawn for it, whatever the
+        batch size."""
+        config = tiny_config(n=3, L=3, parameter_sets=7, noise=NoiseSpec(
+            "cnot_pauli", 0.1, redraw_weights=True))
+        layout, obs, eta = config.layout(), config.observable(), \
+            config.eta_total()
+        want_f, want_g = [], []
+        for s in range(config.parameter_sets):
+            theta = sample_parameter_set(layout, substream(
+                config.master_seed, 0, s))
+            cache = harness._FunctionCache(layout, theta, obs)
+            f = float(cache.exact(None))
+            want_f.append(f)
+            want_g.append(float((cache.exact(config.noise_for_set(s))
+                                 - (1.0 - eta) * f) / eta))
+        assert len(set(want_g)) == config.parameter_sets
+        for size in (1, 3, 7):
+            monkeypatch.setattr(harness, "_batch_size", lambda *a: size)
+            summary = distribution_study(config)
+            assert summary.f_samples.tolist() == want_f
+            assert summary.g_samples.tolist() == want_g
+            assert [c.weights for c in summary.channels] == [
+                config.noise_for_set(s).weights
+                for s in range(config.parameter_sets)]
 
 
 class TestTwoDesignCheck:
