@@ -126,7 +126,7 @@ def check_vector(state, n: int | None = None, sets: tuple = ()) -> int:
     """The qubit count of ``state``, a real Pauli vector of shape (4^n,) or
     a stack of shape ``sets`` + (4^n,) (for this n, if given), else
     ValueError. A real density matrix has the shape of a stack, so a stack
-    must name its leading set axes."""
+    must name its leading set axes, as ``evolve`` takes them from theta."""
     shape = np.shape(state)
     if n is None and len(shape) in (1, len(sets) + 1):
         n = (shape[-1].bit_length() - 1) // 2
@@ -197,19 +197,17 @@ def check_pair(n: int, j: int, k: int) -> None:
 
 
 def apply_cnot(state: np.ndarray, control, target, adjoint: bool = False,
-               eigenvalues: tuple | None = None, sets: tuple = ()
-               ) -> np.ndarray:
+               eigenvalues: tuple | None = None) -> np.ndarray:
     """CNOT = |0><0| (x) 1 + |1><1| (x) X on a Pauli vector as one signed
     gather (C P C = +-P'); tuples of controls and targets apply those CNOTs
     in turn, each followed by the Pauli channel with these 16
-    ``eigenvalues``, if given ((B, 16) of them, one channel per set, give a
-    stack (B, 4^n)). ``adjoint=True`` applies the adjoint. ``state`` is a
-    real Pauli vector or a stack ``sets`` + (4^n,), else ValueError."""
+    ``eigenvalues``, if given. ``adjoint=True`` applies the adjoint.
+    ``state`` is a real Pauli vector, else ValueError."""
     if np.ndim(control) == 0:
         control, target = (control,), (target,)
     pairs = tuple(zip(control, target, strict=True))
-    return _apply_ring(state, _pauli_ring(check_vector(state, sets=sets),
-                                          pairs, eigenvalues), adjoint)
+    return _apply_ring(state, _pauli_ring(check_vector(state), pairs,
+                                          eigenvalues), adjoint)
 
 
 def expectation(state: np.ndarray, obs) -> float:
@@ -279,14 +277,13 @@ def depolarize(state: np.ndarray, scale: float) -> np.ndarray:
 
 def apply_ring(layout: AnsatzLayout, state: np.ndarray, noise=None,
                adjoint: bool = False) -> np.ndarray:
-    """One layer's CNOT ring, or its adjoint, on a Pauli vector or a stack
-    (..., 4^n) in one ``apply_cnot`` call, each CNOT followed by the noise
-    model's channel (see ``evolve``)."""
+    """One layer's CNOT ring, or its adjoint, on a Pauli vector in one
+    ``apply_cnot`` call, each CNOT followed by the noise model's channel
+    (see ``evolve``)."""
     if not layout.cnot_ring:
         return state
     return apply_cnot(state, *zip(*layout.cnot_ring), adjoint=adjoint,
-                      eigenvalues=None if noise is None else noise.eigenvalues,
-                      sets=np.shape(state)[:-1])
+                      eigenvalues=None if noise is None else noise.eigenvalues)
 
 
 def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,

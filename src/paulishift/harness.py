@@ -44,9 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics, noise as noise_mod
-from .circuits import (AnsatzLayout, PauliObservable, _layer_unitary,
-                       apply_ring, build_ansatz, cyclic_observable, evolve,
-                       rotate, shifted)
+from .circuits import (AnsatzLayout, PauliObservable, _apply_ring,
+                       _layer_unitary, _pauli_ring, build_ansatz,
+                       cyclic_observable, depolarize, evolve, rotate, shifted)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -61,26 +61,9 @@ _DRAW_GROUPS = {"sps": 0, "nfd": 1, "hfd": 2}
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator for the named substream of the master seed: that of
-    ``SeedSequence(master_seed, spawn_key=key)``, seeded from the words it
-    assembles (the seed's, padded to 4, then each key element's), which
-    numpy takes as one array five times faster than it coerces the key."""
-    words = _words(master_seed)
-    words += [0] * (4 - len(words)) + [w for k in key for w in _words(k)]
-    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    """Generator for the named substream of the master seed."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(seq))
-
-
-def _words(n: int) -> list[int]:
-    """A nonnegative int's 32-bit words, least significant first, as
-    ``SeedSequence`` splits it."""
-    if n < 0:
-        raise ValueError(f"seed and key entries must be >= 0, got {n}")
-    words = [n & 0xFFFFFFFF]
-    while n >> 32:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
 
 
 # ── configuration ────────────────────────────────────────────────────────────
@@ -337,13 +320,17 @@ class _FunctionCache:
                       unitary=self._unitary)
 
     def _back(self, b: int, noise) -> np.ndarray:
-        obs = self.obs.pauli_vector()
-        if b < self.layout.L:
-            obs = evolve(self.layout, self.theta, noise, (b + 1, self.layout.L),
-                         obs, adjoint=True, unitary=self._unitary)
+        layout, obs = self.layout, self.obs.pauli_vector()
+        if b < layout.L:
+            obs = evolve(layout, self.theta, noise, (b + 1, layout.L), obs,
+                         adjoint=True, unitary=self._unitary)
         elif noise is not None:  # an empty range skips the final mix
-            obs = noise.apply_final(obs, adjoint=True)
-        return apply_ring(self.layout, obs, noise, adjoint=True)
+            obs = depolarize(obs, noise.final_scale)
+        if not layout.cnot_ring:
+            return obs
+        lam = None if noise is None else noise.eigenvalues
+        return _apply_ring(obs, _pauli_ring(layout.n, layout.cnot_ring, lam),
+                           True)
 
     def _build(self, layers) -> None:
         """Each layer's transfer factors not yet built, in one call: a
@@ -494,11 +481,14 @@ def _plan(config: ExperimentConfig) -> list[_TargetPlan]:
     return plan
 
 
-# Sets per batch, measured in process (BENCH_batched_sets.json): a batch's
-# stack of Pauli vectors stays within 256 KiB (128 sets at n = 4, 8 at
-# n = 6, one from n = 8), where larger stacks ran a set no faster and
-# each live stack adds to peak memory; at most 128 sets share one batch's
-# layer factors, and its shot estimates of one target stay within 16 MiB.
+# Sets per batch, from the in-process rows of BENCH_batched_sets.json. A
+# batch's stack of Pauli vectors stays within 256 KiB (128 sets at n = 4,
+# 8 at n = 6, one from n = 8): larger stacks ran a set no faster. At most
+# 128 sets share a batch's layer factors: 2,048 n = 2 sets in one batch
+# ran dist at 0.11-0.13 against 0.14 ms a set, in 70 against 42 MB peak.
+# A target's shot estimates stay within 16 MiB: at n = 3 and 4,000
+# experiments a set, 128 sets in one batch took 358 MB, the 8 this allows
+# 58 MB, and ran no faster.
 _MAX_BATCH = 128
 _BATCH_STATE_BYTES = 2 ** 18
 _BATCH_DRAW_BYTES = 2 ** 24

@@ -538,9 +538,9 @@ class TestSetAxis:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_stacks_match_single_calls_and_the_oracle(self, n):
-        """rotate, apply_cnot (one channel per set) and evolve, forward and
-        adjoint, on three sets at once: bit for bit each set's own call,
-        and each set's dense circuit to 1e-12."""
+        """rotate, the CNOT ring (one channel per set) and evolve, forward
+        and adjoint, on three sets at once: bit for bit each set's own
+        call, and each set's dense circuit to 1e-12."""
         rng = np.random.default_rng(140 + n)
         sets, layout = 3, build_ansatz(n, 2)
         theta = rng.uniform(-7.0, 7.0, size=(sets, layout.parameter_count))
@@ -557,12 +557,12 @@ class TestSetAxis:
             lam = None if model is None else model.eigenvalues
             if n > 1 and lam is not None:
                 ring = list(zip(*layout.cnot_ring))
+                factors = circuits._pauli_ring(n, layout.cnot_ring, lam)
                 for adjoint in (False, True):
                     shared = np.broadcast_to(  # one row per set if redrawn
-                        apply_cnot(states[0], *ring, adjoint, lam),
+                        circuits._apply_ring(states[0], factors, adjoint),
                         states.shape)
-                    stack = apply_cnot(states, *ring, adjoint, lam,
-                                       sets=(sets,))
+                    stack = circuits._apply_ring(states, factors, adjoint)
                     for b, one in enumerate(singles):
                         assert np.array_equal(shared[b], apply_cnot(
                             states[0], *ring, adjoint, one.eigenvalues))
@@ -588,8 +588,8 @@ class TestSetAxis:
                            - expectation(forward[b], obs)) < 1e-12
 
     def test_a_stack_names_its_sets(self):
-        """A stack must match theta's sets, and apply_cnot takes one only
-        with its set axes named, since a real density matrix (here of four
+        """A stack must match theta's sets, and apply_cnot and apply_ring
+        take one vector only, since a real density matrix (here of four
         qubits) has the shape of sixteen two-qubit vectors."""
         layout = build_ansatz(2, 1)
         theta = np.zeros((3, layout.parameter_count))
@@ -601,7 +601,9 @@ class TestSetAxis:
         rho = dense_oracle.zero_state(4).real
         with pytest.raises(ValueError, match="real Pauli vector"):
             apply_cnot(rho, 1, 2)
-        assert apply_cnot(rho, 1, 2, sets=(16,)).shape == (16, 16)
+        for model in (None, CnotDepolarizing(0.1)):
+            with pytest.raises(ValueError, match="real Pauli vector"):
+                apply_ring(layout, rho, model)
 
 
 class TestSource:
