@@ -178,9 +178,22 @@ def _pauli_ring(n: int, pairs: tuple, eigenvalues: tuple | None):
     return gather, inverse, factor
 
 
+def _ring(layout: AnsatzLayout, noise):
+    """The layout's CNOT ring as a ``_pauli_ring``, each CNOT followed by
+    the noise model's channel (None and ``eigenvalues = None`` are the bare
+    CNOT); None for a ringless layout."""
+    if not layout.cnot_ring:
+        return None
+    return _pauli_ring(layout.n, layout.cnot_ring,
+                       None if noise is None else noise.eigenvalues)
+
+
 def _apply_ring(state: np.ndarray, ring, adjoint: bool) -> np.ndarray:
     """A ``_pauli_ring`` on the last axis of ``state``: a signed gather,
-    whose adjoint gathers the scaled state with the inverse permutation."""
+    whose adjoint gathers the scaled state with the inverse permutation.
+    A None ring leaves ``state`` as it is."""
+    if ring is None:
+        return state
     gather, inverse, factor = ring
     if adjoint:
         return (factor * state).take(inverse, axis=-1)
@@ -275,17 +288,6 @@ def depolarize(state: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def apply_ring(layout: AnsatzLayout, state: np.ndarray, noise=None,
-               adjoint: bool = False) -> np.ndarray:
-    """One layer's CNOT ring, or its adjoint, on a Pauli vector in one
-    ``apply_cnot`` call, each CNOT followed by the noise model's channel
-    (see ``evolve``)."""
-    if not layout.cnot_ring:
-        return state
-    return apply_cnot(state, *zip(*layout.cnot_ring), adjoint=adjoint,
-                      eigenvalues=None if noise is None else noise.eigenvalues)
-
-
 def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
            layers: tuple[int, int] | None = None, state=None,
            adjoint: bool = False, unitary=None) -> np.ndarray:
@@ -317,19 +319,17 @@ def evolve(layout: AnsatzLayout, theta: np.ndarray, noise=None,
     state = zero_state(layout.n) if state is None else state
     check_vector(state, layout.n, theta.shape[:-1])
     build = unitary or _layer_unitary
-    lam = None if noise is None else noise.eigenvalues
-    ring = (_pauli_ring(layout.n, layout.cnot_ring, lam)
-            if layout.cnot_ring and first <= last else None)
+    ring = _ring(layout, noise) if first <= last else None
     final = noise is not None and first <= last == layout.L
     scale = noise.final_scale if final else 1.0
     angles = theta.reshape(theta.shape[:-1] + (layout.L, layout.n, 3))
     if adjoint:
         state = depolarize(state, scale) if scale != 1.0 else state
         for layer in range(last, first - 1, -1):
-            state = _apply_ring(state, ring, True) if ring else state
+            state = _apply_ring(state, ring, True)
             state = rotate(build(angles[..., layer - 1, :, :]), state, True)
         return state
     for layer in range(first, last + 1):
         state = rotate(build(angles[..., layer - 1, :, :]), state)
-        state = _apply_ring(state, ring, False) if ring else state
+        state = _apply_ring(state, ring, False)
     return depolarize(state, scale) if scale != 1.0 else state

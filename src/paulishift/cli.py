@@ -141,6 +141,20 @@ def parse_int_grid(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
+def parse_name_list(text: str) -> tuple[str, ...]:
+    """Comma list of names ("gradient, diag"), each stripped."""
+    return tuple(p.strip() for p in text.split(","))
+
+
+def parse_targets(text: str) -> tuple[str, ...]:
+    """Comma list of target kinds from gradient, diag and offdiag."""
+    names = parse_name_list(text)
+    for name in names:
+        if name not in _TARGET_NAMES:
+            raise ValueError(f"unknown target {name!r}")
+    return names
+
+
 def parse_float_list(text: str) -> list[float]:
     values = [float(p) for p in text.strip().split(",") if p.strip()]
     if not values:
@@ -201,25 +215,14 @@ def load_config(path: str):
     sets = take("experiment", "parameter_sets", int, required=True)
     exps = take("experiment", "experiments_per_set", int, required=True)
     seed = take("experiment", "master_seed", int, required=True)
-    schemes = take("experiment", "schemes",
-                   lambda s: tuple(p.strip() for p in s.split(",")),
+    schemes = take("experiment", "schemes", parse_name_list,
                    default=analytics.SCHEMES)
-    target_names = take("experiment", "targets",
-                        lambda s: tuple(p.strip() for p in s.split(",")),
-                        default=("gradient", "diag", "offdiag"))
+    targets = take("experiment", "targets", parse_targets,
+                   default=tuple(_TARGET_NAMES))
     errors += [f"{section}.{key}: unknown key"
                for section in parser.sections()
                for key in parser.options(section)
                if (section, key) not in known]
-    if errors:
-        return None, errors
-
-    targets = []
-    for name in target_names:
-        if name not in _TARGET_NAMES:
-            errors.append(f"experiment.targets: unknown target {name!r}")
-        else:
-            targets.append(_TARGET_NAMES[name]())
     if errors:
         return None, errors
     try:
@@ -230,7 +233,8 @@ def load_config(path: str):
         config = harness.ExperimentConfig(
             n=n, L=L, noise=spec, nt_grid=tuple(grid), parameter_sets=sets,
             experiments_per_set=exps, master_seed=seed,
-            schemes=tuple(schemes), targets=tuple(targets))
+            schemes=schemes,
+            targets=tuple(_TARGET_NAMES[t]() for t in targets))
     except ValueError as exc:
         return None, [f"config: {exc}"]
     return config, []
@@ -255,33 +259,27 @@ def _crossing(fn, kind: str, d: int, eta: float):
 
 
 def cmd_analytic(args) -> int:
-    targets = (list(_TARGET_NAMES) if args.targets == "all"
-               else args.targets.split(","))
-    try:
-        if bool(args.d) == bool(args.n):
-            raise ValueError("give exactly one of --d and --n")
-        dims = (parse_int_grid(args.d) if args.d
-                else [2 ** q for q in parse_int_grid(args.n)])
-        etas = parse_float_list(args.eta)
-        if not (args.nstar or args.nt):
-            raise ValueError("need --nt for the MSE table")
-        grid = [] if args.nstar else parse_int_grid(args.nt)
-        bad = ([f"unknown target {t!r}" for t in targets
-                if t not in _TARGET_NAMES]
-               + [f"duplicate target {t!r}" for i, t in enumerate(targets)
-                  if t in targets[:i]]
-               + [f"eta {e} outside [0, 1)" for e in etas if not 0 <= e < 1]
-               + [f"dimension {d} below 2" for d in dims if d < 2]
-               + [f"dimension above the cap 2^{_MAX_QUBITS}" for d in dims
-                  if d > 2 ** _MAX_QUBITS]
-               + [f"copy budget {nt} below 1" for nt in grid if nt < 1]
-               + ["copy budget above the cap 10^300" for nt in grid
-                  if nt > _MAX_COPIES])
-        if bad:
-            raise ValueError(bad[0])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if bool(args.d) == bool(args.n):
+        raise ValueError("give exactly one of --d and --n")
+    dims = (parse_int_grid(args.d) if args.d
+            else [2 ** q for q in parse_int_grid(args.n)])
+    etas = parse_float_list(args.eta)
+    if not (args.nstar or args.nt):
+        raise ValueError("need --nt for the MSE table")
+    grid = [] if args.nstar else parse_int_grid(args.nt)
+    targets = list(_TARGET_NAMES if args.targets == "all"
+                   else parse_targets(args.targets))
+    bad = ([f"duplicate target {t!r}" for i, t in enumerate(targets)
+            if t in targets[:i]]
+           + [f"eta {e} outside [0, 1)" for e in etas if not 0 <= e < 1]
+           + [f"dimension {d} below 2" for d in dims if d < 2]
+           + [f"dimension above the cap 2^{_MAX_QUBITS}" for d in dims
+              if d > 2 ** _MAX_QUBITS]
+           + [f"copy budget {nt} below 1" for nt in grid if nt < 1]
+           + ["copy budget above the cap 10^300" for nt in grid
+              if nt > _MAX_COPIES])
+    if bad:
+        raise ValueError(bad[0])
 
     path = _out_path(args, args.csv) if args.csv else None
     started = _now()
@@ -332,12 +330,7 @@ def _run_config(args, run, write) -> int:
     prefix = _out_path(args, os.path.splitext(
         os.path.basename(args.config))[0], prefix=True)
     started = _now()
-    try:
-        result = run(config)
-    except (ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    paths, extra, note = write(result, config, prefix)
+    paths, extra, note = write(run(config), config, prefix)
     resolved = config_to_dict(config)
     manifest = RunManifest(
         config_hash=config_digest(resolved), master_seed=config.master_seed,
@@ -476,10 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Bad input, a run too large to hold and an output
+    that cannot be written each end in one ``error:`` line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OSError as exc:  # an output that cannot be made or written
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

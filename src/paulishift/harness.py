@@ -45,8 +45,8 @@ import numpy as np
 
 from . import analytics, noise as noise_mod
 from .circuits import (AnsatzLayout, PauliObservable, _apply_ring,
-                       _layer_unitary, _pauli_ring, build_ansatz,
-                       cyclic_observable, depolarize, evolve, rotate, shifted)
+                       _layer_unitary, _ring, build_ansatz, cyclic_observable,
+                       depolarize, evolve, rotate, shifted)
 from .estimators import (DerivativeTarget, DiagHessian, EstimatorSpec,
                          Gradient, OffDiagHessian, evaluation_points,
                          point_count, target_kind)
@@ -118,6 +118,8 @@ class ExperimentConfig:
     targets: tuple[DerivativeTarget, ...] = _DEFAULT_TARGETS
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed = {self.master_seed} is below 0")
         if self.n > MAX_QUBITS:
             raise ValueError(f"n = {self.n} is above the cap of {MAX_QUBITS} "
                              f"qubits (8 * 4^n bytes per state)")
@@ -136,12 +138,12 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in analytics.SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ValueError("duplicate scheme")
         if not self.targets:
             raise ValueError("target list must not be empty")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError("duplicate target")
+        for name, items in (("copy budget", self.nt_grid),
+                            ("scheme", self.schemes), ("target", self.targets)):
+            if len(set(items)) != len(items):
+                raise ValueError(f"duplicate {name}")
         self.layout()  # validates n and L
 
     def layout(self) -> AnsatzLayout:
@@ -247,11 +249,11 @@ class _FunctionCache:
     the observable pulled back through the final mix, layers L..b+1 and
     layer b's CNOT ring, a point in one layer costs its transfer factors
     on a Pauli vector and one inner product. Values and cut ends are built
-    once, keyed by noiselessness: one cache serves the clean circuit and one
-    noise model (one channel per set when its eigenvalues are (B, 16)). Each
-    distinct layer's transfer factors are built once and shared by both:
-    the L unshifted layers of every set in one ``_layer_unitary`` call, a
-    grid's new shifted layers in one more. The global channel runs no
+    once per noise model (None for the clean circuit; one channel per set
+    when its eigenvalues are (B, 16)). Each distinct layer's transfer
+    factors are built once and shared by every model: the L unshifted
+    layers of every set in one ``_layer_unitary`` call, a grid's new
+    shifted layers in one more. The global channel runs no
     circuit; it scales every traceless expectation by 1 - eta, exactly.
     """
 
@@ -280,10 +282,10 @@ class _FunctionCache:
         return self._memo(("full", self.layout.L + 1), noise, self._full)
 
     def _memo(self, key, noise, run):
-        """``run(key[1], noise)`` once per key and noiselessness."""
+        """``run(key[1], noise)`` once per key and noise model."""
         if isinstance(noise, noise_mod.GlobalDepolarizing):
             return (1.0 - noise.eta) * self._memo(key, None, run)
-        stored = (noise is None,) + key
+        stored = (noise,) + key
         if stored not in self._values:
             self._values[stored] = run(key[1], noise)
         return self._values[stored]
@@ -326,11 +328,7 @@ class _FunctionCache:
                          adjoint=True, unitary=self._unitary)
         elif noise is not None:  # an empty range skips the final mix
             obs = depolarize(obs, noise.final_scale)
-        if not layout.cnot_ring:
-            return obs
-        lam = None if noise is None else noise.eigenvalues
-        return _apply_ring(obs, _pauli_ring(layout.n, layout.cnot_ring, lam),
-                           True)
+        return _apply_ring(obs, _ring(layout, noise), True)
 
     def _build(self, layers) -> None:
         """Each layer's transfer factors not yet built, in one call: a

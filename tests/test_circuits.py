@@ -16,10 +16,10 @@ from dense_oracle import (PAULI, check_state, cnot_matrix, coefficients,
                           zyz_block)
 
 from paulishift import circuits
-from paulishift.circuits import (PauliObservable, _layer_unitary, apply_cnot,
-                                 apply_ring, build_ansatz, cyclic_observable,
-                                 evolve, expectation, rotate, shifted,
-                                 zero_state)
+from paulishift.circuits import (PauliObservable, _apply_ring,
+                                 _layer_unitary, _ring, apply_cnot,
+                                 build_ansatz, cyclic_observable, evolve,
+                                 expectation, rotate, shifted, zero_state)
 from paulishift.harness import sample_parameter_set
 from paulishift.noise import (CnotDepolarizing, CnotPauliChannel,
                               GlobalDepolarizing, random_pauli_weights)
@@ -415,31 +415,31 @@ class TestNoiselessRing:
             ring = cnot_matrix(n, c, t) @ ring
         rng = np.random.default_rng(90 + n)
         rho, obs = random_mixed_state(n, 91 + n), random_hermitian(n, rng)
-        np.testing.assert_allclose(apply_ring(layout, pauli_vector(rho)),
-                                   pauli_vector(ring @ rho @ ring.T),
-                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            apply_ring(layout, coefficients(obs), adjoint=True),
+            _apply_ring(pauli_vector(rho), _ring(layout, None), False),
+            pauli_vector(ring @ rho @ ring.T), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            _apply_ring(coefficients(obs), _ring(layout, None), True),
             coefficients(ring.T @ obs @ ring), rtol=0, atol=1e-12)
 
-    def test_one_gather_per_ring(self, monkeypatch):
-        """The whole ring is one apply_cnot call, bit for bit the CNOTs
-        applied one at a time."""
+    def test_one_gather_per_ring(self):
+        """The whole ring is one signed gather, bit for bit the CNOTs
+        applied one at a time and the ring's pairs in one apply_cnot call;
+        a one-qubit layout has no ring and leaves the state as it is."""
         layout = build_ansatz(4, 1)
         state = pauli_vector(random_mixed_state(4, 97))
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1:])
-            return apply_cnot(*args, **kwargs)
-
-        monkeypatch.setattr(circuits, "apply_cnot", counting)
         one_by_one = state
         for c, t in layout.cnot_ring:
             one_by_one = apply_cnot(one_by_one, c, t)
-        calls.clear()
-        assert np.array_equal(apply_ring(layout, state), one_by_one)
-        assert calls == [((1, 2, 3, 4), (2, 3, 4, 1))]
+        gather, _, sign = _ring(layout, None)
+        assert np.array_equal(sign * state[gather], one_by_one)
+        assert np.array_equal(_apply_ring(state, _ring(layout, None), False),
+                              one_by_one)
+        assert np.array_equal(apply_cnot(state, (1, 2, 3, 4), (2, 3, 4, 1)),
+                              one_by_one)
+        for model in (None, CnotDepolarizing(0.1)):
+            assert _ring(build_ansatz(1, 3), model) is None
+        assert _apply_ring(state, None, True) is state
 
 
 class TestPauliVectors:
@@ -588,9 +588,9 @@ class TestSetAxis:
                            - expectation(forward[b], obs)) < 1e-12
 
     def test_a_stack_names_its_sets(self):
-        """A stack must match theta's sets, and apply_cnot and apply_ring
-        take one vector only, since a real density matrix (here of four
-        qubits) has the shape of sixteen two-qubit vectors."""
+        """A stack must match theta's sets, and apply_cnot takes one vector
+        only, since a real density matrix (here of four qubits) has the
+        shape of sixteen two-qubit vectors."""
         layout = build_ansatz(2, 1)
         theta = np.zeros((3, layout.parameter_count))
         for state in (np.ones((2, 16)), np.ones((3, 4)), np.ones((1, 3, 16))):
@@ -599,11 +599,9 @@ class TestSetAxis:
         with pytest.raises(ValueError, match="real Pauli vector"):
             evolve(layout, theta[0], state=np.ones((3, 16)))
         rho = dense_oracle.zero_state(4).real
-        with pytest.raises(ValueError, match="real Pauli vector"):
-            apply_cnot(rho, 1, 2)
-        for model in (None, CnotDepolarizing(0.1)):
+        for eigenvalues in (None, CnotDepolarizing(0.1).eigenvalues):
             with pytest.raises(ValueError, match="real Pauli vector"):
-                apply_ring(layout, rho, model)
+                apply_cnot(rho, (1, 2), (2, 1), eigenvalues=eigenvalues)
 
 
 class TestSource:

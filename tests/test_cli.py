@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from paulishift import analytics, cli, harness, invariants
 from paulishift.cli import (canonical_json, config_digest, load_config, main,
                             parse_float_list, parse_int_grid)
-from paulishift.estimators import Gradient, OffDiagHessian
+from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
 
 GOOD_CONFIG = """\
 [circuit]
@@ -276,6 +276,26 @@ class TestAnalyticCommand:
         assert captured.out == ""
         assert captured.err == "error: duplicate target 'gradient'\n"
 
+    def test_target_lists_take_spaces(self, tmp_path, capsys):
+        """``--targets`` and a config's targets and schemes are one stripped
+        comma list, as ``--eta`` and ``--nt`` are; an unknown name is one
+        line from one place."""
+        argv = ["analytic", "--nstar", "--d", "4", "--eta", "0.1, 0.2"]
+        assert main(argv + ["--targets", "gradient,diag"]) == 0
+        tight = capsys.readouterr().out
+        assert main(argv + ["--targets", "gradient, diag"]) == 0
+        assert capsys.readouterr().out == tight
+        assert main(argv + ["--targets", "gradient, dag"]) == 2
+        assert capsys.readouterr().err == "error: unknown target 'dag'\n"
+        path = tmp_path / "spaced.cfg"
+        path.write_text(GOOD_CONFIG.replace(
+            "schemes = ps,nsps", "schemes = ps , nsps").replace(
+            "targets = gradient", "targets = gradient, diag"))
+        config, errors = load_config(str(path))
+        assert errors == []
+        assert config.schemes == ("ps", "nsps")
+        assert config.targets == (Gradient(), DiagHessian())
+
     def test_zero_rate_nstar_row(self, capsys):
         """At eta = 0 only the finite-difference crossing exists."""
         assert main(["analytic", "--nstar", "--targets", "gradient",
@@ -432,6 +452,8 @@ class TestMseCurvesCommand:
                  "nt_grid entries must be multiples of 12 in [48, 2^63 - 1]"),
                 ("targets = gradient", "targets = gradient,gradient",
                  "config: duplicate target"),
+                ("nt_grid = 48,96", "nt_grid = 96,96,960",
+                 "config: duplicate copy budget"),
                 # no NaN or infinity reaches a manifest, for any noise kind
                 ("rate = 0.3", "rate = nan",
                  "noise: noise rate nan is not finite"),
@@ -566,6 +588,21 @@ class TestMseCurvesCommand:
         assert len(parse_int_grid("1:10000")) == 10000
         with pytest.raises(ValueError):
             parse_int_grid("1:10001")
+
+    def test_negative_seed_exits_2_before_making_the_out_dir(self, tmp_path,
+                                                              capsys):
+        """A negative master_seed is a config error naming the key, before
+        the output directory is made."""
+        path = tmp_path / "seed.cfg"
+        path.write_text(GOOD_CONFIG.replace("master_seed = 11",
+                                            "master_seed = -5"))
+        out = tmp_path / "out"
+        for command in ("mse-curves", "dist"):
+            capsys.readouterr()
+            assert main([command, str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: config: master_seed = -5 is below 0\n")
+            assert not out.exists()
 
     def test_allocation_failure_exits_2(self, tmp_path, capsys):
         """A run too large for memory ends in one line, not a traceback."""

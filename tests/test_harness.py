@@ -117,6 +117,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="duplicate target"):
             tiny_config(targets=(Gradient(), DiagHessian(), Gradient()))
 
+    def test_negative_master_seed_rejected(self):
+        """A negative seed is named at construction, before any draw."""
+        with pytest.raises(ValueError, match="master_seed = -5 is below 0"):
+            tiny_config(master_seed=-5)
+        assert tiny_config(master_seed=0).master_seed == 0
+
     def test_counts_checked(self):
         with pytest.raises(ValueError):
             tiny_config(parameter_sets=0)
@@ -224,6 +230,29 @@ class TestShiftReconstruction:
             assert [np.shape(v) for v in cache._values.values()] == [()]
         assert cache.exact(global_) == (1.0 - 0.3) * cache.exact(None)
 
+    def test_each_noise_model_gets_its_own_values(self):
+        """One cache asked for several models, two of them per-CNOT
+        depolarizing at different rates, gives each the values of a fresh
+        cache, bit for bit."""
+        layout, obs = build_ansatz(3, 3), cyclic_observable(3)
+        rng = np.random.default_rng(12)
+        theta = np.array([sample_parameter_set(layout, rng)
+                          for _ in range(2)])
+        rule = harness._shift_rule(Gradient(2, 2, 2))
+        weights = [noise.random_pauli_weights(0.1, rng) for _ in range(2)]
+        models = (noise.CnotDepolarizing(0.05), noise.CnotDepolarizing(0.3),
+                  None, noise.CnotPauliChannel(weights[0]),
+                  noise.CnotPauliChannel(tuple(weights)),
+                  noise.GlobalDepolarizing(0.3))
+        cache = harness._FunctionCache(layout, theta, obs)
+        for model in models:
+            fresh = harness._FunctionCache(layout, theta, obs)
+            assert np.array_equal(cache.mean(rule, model),
+                                  fresh.mean(rule, model))
+            assert np.array_equal(cache.exact(model), fresh.exact(model))
+        assert not np.array_equal(cache.mean(rule, models[0]),
+                                  cache.mean(rule, models[1]))
+
     def test_grid_and_zero_shifts_run_one_circuit(self):
         """A grid shift takes the grid value itself; targets on the same
         angle share one grid; a shift must be finite."""
@@ -234,7 +263,7 @@ class TestShiftReconstruction:
         pair = OffDiagHessian(*p, *q)
         value = cache.value(pair, _weights(pair, {p: math.pi / 2, q: 0.0}),
                             None)
-        assert value[0] == cache._values[(True, "grid", (p, q))][2, 1]
+        assert value[0] == cache._values[(None, "grid", (p, q))][2, 1]
         assert abs(value[0] - expectation(
             evolve(layout, shifted(layout, theta, {p: math.pi / 2})),
             obs)) < 1e-12
@@ -321,9 +350,8 @@ class TestShiftReconstruction:
                 segments.clear()
                 grid = cache._memo(("grid", angles), channel, cache._grid)
                 assert sum(segments) == 3
-                clean = channel is None
-                start = cache._values[(clean, "forward", 2)]
-                back = cache._values[(clean, "back", 3)]
+                start = cache._values[(channel, "forward", 2)]
+                back = cache._values[(channel, "back", 3)]
                 for idx in np.ndindex(3, 3):
                     point = shifted(layout, theta, {
                         a: harness._GRID[i] for a, i in zip(angles, idx)})

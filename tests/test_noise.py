@@ -9,9 +9,9 @@ from dense_oracle import (PAULI, check_state, cnot_matrix, coefficients,
                           pauli_sum_reference, pauli_vector, random_hermitian,
                           random_mixed_state)
 
-from paulishift.circuits import (apply_cnot, apply_ring, build_ansatz,
-                                 cyclic_observable, evolve, expectation,
-                                 zero_state)
+from paulishift.circuits import (_apply_ring, _ring, apply_cnot,
+                                 build_ansatz, cyclic_observable, evolve,
+                                 expectation, zero_state)
 from paulishift.harness import (ExperimentConfig, NoiseSpec,
                                 distribution_study, sample_parameter_set,
                                 substream)
@@ -301,20 +301,21 @@ class TestFusedCnotChannels:
         rho, obs = random_mixed_state(n, 72 + n), random_hermitian(n, rng)
         pairs = layout.cnot_ring
         for model, weights in self._models(rng):
+            ring = _ring(layout, model)
             ref = _kraus_after_cnots(rho, pairs, weights)
             np.testing.assert_allclose(
-                apply_ring(layout, pauli_vector(rho), model),
+                _apply_ring(pauli_vector(rho), ring, False),
                 pauli_vector(ref), rtol=0, atol=1e-12)
             back = obs
             for c, t in pairs[::-1]:
                 cx = cnot_matrix(n, c, t)
                 back = cx @ pauli_sum_reference(back, c, t, weights) @ cx
             np.testing.assert_allclose(
-                apply_ring(layout, coefficients(obs), model, adjoint=True),
+                _apply_ring(coefficients(obs), ring, True),
                 coefficients(back), rtol=0, atol=1e-12)
             TestAdjoints._pair(
-                rho, obs, lambda x: apply_ring(layout, x, model),
-                lambda x: apply_ring(layout, x, model, adjoint=True))
+                rho, obs, lambda x: _apply_ring(x, ring, False),
+                lambda x: _apply_ring(x, ring, True))
 
 
 class TestErrorRates:
