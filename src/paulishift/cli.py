@@ -35,9 +35,16 @@ import sys
 import time
 from dataclasses import dataclass
 
+# One BLAS thread unless the user chose a count: runs parallelise through
+# --workers. OpenBLAS reads the variable once, when numpy first loads.
+_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"}
+if "numpy" not in sys.modules and not _THREAD_VARS & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
-from . import __version__, analytics, harness, invariants
+from . import __version__, analytics
 from .estimators import DiagHessian, Gradient, OffDiagHessian, target_kind
 
 _TARGET_NAMES = {"gradient": Gradient, "diag": DiagHessian,
@@ -182,6 +189,7 @@ def load_config(path: str):
     are literal (no % interpolation); a file that cannot be decoded or
     parsed is one error.
     """
+    from . import harness
     parser = configparser.ConfigParser(interpolation=None)
     errors: list[str] = []
     try:
@@ -240,9 +248,9 @@ def load_config(path: str):
     return config, []
 
 
-def config_to_dict(config: harness.ExperimentConfig) -> dict:
-    """Every field, the targets by kind, the one axis pattern (zyz) and the
-    observable: the manifest's resolved config and the input of its hash."""
+def config_to_dict(config) -> dict:
+    """Every ExperimentConfig field, the targets by kind, the one axis pattern
+    (zyz) and the observable: the manifest's resolved config and hash input."""
     return dict(dataclasses.asdict(config), axis_pattern="zyz",
                 targets=[target_kind(t) for t in config.targets],
                 observable=config.observable().letters)
@@ -352,6 +360,7 @@ def _write_mse(results, config, prefix: str):
 
 
 def cmd_mse_curves(args) -> int:
+    from . import harness
     return _run_config(args, lambda config: harness.monte_carlo_mse(
         config, workers=args.workers), _write_mse)
 
@@ -389,24 +398,26 @@ def _write_dist(summary, config, prefix: str):
 
 
 def cmd_dist(args) -> int:
+    from . import harness
     return _run_config(args, harness.distribution_study, _write_dist)
 
 
 # ── verify command ───────────────────────────────────────────────────────────
 
 def cmd_verify(args) -> int:
+    from . import invariants
     path = _out_path(args, args.json) if args.json else None
     rng = np.random.default_rng(invariants.SEED)
     report = []
     for row in invariants.CRITERIA:
         if row.verify is None or (args.quick and not row.quick):
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = row.check(row.verify, rng)
         except Exception as exc:  # a crashed invariant is a failed invariant
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        seconds = time.time() - t0
+        seconds = time.perf_counter() - t0
         report.append({"name": row.name, "passed": bool(ok), "detail": detail,
                        "seconds": round(seconds, 3)})
         print(f"{'PASS' if ok else 'FAIL'} {row.name}: {detail} "

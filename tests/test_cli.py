@@ -24,6 +24,21 @@ from paulishift.cli import (canonical_json, config_digest, load_config, main,
                             parse_float_list, parse_int_grid)
 from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+               "MKL_NUM_THREADS")
+
+
+def _fresh_process(code: str, **env: str) -> str:
+    """stdout of ``python -c code`` on this checkout's src, with no BLAS
+    thread variable set but those given."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**base, "PYTHONPATH": str(src), **env}, capture_output=True,
+        text=True, check=True).stdout
+
+
 GOOD_CONFIG = """\
 [circuit]
 n = 2
@@ -662,15 +677,9 @@ class TestMseCurvesCommand:
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         """Only a run with more than one worker imports the process pool
         (and with it multiprocessing), so start-up does not pay for it."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        loaded = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; import paulishift.cli; "
-             "print('concurrent.futures.process' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-            text=True,
-            check=True).stdout
-        assert loaded == "False\n"
+        assert _fresh_process(
+            "import sys; import paulishift.cli; "
+            "print('concurrent.futures.process' in sys.modules)") == "False\n"
 
     # sha256 of the CSVs of two small seeded runs: a noiseless PS/NFD/HFD
     # run, where NFD and HFD share one step but draw their own shots, and a
@@ -883,3 +892,75 @@ class TestOutputFormatting:
                      "--out", str(fresh2)]) == 0
         report = json.loads((fresh2 / "r.json").read_text())
         assert report["passed"] is True
+
+
+class TestStartUp:
+    """What a fresh process loads and which BLAS threads it starts."""
+
+    def test_package_import_loads_no_submodule_or_numpy(self):
+        assert _fresh_process(
+            "import sys, paulishift; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith('paulishift')))"
+        ) == "['paulishift']\n"
+
+    def test_every_exported_name_resolves_to_its_own_module(self):
+        """Each lazy name is the object its defining module holds under
+        that name; an unknown name raises AttributeError."""
+        out = _fresh_process("""
+import sys, paulishift
+names = paulishift.__all__
+assert len(set(names)) == len(names) and names[0] == "__version__"
+for name in names[1:]:
+    obj = getattr(paulishift, name)
+    assert obj.__module__.startswith("paulishift."), name
+    assert vars(sys.modules[obj.__module__])[name] is obj, name
+try:
+    paulishift.no_such_name
+except AttributeError as exc:
+    print(len(names), exc)
+""")
+        assert out == ("42 module 'paulishift' has no attribute "
+                       "'no_such_name'\n")
+
+    @pytest.mark.parametrize("prelude, env, expected", [
+        ("", {}, "1 None"),
+        ("", {"OPENBLAS_NUM_THREADS": "2"}, "2 None"),
+        ("", {"OMP_NUM_THREADS": "2"}, "None 2"),
+        ("import numpy; ", {}, "None None"),
+    ])
+    def test_cli_starts_one_blas_thread_unless_told(self, prelude, env,
+                                                    expected):
+        """The CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, unless a
+        thread variable is set or numpy is already loaded."""
+        out = _fresh_process(
+            prelude + "import os, paulishift.cli; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "os.environ.get('OMP_NUM_THREADS'))", **env)
+        assert out == expected + "\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs Linux /proc")
+    def test_cli_import_starts_no_blas_thread(self):
+        assert _fresh_process(
+            "import os, paulishift.cli; "
+            "print(len(os.listdir('/proc/self/task')))") == "1\n"
+
+    @pytest.mark.parametrize("command, absent", [
+        ("analytic", ("harness", "circuits", "noise", "invariants")),
+        ("dist", ("invariants",)),
+    ])
+    def test_commands_import_only_what_they_run(self, tmp_path, command,
+                                                absent):
+        (tmp_path / "good.cfg").write_text(GOOD_CONFIG)
+        argv = (["analytic", "--nstar", "--n", "2:4", "--eta", "0.1",
+                 "--csv", "t.csv"] if command == "analytic"
+                else ["dist", str(tmp_path / "good.cfg")])
+        out = _fresh_process(
+            "import sys; from paulishift import cli; "
+            f"code = cli.main({argv + ['--out', str(tmp_path)]!r}); "
+            "print(code, sorted(m.split('.')[1] for m in sys.modules "
+            "if m.startswith('paulishift.')))")
+        code, loaded = out.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        assert "cli" in loaded and not any(f"'{m}'" in loaded
+                                           for m in absent), loaded
