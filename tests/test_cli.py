@@ -24,15 +24,11 @@ from paulishift.cli import (canonical_json, config_digest, load_config, main,
                             parse_float_list, parse_int_grid)
 from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-               "MKL_NUM_THREADS")
-
-
 def _fresh_process(code: str, **env: str) -> str:
     """stdout of ``python -c code`` on this checkout's src, with no BLAS
     thread variable set but those given."""
     src = Path(__file__).resolve().parents[1] / "src"
-    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    base = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
     return subprocess.run(
         [sys.executable, "-c", code],
         env={**base, "PYTHONPATH": str(src), **env}, capture_output=True,
@@ -945,22 +941,19 @@ except AttributeError as exc:
             "import os, paulishift.cli; "
             "print(len(os.listdir('/proc/self/task')))") == "1\n"
 
-    @pytest.mark.parametrize("command, absent", [
-        ("analytic", ("harness", "circuits", "noise", "invariants")),
-        ("dist", ("invariants",)),
+    @pytest.mark.parametrize("argv, absent", [
+        (["analytic", "--nstar", "--n", "2:4", "--eta", "0.1", "--csv",
+          "t.csv"], {"harness", "circuits", "noise", "invariants"}),
+        (["dist", "good.cfg"], {"invariants"}),
     ])
-    def test_commands_import_only_what_they_run(self, tmp_path, command,
+    def test_commands_import_only_what_they_run(self, tmp_path, argv,
                                                 absent):
         (tmp_path / "good.cfg").write_text(GOOD_CONFIG)
-        argv = (["analytic", "--nstar", "--n", "2:4", "--eta", "0.1",
-                 "--csv", "t.csv"] if command == "analytic"
-                else ["dist", str(tmp_path / "good.cfg")])
         out = _fresh_process(
-            "import sys; from paulishift import cli; "
-            f"code = cli.main({argv + ['--out', str(tmp_path)]!r}); "
-            "print(code, sorted(m.split('.')[1] for m in sys.modules "
+            f"import os, sys; os.chdir({str(tmp_path)!r}); "
+            f"from paulishift import cli; code = cli.main({argv!r}); "
+            "print(code, *sorted(m for m in sys.modules "
             "if m.startswith('paulishift.')))")
-        code, loaded = out.splitlines()[-1].split(" ", 1)
-        assert code == "0"
-        assert "cli" in loaded and not any(f"'{m}'" in loaded
-                                           for m in absent), loaded
+        code, *loaded = out.splitlines()[-1].split()
+        assert code == "0" and "paulishift.cli" in loaded
+        assert not absent & {m.split(".")[1] for m in loaded}, loaded
