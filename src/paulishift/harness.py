@@ -6,8 +6,11 @@ grid, locate empirical crossings between scheme MSE curves, and study the
 clean and noise-mixed function distributions. Every circuit, clean or
 noisy, runs on the real Pauli vectors of ``circuits``.
 
-Reproducibility contract: every random draw comes from a named substream of
-``SeedSequence(master_seed, spawn_key=...)``. Spawn keys are
+Reproducibility contract: every random draw comes from a named substream,
+numpy's ``Generator(PCG64(SeedSequence(master_seed, spawn_key=key)))``.
+``substreams`` derives a batch's streams bit for bit in one array pass over
+all its keys; their ``bit_generator.seed_seq`` holds only the four seed
+words and cannot spawn. Spawn keys are
 
 * ``(0, s)`` - circuit parameters of set ``s``;
 * ``(1, s)`` - per-set Pauli channel weights when redrawing, ``(1,)`` for the
@@ -37,9 +40,10 @@ shots, even where NFD and HFD share a step (at zero noise).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,10 +64,132 @@ _STREAM_SHOTS = 2
 _DRAW_GROUPS = {"sps": 0, "nfd": 1, "hfd": 2}
 
 
+# numpy's SeedSequence constants: the pool of four uint32 words is filled
+# by a hashmix with the A pair, mixed word into word by the MIX pair, and
+# read out by a hashmix with the B pair.
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_POOL_SIZE = 4
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list[int]:
+    """The hash constant before and after each of ``calls`` hashmixes."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _hashmix(value, const, next_const):
+    """numpy's hashmix of uint32 words, on Python ints or uint32 arrays."""
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return x ^ x >> 16
+
+
+def _key_words(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's uint32 words as numpy coerces a spawn key, least
+    significant word of each element first: (keys, longest) words, zero
+    past each key's length, and the lengths."""
+    flat = [x for key in keys for x in key]
+    elems = np.array(flat)
+    if elems.dtype.kind not in "iu":  # past 64 bits, or not integers
+        elems = np.array([operator.index(x) for x in flat], dtype=object)
+    if (elems < 0).any():
+        raise ValueError(f"expected non-negative integer, got "
+                         f"{elems[elems < 0][0]}")
+    digits = [elems & _MASK32]
+    counts = np.ones(len(flat), dtype=np.intp)
+    while (elems := elems >> 32).any():
+        digits.append(elems & _MASK32)
+        counts += elems != 0
+    elem = np.repeat(np.arange(len(flat)), counts)
+    row = np.repeat(np.repeat(np.arange(len(keys)),
+                              [len(key) for key in keys]), counts)
+    lengths = np.bincount(row, minlength=len(keys))
+    at = np.arange(len(elem))
+    words = np.zeros((len(keys), lengths.max(initial=0)), dtype=np.uint32)
+    words[row, at - (np.cumsum(lengths) - lengths)[row]] = np.array(
+        digits, dtype=np.uint32)[at - (np.cumsum(counts) - counts)[elem], elem]
+    return words, lengths
+
+
+def _seed_words(master_seed: int, keys) -> np.ndarray:
+    """The four uint64 words ``SeedSequence(master_seed, spawn_key=key)
+    .generate_state(4, np.uint64)`` gives each key, (keys, 4).
+
+    numpy's entropy is the master seed's words, padded to the pool size,
+    then the key's words. The pool is filled and cross-mixed from the
+    master seed's first four words alone, so that runs once on Python ints;
+    every later word is mixed into all four pool words at once, the keys'
+    words for every key in one array call per word. The hash constants
+    depend only on how many words came before, so all keys share them.
+    """
+    words, lengths = _key_words([(master_seed,)] + list(keys))
+    run = words[0, :lengths[0]].tolist()
+    run += [0] * (_POOL_SIZE - len(run))
+    spawn, lengths = words[1:, :lengths[1:].max(initial=0)], lengths[1:]
+    consts = _hash_constants(_INIT_A, _MULT_A,
+                             _POOL_SIZE * (len(run) + spawn.shape[1]))
+    pool = [_hashmix(w, consts[i], consts[i + 1])
+            for i, w in enumerate(run[:_POOL_SIZE])]
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k],
+                                                      consts[k + 1]))
+                k += 1
+    consts = np.array(consts[k:], dtype=np.uint32)
+    pool = np.tile(np.array(pool, dtype=np.uint32), (len(spawn), 1))
+    for c, word in enumerate(run[_POOL_SIZE:] + list(spawn.T[:, :, None])):
+        at = consts[_POOL_SIZE * c:_POOL_SIZE * c + _POOL_SIZE + 1]
+        mixed = _mix(pool, _hashmix(word, at[:-1], at[1:]))
+        live = c < len(run) - _POOL_SIZE + lengths
+        pool = np.where(live[:, None], mixed, pool)
+    at = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE),
+                  dtype=np.uint32)
+    state = _hashmix(np.tile(pool, 2), at[:-1], at[1:])
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # as numpy does
+
+
+@lru_cache(maxsize=1)
+def _seed_words_type() -> type:
+    """A seed sequence handing a PCG64 the four uint64 words derived for
+    it. Defined on first use, so numpy.random loads with the first stream,
+    as numpy's own SeedSequence would, and not with this module."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return SeedWords
+
+
+def substreams(master_seed: int, keys) -> Iterator[np.random.Generator]:
+    """Generators of the named substreams of the master seed, in key order,
+    each built when it is reached: bit for bit ``Generator(PCG64(
+    SeedSequence(master_seed, spawn_key=key)))``, with every key's seed
+    words derived in one array pass. Their ``bit_generator.seed_seq`` holds
+    only the seed words and cannot spawn. A negative seed or key element
+    raises ValueError, as in numpy."""
+    seed_words = _seed_words_type()
+    return (np.random.Generator(np.random.PCG64(seed_words(words)))
+            for words in _seed_words(master_seed, keys))
+
+
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Generator for the named substream of the master seed."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.PCG64(seq))
+    return next(substreams(master_seed, [key]))
 
 
 # ── configuration ────────────────────────────────────────────────────────────
@@ -159,8 +285,11 @@ class ExperimentConfig:
             return self.noise.rate
         return noise_mod.total_error_rate(self.noise.rate, self.n, self.L)
 
-    def noise_for_set(self, set_index: int):
-        """The channel for this set's circuits; None when noiseless."""
+    def noise_for_set(self, set_index: int,
+                      rng: np.random.Generator | None = None):
+        """The channel for this set's circuits; None when noiseless. Pauli
+        weights come from ``rng`` when given: the set's (1, s) substream
+        as the caller derived it for a batch."""
         kind = self.noise.kind
         if kind == "none":
             return None
@@ -168,9 +297,10 @@ class ExperimentConfig:
             return noise_mod.GlobalDepolarizing(self.noise.rate)
         if kind == "cnot_depolarizing":
             return noise_mod.CnotDepolarizing(self.noise.rate)
-        key = ((_STREAM_NOISE, set_index) if self.noise.redraw_weights
-               else (_STREAM_NOISE,))
-        rng = substream(self.master_seed, *key)
+        if rng is None:
+            rng = substream(self.master_seed, *(
+                (_STREAM_NOISE, set_index) if self.noise.redraw_weights
+                else (_STREAM_NOISE,)))
         weights = noise_mod.random_pauli_weights(self.noise.rate, rng)
         return noise_mod.CnotPauliChannel(tuple(weights))
 
@@ -506,13 +636,17 @@ def _batches(count: int, size: int):
 def _draw_batch(config: ExperimentConfig, sets: range):
     """The batch's angles (B, 3nL), each set's from its own (0, s)
     substream; each set's channel; and the model the batch's circuits run
-    under, one channel per set when the weights are redrawn."""
-    layout = config.layout()
-    theta = np.array([sample_parameter_set(
-        layout, substream(config.master_seed, _STREAM_PARAMS, s))
-        for s in sets])
-    if config.noise.redraw_weights:
-        channels = [config.noise_for_set(s) for s in sets]
+    under, one channel per set when the weights are redrawn, each from its
+    (1, s) substream. The batch's streams are derived in one call."""
+    layout, redraw = config.layout(), config.noise.redraw_weights
+    keys = [(_STREAM_PARAMS, s) for s in sets]
+    if redraw:
+        keys += [(_STREAM_NOISE, s) for s in sets]
+    streams = iter(substreams(config.master_seed, keys))
+    theta = np.array([sample_parameter_set(layout, next(streams))
+                      for _ in sets])
+    if redraw:
+        channels = [config.noise_for_set(s, next(streams)) for s in sets]
         return theta, channels, noise_mod.CnotPauliChannel(
             tuple(c.weights for c in channels))
     channel = config.noise_for_set(sets[0])
@@ -525,21 +659,22 @@ def _run_set(config: ExperimentConfig, sets: range) -> np.ndarray:
     in set order, from its own keyed substreams; each group's points are
     summed for the whole batch at once, and its MSE cells take four array
     calls per target, so a set's values do not depend on its batch."""
-    n_exp = config.experiments_per_set
+    n_exp, plans = config.experiments_per_set, _plan(config)
     theta, _, channel = _draw_batch(config, sets)
     cache = _FunctionCache(config.layout(), theta, config.observable())
+    streams = iter(substreams(config.master_seed, [
+        (_STREAM_SHOTS, s, *plan.key, nt, code)
+        for plan in plans for nt, code, _ in plan.groups for s in sets]))
     out = np.empty((len(sets), len(config.targets), len(config.schemes),
                     len(config.nt_grid)))
-    for t_idx, plan in enumerate(_plan(config)):
+    for t_idx, plan in enumerate(plans):
         p = point_count(plan.target)
         true_value = cache.mean(plan.rule, None)[:, None, None]
         f = cache.value(plan.target, plan.weights, channel)
         draws = np.empty((len(sets), len(plan.groups), n_exp))
         for g, (nt, code, shots) in enumerate(plan.groups):
-            est = _binomial_estimates(
-                f[:, g * p:g * p + p], shots,
-                [substream(config.master_seed, _STREAM_SHOTS, s, *plan.key,
-                           nt, code) for s in sets], n_exp)
+            est = _binomial_estimates(f[:, g * p:g * p + p], shots,
+                                      [next(streams) for _ in sets], n_exp)
             draws[:, g] = plan.coeffs[g, 0] * est[:, 0]
             for k in range(1, p):  # in point order, as a sum over the points
                 draws[:, g] += plan.coeffs[g, k] * est[:, k]

@@ -8,6 +8,8 @@ built one angle at a time as the Z, Y, Z product of complex 2x2
 blocks, which it writes from the angles' cosines and sines.
 ``pauli_vector`` and ``density_matrix`` convert to and from the package's
 Pauli vectors string by string, each string an explicit Kronecker product.
+``seed_sequence_streams`` is the reference for the package's keyed random
+streams: numpy's own ``SeedSequence``, one key at a time.
 """
 from functools import reduce
 
@@ -184,3 +186,9 @@ def dense_statevector(layout, theta):
         for c, t in layout.cnot_ring:
             psi = cnot_matrix(layout.n, c, t) @ psi
     return psi
+
+
+def seed_sequence_streams(master_seed, keys):
+    """One generator per key, each seeded by numpy's ``SeedSequence``."""
+    return [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(master_seed, spawn_key=key))) for key in keys]

@@ -23,6 +23,7 @@ from paulishift import analytics, cli, harness, invariants
 from paulishift.cli import (canonical_json, config_digest, load_config, main,
                             parse_float_list, parse_int_grid)
 from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
+from dense_oracle import seed_sequence_streams
 
 def _fresh_process(code: str, **env: str) -> str:
     """stdout of ``python -c code`` on this checkout's src, with no BLAS
@@ -762,9 +763,9 @@ class TestDistCommand:
         draw = harness.ExperimentConfig.noise_for_set
         drawn = []
 
-        def counting(self, set_index):
+        def counting(self, set_index, rng=None):
             drawn.append(set_index)
-            return draw(self, set_index)
+            return draw(self, set_index, rng)
 
         monkeypatch.setattr(harness.ExperimentConfig, "noise_for_set",
                             counting)
@@ -786,6 +787,46 @@ class TestDistCommand:
         cfg.write_text(GOOD_CONFIG.replace("kind = global_depolarizing",
                                            "kind = none"))
         assert main(["dist", str(cfg)]) == 2
+
+
+class TestStreamOracle:
+    """Every keyed stream is numpy's SeedSequence stream: CSV bytes with the
+    batched derivation equal those with one SeedSequence per key."""
+
+    # A master seed of three words, and budgets of one and two words
+    # (51539607552 = 12 * 2^32) in the shot keys of one batch.
+    CONFIG = """\
+[circuit]
+n = 2
+L = 2
+
+[noise]
+kind = cnot_pauli
+rate = 0.1
+redraw_weights = true
+
+[experiment]
+nt_grid = 96,51539607552
+parameter_sets = 3
+experiments_per_set = 5
+master_seed = 18446744073709563961
+"""
+
+    @pytest.mark.parametrize("command", ["mse-curves", "dist"])
+    def test_csv_bytes_match_numpy_streams(self, command, tmp_path,
+                                           monkeypatch, capsys):
+        cfg = tmp_path / "words.cfg"
+        cfg.write_text(self.CONFIG)
+        assert main([command, str(cfg), "--out", str(tmp_path / "fast")]) == 0
+        monkeypatch.setattr(harness, "substreams", seed_sequence_streams)
+        assert main([command, str(cfg), "--out", str(tmp_path / "numpy")]) == 0
+        names = sorted(p.name for p in (tmp_path / "fast").glob("*.csv"))
+        assert names == sorted(p.name
+                               for p in (tmp_path / "numpy").glob("*.csv"))
+        assert names
+        for name in names:
+            assert ((tmp_path / "fast" / name).read_bytes()
+                    == (tmp_path / "numpy" / name).read_bytes())
 
 
 class TestVerifyCommand:
@@ -940,6 +981,18 @@ except AttributeError as exc:
         assert _fresh_process(
             "import os, paulishift.cli; "
             "print(len(os.listdir('/proc/self/task')))") == "1\n"
+
+    def test_config_load_leaves_numpy_random_to_the_first_stream(
+            self, tmp_path):
+        """Set-up loads no numpy.random: it loads with the first keyed
+        stream, so its import is paid by a run, not by every start."""
+        (tmp_path / "good.cfg").write_text(GOOD_CONFIG)
+        assert _fresh_process(
+            "import sys; from paulishift import cli, harness; "
+            f"cli.load_config({str(tmp_path / 'good.cfg')!r}); "
+            "print('numpy.random' in sys.modules, end=' '); "
+            "harness.substream(1, 0); print('numpy.random' in sys.modules)"
+        ) == "False True\n"
 
     @pytest.mark.parametrize("argv, absent", [
         (["analytic", "--nstar", "--n", "2:4", "--eta", "0.1", "--csv",

@@ -2,6 +2,7 @@
 import dataclasses
 import inspect
 import math
+import random
 from functools import reduce
 
 import numpy as np
@@ -19,9 +20,10 @@ from paulishift.harness import (CrossingEstimate, ExperimentConfig,
                                 MseEstimate, NoiseSpec, distribution_study,
                                 empirical_n_star, exact_derivative,
                                 monte_carlo_mse, sample_parameter_set,
-                                substream)
+                                substream, substreams)
 from paulishift.invariants import Moments, moment_deviations
-from dense_oracle import dense_evolve, observable_matrix
+from dense_oracle import (dense_evolve, observable_matrix,
+                          seed_sequence_streams)
 
 
 def tiny_config(**overrides):
@@ -45,6 +47,51 @@ class TestSubstreams:
         c = substream(124, 2, 7).random(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    # numpy coerces a seed or key element to one uint32 word per 32 bits:
+    # these take one, one, two and three words.
+    ELEMENTS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5)
+
+    @pytest.mark.parametrize("master_seed", [0, 2 ** 32 - 1, 2 ** 32,
+                                             2 ** 64 + 3, 3 * 2 ** 200 + 7])
+    def test_streams_match_numpy_seed_sequences(self, master_seed):
+        """One call over keys of 1 to 8 elements of one to three words,
+        shuffled so rows of every word count mix, gives each key numpy's
+        seed words, generator state and first draws."""
+        rng = random.Random(master_seed)
+        keys = [tuple(element if i == at else rng.getrandbits(32)
+                      for i in range(length))
+                for length in range(1, 9) for at in range(length)
+                for element in self.ELEMENTS]
+        keys += [tuple(rng.choice(self.ELEMENTS) for _ in range(length))
+                 for length in range(1, 9) for _ in range(4)]
+        rng.shuffle(keys)
+        words = harness._seed_words(master_seed, keys)
+        streams = list(substreams(master_seed, keys))
+        oracle = seed_sequence_streams(master_seed, keys)
+        assert len(streams) == len(keys)
+        for i, key in enumerate(keys):
+            np.testing.assert_array_equal(
+                words[i], np.random.SeedSequence(
+                    master_seed, spawn_key=key).generate_state(4, np.uint64))
+            assert streams[i].bit_generator.state == (
+                oracle[i].bit_generator.state)
+            np.testing.assert_array_equal(streams[i].random(3),
+                                          oracle[i].random(3))
+        np.testing.assert_array_equal(
+            substream(master_seed, *keys[0]).random(3),
+            seed_sequence_streams(master_seed, keys[:1])[0].random(3))
+
+    @pytest.mark.parametrize("master_seed, key", [
+        (5, (1, -1)), (5, (-1, 2 ** 70)), (5, (2 ** 63, -2)), (-1, (0, 1))])
+    def test_negative_elements_raise_as_in_numpy(self, master_seed, key):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(master_seed, spawn_key=key)
+        with pytest.raises(ValueError, match="non-negative"):
+            substreams(master_seed, [(0, 1), key])
+
+    def test_no_keys_no_streams(self):
+        assert list(substreams(5, [])) == []
 
 
 class TestParameterSampling:
