@@ -27,6 +27,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -490,5 +491,25 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The process entry of ``python -m paulishift.cli`` and the
+    ``paulishift`` script: ``main`` on a frozen start-up heap. The objects
+    import left behind (numpy and the CLI's modules) move to the permanent
+    generation, which neither the run's collections nor those at exit
+    walk. Output the reader closed early ends in one ``error:`` line and
+    exit 2, however stdout is buffered."""
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Quiet the interpreter's own flush of stdout at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != 2:  # else main has reported the error
+            print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -637,11 +637,14 @@ def _draw_batch(config: ExperimentConfig, sets: range):
     """The batch's angles (B, 3nL), each set's from its own (0, s)
     substream; each set's channel; and the model the batch's circuits run
     under, one channel per set when the weights are redrawn, each from its
-    (1, s) substream. The batch's streams are derived in one call."""
+    (1, s) substream, else from the (1,) substream for fixed Pauli
+    weights. The batch's streams are derived in one call."""
     layout, redraw = config.layout(), config.noise.redraw_weights
     keys = [(_STREAM_PARAMS, s) for s in sets]
     if redraw:
         keys += [(_STREAM_NOISE, s) for s in sets]
+    elif config.noise.kind == "cnot_pauli":
+        keys.append((_STREAM_NOISE,))
     streams = iter(substreams(config.master_seed, keys))
     theta = np.array([sample_parameter_set(layout, next(streams))
                       for _ in sets])
@@ -649,7 +652,7 @@ def _draw_batch(config: ExperimentConfig, sets: range):
         channels = [config.noise_for_set(s, next(streams)) for s in sets]
         return theta, channels, noise_mod.CnotPauliChannel(
             tuple(c.weights for c in channels))
-    channel = config.noise_for_set(sets[0])
+    channel = config.noise_for_set(sets[0], next(streams, None))
     return theta, [channel] * len(sets), channel
 
 

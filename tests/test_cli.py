@@ -2,6 +2,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -25,15 +26,30 @@ from paulishift.cli import (canonical_json, config_digest, load_config, main,
 from paulishift.estimators import DiagHessian, Gradient, OffDiagHessian
 from dense_oracle import seed_sequence_streams
 
-def _fresh_process(code: str, **env: str) -> str:
-    """stdout of ``python -c code`` on this checkout's src, with no BLAS
-    thread variable set but those given."""
+
+def _fresh_env(**env: str) -> dict:
+    """A fresh process's environment on this checkout's src: no BLAS thread
+    variable and a buffered stdout, but as ``env`` sets them."""
     src = Path(__file__).resolve().parents[1] / "src"
-    base = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+    base = {k: v for k, v in os.environ.items()
+            if k not in cli._THREAD_VARS | {"PYTHONUNBUFFERED"}}
+    return {**base, "PYTHONPATH": str(src), **env}
+
+
+def _fresh_process(code: str, **env: str) -> str:
+    """stdout of ``python -c code`` in a ``_fresh_env(**env)``."""
     return subprocess.run(
-        [sys.executable, "-c", code],
-        env={**base, "PYTHONPATH": str(src), **env}, capture_output=True,
-        text=True, check=True).stdout
+        [sys.executable, "-c", code], env=_fresh_env(**env),
+        capture_output=True, text=True, check=True).stdout
+
+
+def _cli_process(argv, cwd, stdout=subprocess.PIPE, **env: str):
+    """``python -m paulishift.cli argv`` in ``cwd`` and a
+    ``_fresh_env(**env)``."""
+    return subprocess.run(
+        [sys.executable, "-m", "paulishift.cli", *argv], cwd=cwd,
+        env=_fresh_env(**env), stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=120)
 
 
 GOOD_CONFIG = """\
@@ -815,8 +831,19 @@ master_seed = 18446744073709563961
     @pytest.mark.parametrize("command", ["mse-curves", "dist"])
     def test_csv_bytes_match_numpy_streams(self, command, tmp_path,
                                            monkeypatch, capsys):
+        self._check(command, self.CONFIG, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("command", ["mse-curves", "dist"])
+    def test_fixed_weights_match_numpy_streams(self, command, tmp_path,
+                                               monkeypatch, capsys):
+        """The fixed channel's (1,) key rides in the batch's derivation."""
+        self._check(command, self.CONFIG.replace("redraw_weights = true\n",
+                                                 ""), tmp_path, monkeypatch)
+
+    @staticmethod
+    def _check(command, text, tmp_path, monkeypatch):
         cfg = tmp_path / "words.cfg"
-        cfg.write_text(self.CONFIG)
+        cfg.write_text(text)
         assert main([command, str(cfg), "--out", str(tmp_path / "fast")]) == 0
         monkeypatch.setattr(harness, "substreams", seed_sequence_streams)
         assert main([command, str(cfg), "--out", str(tmp_path / "numpy")]) == 0
@@ -1010,3 +1037,91 @@ except AttributeError as exc:
         code, *loaded = out.splitlines()[-1].split()
         assert code == "0" and "paulishift.cli" in loaded
         assert not absent & {m.split(".")[1] for m in loaded}, loaded
+
+
+class TestProcessEntry:
+    """The process entry freezes the start-up heap and flushes stdout before
+    exit; ``main`` in process does neither, and both give the same
+    results."""
+
+    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+    def test_entry_runs_its_command_on_a_frozen_heap(self, tmp_path):
+        """``python -m`` runs the module as ``__main__`` through runpy."""
+        out = _fresh_process(f"""
+import gc, runpy, sys
+from paulishift import analytics
+seen, real = [], analytics.n_star_fd
+def spy(*args):
+    seen.append(gc.get_freeze_count())
+    return real(*args)
+analytics.n_star_fd = spy
+before = gc.get_freeze_count()
+sys.argv = ["paulishift", "analytic", "--nstar", "--d", "4", "--eta", "0.1",
+            "--csv", "t.csv", "--out", {str(tmp_path)!r}]
+try:
+    runpy.run_module("paulishift.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, before, len(seen), min(seen) > 0)
+""")
+        assert out == "0 0 3 True\n"
+
+    def test_main_in_process_freezes_nothing(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        assert main(["analytic", "--nstar", "--d", "4", "--eta", "0.1",
+                     "--csv", "t.csv", "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_entry(self):
+        """Read as text: Python 3.10 has no tomllib."""
+        text = (Path(__file__).resolve().parents[1]
+                / "pyproject.toml").read_text()
+        scripts = re.findall(r'^paulishift = "paulishift\.cli:(\w+)"$', text,
+                             re.MULTILINE)
+        assert scripts == ["entry"]
+
+    @pytest.mark.parametrize("command, stem", [("mse-curves", "fig5_n4"),
+                                               ("dist", "pauli_redraw_n4")])
+    def test_process_and_main_write_the_same_bytes(self, command, stem,
+                                                   tmp_path, capsys):
+        config = str(self.CONFIGS / f"{stem}.cfg")
+        proc = _cli_process([command, config, "--out", "proc"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert main([command, config, "--out", str(tmp_path / "main")]) == 0
+        names = sorted(p.name for p in (tmp_path / "main").glob("*.csv"))
+        assert names == sorted(p.name
+                               for p in (tmp_path / "proc").glob("*.csv"))
+        for name in names:
+            assert ((tmp_path / "proc" / name).read_bytes()
+                    == (tmp_path / "main" / name).read_bytes())
+
+    def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_text(GOOD_CONFIG.replace(
+            "L = 2", "L = 1").replace("targets = gradient",
+                                      "targets = offdiag"))
+        proc = _cli_process(["mse-curves", "bad.cfg"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: offdiag target outside")
+        assert proc.stderr.count("\n") == 1
+        assert main(["mse-curves", str(tmp_path / "bad.cfg")]) == 2
+        assert capsys.readouterr().err == proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--quick"], ["mse-curves", "run.cfg"],
+        ["analytic", "--d", "4", "--eta", "0.1", "--nt", "96:96000:96"]],
+        ids=["verify", "mse-curves", "analytic"])
+    def test_closed_stdout_exits_2_with_one_line(self, argv, unbuffered,
+                                                 tmp_path):
+        """Buffered or not, a reader that left ends the run in one
+        ``error:`` line, and the interpreter's last flush stays quiet."""
+        (tmp_path / "run.cfg").write_text(GOOD_CONFIG)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _cli_process(argv, tmp_path, stdout=write, **unbuffered)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"

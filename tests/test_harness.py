@@ -641,6 +641,25 @@ class TestDistributionStudy:
                 for s in range(config.parameter_sets)]
 
 
+    def test_fixed_weights_join_the_batch_derivation(self, monkeypatch):
+        """Fixed Pauli weights come from the (1,) stream, derived in the
+        batch's one call with its parameter streams."""
+        config = tiny_config(n=3, L=3, parameter_sets=7,
+                             noise=NoiseSpec("cnot_pauli", 0.1))
+        want = config.noise_for_set(0).weights
+        calls = []
+
+        def counting(master_seed, keys):
+            calls.append(list(keys))
+            return substreams(master_seed, keys)
+
+        monkeypatch.setattr(harness, "substreams", counting)
+        monkeypatch.setattr(harness, "_batch_size", lambda *a: 3)
+        summary = distribution_study(config)
+        assert [keys[-1] for keys in calls] == [(1,)] * 3  # one per batch
+        assert [c.weights for c in summary.channels] == [want] * 7
+
+
 class TestTwoDesignCheck:
     """Criterion 9's sampler, ``invariants.moment_deviations``."""
 
