@@ -205,37 +205,42 @@ def lambda_opt_eta(target, d: int, n_total: float, eta: float) -> float:
     return num / den
 
 
-def _fd_total(kind: str, d: int, eta: float, n_total: float):
-    """``eps -> mse_fd(kind, d, eps, eta, 0.0, n_total).total``: the same
-    formula in the same operation order, with everything but eps computed
-    once instead of per call. ``s`` is sinc(eps / 2), computed as ``_sinc``
-    does unless given (the scan passes its table)."""
-    k, p = _FD_VAR_COEFF[kind]
-    m = _FD_SINC_POWER[kind]
-    moment = _moments(d).moment_for(kind)
-    strength = _shot_strength(d, eta, 0.0)
-    keep, pi, sin = 1.0 - eta, math.pi, math.sin
-
-    def total(epsilon, s=None):
-        if s is None:
-            t = epsilon / 2.0 / pi
-            y = pi * (t if t != 0.0 else 1e-20)
-            s = sin(y) / y
-        return (k / (n_total * epsilon ** p) * strength
-                + (1.0 - keep * s ** m) ** 2 * moment)
-
-    return total
-
-
 _EPS_GRID = np.geomspace(_EPS_LO, 2.0 * math.pi - _EPS_LO, 512)
 _EPS_SINC = np.sinc(_EPS_GRID / 2.0 / math.pi)  # sinc(eps / 2) on the grid
+
+
+@lru_cache(maxsize=None)
+def _fd_terms(kind: str, d: int, eta: float):
+    """``mse_fd(kind, d, eps, eta, 0.0, n)``'s constants ``(k, p, m, moment,
+    strength, keep)`` and, on the scan grid, ``eps ** p`` and the bias."""
+    k, p = _FD_VAR_COEFF[kind]
+    m, keep = _FD_SINC_POWER[kind], 1.0 - eta
+    moment = _moments(d).moment_for(kind)
+    return ((k, p, m, moment, _shot_strength(d, eta, 0.0), keep),
+            (_EPS_GRID ** p, (1.0 - keep * _EPS_SINC ** m) ** 2 * moment))
+
+
+def _fd_total(kind: str, d: int, eta: float, n_total: float):
+    """``eps -> mse_fd(kind, d, eps, eta, 0.0, n_total).total`` in the same
+    operation order (``_sinc`` inlined), its constants from ``_fd_terms``."""
+    (k, p, m, moment, strength, keep), _ = _fd_terms(kind, d, eta)
+    pi, sin = math.pi, math.sin
+
+    def total(epsilon):
+        t = epsilon / 2.0 / pi
+        y = pi * (t if t != 0.0 else 1e-20)
+        return (k / (n_total * epsilon ** p) * strength
+                + (1.0 - keep * (sin(y) / y) ** m) ** 2 * moment)
+
+    return total
 
 
 @lru_cache(maxsize=None)
 def _epsilon_opt_cached(kind: str, d: int, n_total: float,
                         eta: float) -> float:
     objective = _fd_total(kind, d, eta, n_total)
-    values = objective(_EPS_GRID, _EPS_SINC)
+    (k, _, _, _, strength, _), (eps_p, bias) = _fd_terms(kind, d, eta)
+    values = k / (n_total * eps_p) * strength + bias
     minima = np.count_nonzero((values[1:-1] < values[:-2])
                               & (values[1:-1] <= values[2:]))
     if minima > 1:
@@ -243,7 +248,7 @@ def _epsilon_opt_cached(kind: str, d: int, n_total: float,
             f"finite-difference MSE scan found {minima} local minima "
             f"({kind}, d={d}, n_total={n_total}, eta={eta}); refining the "
             "global scan minimum", RuntimeWarning, stacklevel=3)
-    best = int(np.argmin(values))
+    best = int(values.argmin())
     # Python floats search faster than numpy scalars, with the same bits.
     lo = float(_EPS_GRID[max(best - 1, 0)])
     up = float(_EPS_GRID[min(best + 1, len(_EPS_GRID) - 1)])
@@ -275,8 +280,9 @@ def epsilon_opt(target, d: int, n_total: float,
 
     With ``eta`` omitted (or 0) the step minimizes the noise-free MSE
     (naive); with a rate given, the known-noise upper bound (heuristic).
-    Search domain [1e-6, 2*pi - 1e-6], golden-section refinement of
-    a 512-point log-spaced scan, absolute tolerance 1e-9 on epsilon.
+    Search domain [1e-6, 2*pi - 1e-6]: a 512-point log-spaced scan, its
+    budget-free terms built once per (target, d, eta), then golden-section
+    refinement to absolute tolerance 1e-9 on epsilon.
     """
     eta = float(eta or 0.0)  # None is the noise-free step
     _check_common(eta, 0.0, n_total)
@@ -411,11 +417,13 @@ def n_star_fd(target, d: int, eta: float) -> float:
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
     kind = _kind(target)
+    c = _SPS_VAR_COEFF[kind]
+    (_, _, _, moment, strength, keep), _ = _fd_terms(kind, d, eta)
 
     def diff(n: float) -> tuple[float, float]:  # (NFD - PS, PS) MSEs at N
-        ps = mse_sps(kind, d, 1.0, eta, 0.0, n).total
-        eps = epsilon_opt(kind, d, n)
-        return mse_fd(kind, d, eps, eta, 0.0, n).total - ps, ps
+        # mse_sps(kind, d, 1.0, eta, 0.0, n).total: lambda = 1 is exact.
+        ps = c / n * strength + (1.0 - keep) ** 2 * moment
+        return _fd_total(kind, d, eta, n)(epsilon_opt(kind, d, n)) - ps, ps
 
     lo, hi = _N_BRACKET
     d_lo, d_hi = diff(lo)[0], diff(hi)[0]

@@ -437,8 +437,17 @@ def cmd_verify(args) -> int:
 
 # ── entry point ──────────────────────────────────────────────────────────────
 
+class _Parser(argparse.ArgumentParser):
+    """Help that stdout cannot take raises, as other output does."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:  # argparse drops write errors
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paulishift",
         description="Noisy-circuit derivative estimator benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -483,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. Bad input, a run too large to hold and an output
     that cannot be written each end in one ``error:`` line and exit 2."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -499,7 +508,10 @@ def entry() -> int:
     walk. Output the reader closed early ends in one ``error:`` line and
     exit 2, however stdout is buffered."""
     gc.freeze()
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's help and usage exits
+        code = exc.code
     try:
         sys.stdout.flush()
     except BrokenPipeError as exc:

@@ -244,7 +244,8 @@ class TestStepScan:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_array_scan_matches_scalar_scan(self, kind):
-        grid = np.geomspace(1e-6, 2.0 * math.pi - 1e-6, 512)
+        """The scan ``epsilon_opt`` runs, from the cached budget-free terms
+        of ``_fd_terms``, against scalar ``mse_fd`` calls."""
         for d in (2, 16, 2 ** 7, 2 ** 14):
             for nt in (12.0, 1e3, 1e6, 1e10, 1e14):
                 for eta in (0.0, 0.05, 0.5, 0.9):
@@ -253,8 +254,9 @@ class TestStepScan:
                         ref, scalar = _scalar_epsilon_opt(kind, d, nt, eta)
                         eps = analytics._epsilon_opt_cached.__wrapped__(
                             kind, d, nt, eta)
-                    scan = analytics._fd_total(kind, d, eta, nt)(
-                        grid, np.sinc(grid / 2.0 / math.pi))
+                    (k, _, _, _, strength, _), (eps_p, bias) = (
+                        analytics._fd_terms(kind, d, eta))
+                    scan = k / (nt * eps_p) * strength + bias
                     case = (kind, d, nt, eta)
                     assert eps == ref, case
                     assert np.argmin(scan) == np.argmin(scalar), case
@@ -284,6 +286,38 @@ class TestStepScan:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 assert eps == _scalar_epsilon_opt(kind, d, nt, 0.0)[0], (
                     kind, d, nt)
+
+    def test_two_scan_minima_warn_at_the_caller(self, monkeypatch):
+        """A scan with a second local minimum warns once, names the count,
+        is attributed to the line that called ``epsilon_opt`` and still
+        refines the global minimum."""
+        key, nt = ("diag", 16, 0.0), 1e10
+        want = epsilon_opt(*key[:2], nt)
+        terms = analytics._fd_terms
+        consts, (eps_p, bias) = terms(*key)
+        values = consts[0] / (nt * eps_p) * consts[4] + bias
+        j = int(np.argmin(values)) + 50  # on the rising side of the scan
+        assert values[j + 1] > values[j] > values[j - 1]
+        bias = bias.copy()
+        bias[j] -= 2.0 * (values[j] - values[j - 1])  # a shallow second dip
+
+        def dipped(*args):
+            return (consts, (eps_p, bias)) if args == key else terms(*args)
+
+        monkeypatch.setattr(analytics, "_fd_terms", dipped)
+        analytics._epsilon_opt_cached.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning) as record:
+                eps = epsilon_opt(*key[:2], nt)
+        finally:
+            analytics._epsilon_opt_cached.cache_clear()
+        assert len(record) == 1
+        assert str(record[0].message) == (
+            "finite-difference MSE scan found 2 local minima (diag, d=16, "
+            "n_total=10000000000.0, eta=0.0); refining the global scan "
+            "minimum")
+        assert record[0].filename == __file__
+        assert eps == want
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_search_objective_is_mse_fd_to_the_bit(self, kind):

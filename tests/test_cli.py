@@ -1125,3 +1125,34 @@ except SystemExit as exc:
             os.close(write)
         assert proc.returncode == 2
         assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}],
+                             ids=["buffered", "unbuffered"])
+    def test_help_into_a_closed_pipe_exits_2_with_one_line(
+            self, unbuffered, tmp_path, capsys, monkeypatch):
+        """argparse prints the help and exits inside ``main``; the entry
+        still flushes, so a reader that left ends ``--help`` as it ends a
+        command. To an open reader the help is whole and exits 0, and a
+        usage error keeps argparse's message and exit 2."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _cli_process(["--help"], tmp_path, stdout=write,
+                                **unbuffered)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+        shown = _cli_process(["--help"], tmp_path, COLUMNS="80", **unbuffered)
+        assert (shown.returncode, shown.stderr) == (0, "")
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert shown.stdout == capsys.readouterr().out
+        assert shown.stdout.startswith("usage: paulishift [-h]")
+        bad = _cli_process(["analytic", "--nstar"], tmp_path, **unbuffered)
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("usage: paulishift analytic")
+        assert bad.stderr.endswith(
+            "error: the following arguments are required: --eta\n")
